@@ -242,19 +242,6 @@ class GF:
 
     # -- misc --------------------------------------------------------------
 
-    def modulus_str(self) -> str:
-        terms = []
-        for i, c in enumerate(self.modulus):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("x" if c == 1 else f"{c}x")
-            else:
-                terms.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
-        return " + ".join(reversed(terms))
-
     def __eq__(self, other):
         return isinstance(other, GF) and (self.p, self.r) == (other.p, other.r)
 

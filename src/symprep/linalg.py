@@ -1,10 +1,12 @@
 """Exact linear algebra over GF(p^r).
 
 Matrices are numpy int64 arrays of canonical element encodings.  Prime
-fields get vectorized arithmetic (with a float64 BLAS shortcut for large
-exact integer matmuls); GF(2) additionally gets a bit-packed elimination
-path; extension fields fall back to scalar loops, which is fine because
-every extension-field matrix in this package is tiny.
+fields get vectorized arithmetic; large products go through float64 BLAS
+for odd p.  A GF(2) matrix may keep its rows bit-packed instead, 64 columns
+to a uint64 word: large GF(2) products use the Four-Russians table product
+on the words, and sums, equality and elimination work on the words too.
+Extension fields fall back to scalar loops, which is fine because every
+extension-field matrix in this package is tiny.
 
 All reduced row echelon forms are canonical: leading coefficient 1, pivot
 columns cleared, rows ordered by pivot.  Two subspaces are equal iff their
@@ -21,6 +23,13 @@ from .field import GF, make_field
 # product of two entries times the inner dimension must stay exactly
 # representable in float64 for the BLAS shortcut to be valid
 _FLOAT_EXACT = 2**53
+
+# from this many multiply-adds on, a product leaves the plain int64 matmul:
+# odd p goes through float64 BLAS, GF(2) through the packed product
+_LARGE_MACS = 200_000
+
+# words per block of Four-Russians tables, so a block stays in cache
+_TABLE_WORDS = 1 << 16
 
 
 def _as_array(a, like=None) -> np.ndarray:
@@ -39,31 +48,73 @@ def mm_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if k == 0:
         return np.zeros((n, m), dtype=np.int64)
     assert (p - 1) * (p - 1) * k < _FLOAT_EXACT
-    if n * k * m >= 200_000:
+    if n * k * m >= _LARGE_MACS:
+        if p == 2:
+            return unpack_rows(mm_gf2(pack_rows(a), k, pack_rows(b)), m)
         c = a.astype(np.float64) @ b.astype(np.float64)
         return np.rint(c).astype(np.int64) % p
     return (a @ b) % p
 
 
 # ---------------------------------------------------------------------------
-# GF(2) bit-packed rows
+# GF(2) bit-packed rows: bit j of word w in a row is column 64w + j, and the
+# bits past the last column are zero
 
 
 def pack_rows(a: np.ndarray) -> np.ndarray:
     rows, cols = a.shape
-    words = max(1, -(-cols // 64))
-    b = np.packbits(a.astype(np.uint8) & 1, axis=1, bitorder="little")
-    pad = words * 8 - b.shape[1]
-    if pad > 0:
-        b = np.pad(b, ((0, 0), (0, pad)))
-    return np.ascontiguousarray(b).view(np.uint64)
+    out = np.zeros((rows, 8 * max(1, -(-cols // 64))), dtype=np.uint8)
+    out[:, : -(-cols // 8)] = np.packbits(a.astype(np.uint8) & 1, axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _unpack_bits(w: np.ndarray, cols: int) -> np.ndarray:
+    """0/1 uint8 entries of packed rows."""
+    return np.unpackbits(w.view(np.uint8), axis=1, count=cols, bitorder="little")
 
 
 def unpack_rows(w: np.ndarray, cols: int) -> np.ndarray:
-    if w.shape[0] == 0:
-        return np.zeros((0, cols), dtype=np.int64)
-    bits = np.unpackbits(w.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, :cols].astype(np.int64)
+    return _unpack_bits(w, cols).astype(np.int64)
+
+
+def _identity_words(n: int) -> np.ndarray:
+    w = np.zeros((n, max(1, -(-n // 64))), dtype=np.uint64)
+    i = np.arange(n)
+    w[i, i >> 6] = np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+    return w
+
+
+def mm_gf2(aw: np.ndarray, k: int, bw: np.ndarray) -> np.ndarray:
+    """Packed GF(2) product of A (packed rows, k columns) and B (k packed rows).
+
+    The method of the Four Russians (Arlazarov et al. 1970; Albrecht, Bard
+    and Hart, ACM TOMS 37, 2010): the rows of B go in groups of 8, the 256
+    sums of each group are tabulated, and each row of A adds one table row
+    per group, the one its byte over those 8 columns addresses.
+    """
+    n, wb = aw.shape[0], bw.shape[1]
+    groups = -(-k // 8)
+    out = np.zeros((n, wb), dtype=np.uint64)
+    if n == 0 or groups == 0:
+        return out
+    addr = np.ascontiguousarray(aw.view(np.uint8)[:, :groups].T)
+    bg = np.zeros((groups * 8, wb), dtype=np.uint64)
+    bg[:k] = bw
+    bg = bg.reshape(groups, 8, wb)
+    step = max(1, _TABLE_WORDS // (256 * wb))
+    tab = np.zeros((min(step, groups), 256, wb), dtype=np.uint64)
+    for g0 in range(0, groups, step):
+        g1 = min(groups, g0 + step)
+        t = tab[: g1 - g0]
+        for j in range(8):
+            h = 1 << j
+            np.bitwise_xor(t[:, :h], bg[g0:g1, j, None, :], out=t[:, h:2 * h])
+        for g in range(g0, g1):
+            out ^= t[g - g0].take(addr[g], axis=0)
+    return out
+
+
+_BIT = tuple(np.uint64(1 << i) for i in range(64))
 
 
 def _rref_packed(w: np.ndarray, cols: int):
@@ -74,18 +125,19 @@ def _rref_packed(w: np.ndarray, cols: int):
     for c in range(cols):
         if r == rows:
             break
-        wi, bi = divmod(c, 64)
-        col = (w[r:, wi] >> np.uint64(bi)) & np.uint64(1)
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
+        wi = c >> 6
+        hits = (w[:, wi] & _BIT[c & 63]).nonzero()[0]
+        k = hits.searchsorted(r)
+        if k == hits.size:
             continue
-        pr = r + int(nz[0])
+        pr = hits[k]
+        # rows at and below r are zero left of column c, so words left of
+        # wi never change; clearing column c with row pr zeroes row pr too
+        row = w[pr, wi:].copy()
+        w[hits, wi:] ^= row
         if pr != r:
-            w[[r, pr]] = w[[pr, r]]
-        sel = np.flatnonzero((w[:, wi] >> np.uint64(bi)) & np.uint64(1))
-        sel = sel[sel != r]
-        if sel.size:
-            w[sel] ^= w[r]
+            w[pr] = w[r]
+        w[r, wi:] = row
         pivots.append(c)
         r += 1
     return pivots
@@ -168,12 +220,17 @@ def rref_array(a: np.ndarray, f: GF, force_generic: bool = False):
 
 
 class Mat:
-    """Immutable matrix over a fixed field, entries canonically encoded."""
+    """Immutable matrix over a fixed field, entries canonically encoded.
 
-    __slots__ = ("field", "a")
+    A GF(2) matrix built with `from_words`, or made by a large product, keeps
+    its rows bit-packed (`words`); `.a`, the read-only int64 entries, is then
+    unpacked on first use.  Either form is derived from the other on demand
+    and kept, so equality, hashing and keys do not depend on the form.
+    """
+
+    __slots__ = ("field", "shape", "_a", "_w")
 
     def __init__(self, field: GF, a):
-        self.field = field
         arr = np.asarray(a, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
@@ -183,7 +240,38 @@ class Mat:
             raise ValueError(f"entries out of range for {field}")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
-        self.a = arr
+        self.field = field
+        self.shape = arr.shape
+        self._a = arr
+        self._w = None
+
+    @classmethod
+    def _of(cls, field: GF, arr: np.ndarray) -> "Mat":
+        """Wrap an int64 array that is already canonical."""
+        m = cls.__new__(cls)
+        arr = np.ascontiguousarray(arr)
+        arr.flags.writeable = False
+        m.field = field
+        m.shape = arr.shape
+        m._a = arr
+        m._w = None
+        return m
+
+    @classmethod
+    def from_words(cls, field: GF, words: np.ndarray, cols: int) -> "Mat":
+        """GF(2) matrix from packed rows in the layout of `pack_rows`."""
+        if not field.is_gf2:
+            raise ValueError("packed rows are for GF(2) only")
+        words = np.ascontiguousarray(words, dtype=np.uint64)
+        if words.ndim != 2 or words.shape[1] != max(1, -(-cols // 64)):
+            raise ValueError(f"{words.shape} words do not hold {cols} columns")
+        words.flags.writeable = False
+        m = cls.__new__(cls)
+        m.field = field
+        m.shape = (words.shape[0], cols)
+        m._a = None
+        m._w = words
+        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -196,39 +284,64 @@ class Mat:
         return cls(field, np.eye(n, dtype=np.int64))
 
     @property
-    def shape(self):
-        return self.a.shape
+    def a(self) -> np.ndarray:
+        if self._a is None:
+            arr = unpack_rows(self._w, self.shape[1])
+            arr.flags.writeable = False
+            self._a = arr
+        return self._a
+
+    @property
+    def words(self) -> np.ndarray:
+        """Packed rows of a GF(2) matrix (read-only)."""
+        if self._w is None:
+            if not self.field.is_gf2:
+                raise ValueError("packed rows are for GF(2) only")
+            w = pack_rows(self._a)
+            w.flags.writeable = False
+            self._w = w
+        return self._w
 
     @property
     def rows(self) -> int:
-        return self.a.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.a.shape[1]
+        return self.shape[1]
 
     def _check(self, other: "Mat"):
         if self.field != other.field:
             raise ValueError(f"mismatched fields: {self.field} vs {other.field}")
 
+    def take_rows(self, idx) -> "Mat":
+        """The rows at `idx`, in that order."""
+        if self._a is None:
+            return Mat.from_words(self.field, self._w[idx], self.cols)
+        return Mat._of(self.field, self._a[idx])
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
         f = self.field
-        if f.r == 1:
-            return Mat(f, (self.a + other.a) % f.p)
+        if f.is_gf2 and (self._a is None or other._a is None):
+            return Mat.from_words(f, self.words ^ other.words, self.cols)
         if f.p == 2:
-            return Mat(f, self.a ^ other.a)
+            return Mat._of(f, self.a ^ other.a)
+        if f.r == 1:
+            return Mat._of(f, (self.a + other.a) % f.p)
         add = np.vectorize(f.add, otypes=[np.int64])
         return Mat(f, add(self.a, other.a) if self.a.size else self.a)
 
     def __neg__(self) -> "Mat":
         f = self.field
-        if f.r == 1:
-            return Mat(f, (-self.a) % f.p)
         if f.p == 2:
             return self
+        if f.r == 1:
+            return Mat._of(f, (-self.a) % f.p)
         neg = np.vectorize(f.neg, otypes=[np.int64])
         return Mat(f, neg(self.a) if self.a.size else self.a)
 
@@ -241,7 +354,10 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if f.r == 1:
-            return Mat(f, mm_modp(self.a, other.a, f.p))
+            n, k, m = self.rows, self.cols, other.cols
+            if f.is_gf2 and n * k * m >= _LARGE_MACS:
+                return Mat.from_words(f, mm_gf2(self.words, k, other.words), m)
+            return Mat._of(f, mm_modp(self.a, other.a, f.p))
         n, k, m = self.rows, self.cols, other.cols
         out = np.zeros((n, m), dtype=np.int64)
         for i in range(n):
@@ -261,7 +377,10 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        return Mat(self.field, self.a.T)
+        if self._a is None:
+            bits = _unpack_bits(self._w, self.cols)
+            return Mat.from_words(self.field, pack_rows(bits.T), self.rows)
+        return Mat._of(self.field, self.a.T)
 
     def kron(self, other: "Mat") -> "Mat":
         self._check(other)
@@ -295,8 +414,12 @@ class Mat:
     # -- elimination-based -------------------------------------------------
 
     def rref(self, force_generic: bool = False):
+        if self.field.is_gf2 and not force_generic:
+            w = self.words.copy()
+            piv = _rref_packed(w, self.cols)
+            return Mat.from_words(self.field, w, self.cols), tuple(piv)
         out, piv = rref_array(self.a, self.field, force_generic=force_generic)
-        return Mat(self.field, out), piv
+        return Mat._of(self.field, out), piv
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -305,11 +428,19 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
         n = self.rows
+        f = self.field
+        if f.is_gf2:
+            wa = self.words.shape[1]
+            aug = np.hstack([self.words, _identity_words(n)])
+            piv = _rref_packed(aug, 64 * wa + n)
+            if tuple(piv) != tuple(range(n)):
+                raise ValueError("matrix is singular")
+            return Mat.from_words(f, aug[:, wa:], n)
         aug = np.hstack([self.a, np.eye(n, dtype=np.int64)])
-        out, piv = rref_array(aug, self.field)
+        out, piv = rref_array(aug, f)
         if tuple(piv) != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Mat(self.field, out[:, n:])
+        return Mat._of(f, out[:, n:])
 
     def det(self) -> int:
         if self.rows != self.cols:
@@ -336,12 +467,12 @@ class Mat:
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.field == other.field
-            and self.shape == other.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
+        if not (isinstance(other, Mat) and self.field == other.field
+                and self.shape == other.shape):
+            return False
+        if self._a is None or other._a is None:
+            return bool(np.array_equal(self.words, other.words))
+        return bool(np.array_equal(self._a, other._a))
 
     def __hash__(self):
         return hash((self.field, self.shape, self.a.tobytes()))
@@ -485,17 +616,18 @@ def kernel(m: Mat, force_generic: bool = False) -> Subspace:
     red, piv = m.rref(force_generic=force_generic)
     f = m.field
     cols = m.cols
-    pivset = set(piv)
-    free = [c for c in range(cols) if c not in pivset]
-    if not free:
+    free = np.setdiff1d(np.arange(cols), piv)
+    if not free.size:
         return Subspace.zero(f, cols)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(piv):
-            coef = int(red.a[i, fc])
-            if coef:
-                basis[k, pc] = f.neg(coef) if f.r > 1 else (-coef) % f.p
+    # free column c gives e_c minus its RREF column on the pivot coordinates
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    if piv:
+        coefs = red.take_rows(slice(0, len(piv))).a[:, free].T
+        if f.r == 1:
+            basis[:, list(piv)] = (-coefs) % f.p
+        else:
+            basis[:, list(piv)] = np.vectorize(f.neg, otypes=[np.int64])(coefs)
     return Subspace.from_rows(f, basis)
 
 
@@ -524,8 +656,13 @@ def joint_fixed_space(mats: list[Mat]) -> Subspace:
     for g in mats:
         if g.field != f or g.shape != (n, n):
             raise ValueError("matrices must be square, same size, same field")
-    stacked = np.vstack([(g - Mat.identity(f, n)).a for g in mats])
-    return kernel(Mat(f, stacked))
+    if f.is_gf2:
+        ident = _identity_words(n)
+        stacked = Mat.from_words(f, np.vstack([g.words ^ ident for g in mats]), n)
+    else:
+        ident = Mat.identity(f, n)
+        stacked = Mat._of(f, np.vstack([(g - ident).a for g in mats]))
+    return kernel(stacked)
 
 
 def quotient_action(mats: list[Mat], s: Subspace) -> list[Mat]:
@@ -533,8 +670,9 @@ def quotient_action(mats: list[Mat], s: Subspace) -> list[Mat]:
 
     Every matrix must map S into itself (checked); the quotient basis is
     the set of non-pivot columns of S in increasing order.  Since the basis
-    is in RREF, reduction mod S of a batch of columns X is the single
-    expression X - Bᵀ·X[pivots], which keeps large modules fast.
+    B is in RREF, a batch of columns X reduces mod S to X - Bᵀ·X[pivots], so
+    the checked image is g·Bᵀ = Bᵀ·(g·Bᵀ)[pivots], and the quotient matrix
+    is g[comp, comp] - B[:, comp]ᵀ·g[pivots, comp], all matrix products.
     """
     if not mats:
         return []
@@ -544,15 +682,16 @@ def quotient_action(mats: list[Mat], s: Subspace) -> list[Mat]:
     comp = list(s.complement_cols())
     out = []
     if f.r == 1 and s.dim > 0:
-        bt = s.basis.T
         piv = list(s.pivots)
+        bt = Mat._of(f, s.basis.T)
+        bt_comp = Mat._of(f, s.basis[:, comp].T)
         for g in mats:
-            imgs = mm_modp(g.a, bt, f.p)
-            if ((imgs - mm_modp(bt, imgs[piv, :], f.p)) % f.p).any():
+            imgs = g @ bt
+            if imgs != bt @ imgs.take_rows(piv):
                 raise ValueError("subspace is not invariant under the given action")
-            xc = g.a[:, comp]
-            res = (xc - mm_modp(bt, xc[piv, :], f.p)) % f.p
-            out.append(Mat(f, res[comp, :]))
+            ga = g.a
+            q = Mat._of(f, ga[np.ix_(comp, comp)])
+            out.append(q - bt_comp @ Mat._of(f, ga[np.ix_(piv, comp)]))
         return out
     for g in mats:
         for row in s.basis:
@@ -584,10 +723,6 @@ def radical_of_form(gram: Mat) -> Subspace:
     if gram.rows != gram.cols:
         raise ValueError("Gram matrix must be square")
     return kernel(gram)
-
-
-def random_matrix(field: GF, rows: int, cols: int, rng) -> Mat:
-    return Mat(field, [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)])
 
 
 # convenience: GF(2) field singleton used throughout the package

@@ -242,31 +242,6 @@ def closure(group, cap: int = 10**7) -> ElementSet:
     return ElementSet(sorted(seen), complete)
 
 
-def closure_mats(gens, cap: int = 10**6):
-    """BFS closure for matrix generators; returns (list, complete)."""
-    if not gens:
-        raise ValueError("need at least one matrix generator")
-    from .linalg import Mat
-
-    ident = Mat.identity(gens[0].field, gens[0].rows)
-    seen = {ident.key(): ident}
-    frontier = [ident]
-    complete = True
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = x @ g
-                k = y.key()
-                if k not in seen:
-                    if len(seen) >= cap:
-                        return list(seen.values()), False
-                    seen[k] = y
-                    fresh.append(y)
-        frontier = fresh
-    return list(seen.values()), complete
-
-
 def is_elementary_abelian(group, p: int, cap: int = 10**6):
     """(is elementary abelian p-group, rank).  Accepts a presentation or gens."""
     if isinstance(group, GroupPresentation):

@@ -23,14 +23,15 @@ class VerificationReport:
     expected: object
     computed: object
     status: str
-    runtime_ms: int = 0
+    runtime_ms: Optional[int] = None  # None until timed
 
     def __post_init__(self):
         assert self.status in STATUSES, self.status
 
 
 def make_report(claim_id: str, statement: str, inputs: dict, expected, computed,
-                status: Optional[str] = None, runtime_ms: int = 0) -> VerificationReport:
+                status: Optional[str] = None,
+                runtime_ms: Optional[int] = None) -> VerificationReport:
     """Status defaults to pass/fail by comparing computed against expected."""
     if status is None:
         status = "pass" if computed == expected else "fail"
@@ -81,7 +82,7 @@ def report_to_dict(r: VerificationReport, timings: bool = False) -> dict:
         "status": r.status,
     }
     if timings:
-        d["runtime_ms"] = int(r.runtime_ms)
+        d["runtime_ms"] = None if r.runtime_ms is None else int(r.runtime_ms)
     return d
 
 

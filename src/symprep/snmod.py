@@ -21,8 +21,10 @@ import numpy as np
 
 from . import perm as pm
 from .field import GF, make_field
-from .linalg import (Mat, Subspace, joint_fixed_space, kernel, mm_modp,
-                     quotient_action, rref_array)
+# mm_modp and rref_array stay importable from here: the layer trace in
+# perfbench/layers.py wraps them by module
+from .linalg import (Mat, Subspace, joint_fixed_space, kernel, mm_modp,  # noqa: F401
+                     pack_rows, quotient_action, rref_array)
 from .records import VerificationReport, make_report
 
 MAX_N = 12
@@ -100,51 +102,54 @@ def hook_length_dim(lam) -> int:
 
 # ---------------------------------------------------------------------------
 # tabloids and polytabloids
+#
+# A tabloid of shape lam is its row word: entry x is the row that holds x.
+# Its code is the row word read in base len(lam), sum of row(x) * base^x, so
+# sorted codes index the tabloids, and a point swap shifts one code.
 
 
-def _tabloids(points: tuple, shape: tuple):
-    """Ordered tuples of disjoint sorted rows with the given sizes."""
-    if not shape:
-        yield ()
-        return
-    for row in itertools.combinations(points, shape[0]):
-        taken = set(row)
-        rest = tuple(x for x in points if x not in taken)
-        for tail in _tabloids(rest, shape[1:]):
-            yield (row,) + tail
+def _tabloid_words(lam: tuple):
+    """(row words, codes) of every tabloid of shape lam, in increasing code order."""
+    n = sum(lam)
+    words = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n):
+        parts = []
+        for i, size in enumerate(lam):
+            w = words[(words == i).sum(axis=1) < size]
+            parts.append(np.hstack([w, np.full((len(w), 1), i, dtype=np.int64)]))
+        words = np.vstack(parts)
+    codes = words @ len(lam) ** np.arange(n, dtype=np.int64)
+    order = np.argsort(codes)
+    return words[order], codes[order]
 
 
-def _polytabloid_vector(tab, index: dict, shape: tuple, p: int) -> np.ndarray:
-    """Signed sum over the column group of the row-sorted images of tab."""
-    conj = conjugate(shape)
-    cols = [tuple(tab[i][j] for i in range(conj[j])) for j in range(len(conj))]
-    n = sum(shape)
-    col_perms = [
-        [(s, pm.sign(s)) for s in itertools.permutations(range(len(c)))]
-        for c in cols
-    ]
-    vec = np.zeros(len(index), dtype=np.int64)
-    for choice in itertools.product(*col_perms):
-        mapping = list(range(n))
-        sgn = 1
-        for col, (sig, s) in zip(cols, choice):
-            sgn *= s
-            for a, b in enumerate(sig):
-                mapping[col[a]] = col[b]
-        key = tuple(tuple(sorted(mapping[x] for x in row)) for row in tab)
-        vec[index[key]] += sgn
-    return vec % p
+def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray):
+    """(tableau row, tabloid index, sign) arrays of every standard polytabloid term.
+
+    The polytabloid of t is the signed sum of {σt} over its column group;
+    the term for σ puts the entry in row a of column j into row σ_j(a).
+    """
+    conj = conjugate(lam)
+    per_col = [list(itertools.permutations(range(c))) for c in conj]
+    row_of_cell, signs = [], []
+    for choice in itertools.product(*per_col):
+        row_of_cell.append([a for sig in choice for a in sig])
+        signs.append(math.prod(pm.sign(sig) for sig in choice))
+    row_of_cell = np.array(row_of_cell, dtype=np.int64)
+    points = np.array([[t[a][j] for j, c in enumerate(conj) for a in range(c)]
+                       for t in tableaux], dtype=np.int64)
+    term_codes = (len(lam) ** points) @ row_of_cell.T
+    cols = np.searchsorted(codes, term_codes)
+    assert np.array_equal(codes[cols], term_codes), "polytabloid term is not a tabloid"
+    rows = np.repeat(np.arange(len(tableaux)), len(signs))
+    return rows, cols.reshape(-1), np.tile(np.array(signs, dtype=np.int64), len(tableaux))
 
 
-def _tabloid_swap_perm(tabs: list, index: dict, k: int) -> np.ndarray:
+def _tabloid_swap_perm(words: np.ndarray, codes: np.ndarray, base: int, k: int) -> np.ndarray:
     """Index map m with (s_k . x) = x[m] for coefficient vectors x over tabloids."""
-    out = np.empty(len(tabs), dtype=np.int64)
-    for j, tab in enumerate(tabs):
-        moved = tuple(
-            tuple(sorted(k + 1 if x == k else k if x == k + 1 else x for x in row))
-            for row in tab
-        )
-        out[index[moved]] = j
+    moved = codes + (words[:, k + 1] - words[:, k]) * (base**k - base ** (k + 1))
+    out = np.empty(len(codes), dtype=np.int64)
+    out[np.searchsorted(codes, moved)] = np.arange(len(codes))
     return out
 
 
@@ -236,38 +241,47 @@ class GModule:
 
 @functools.lru_cache(maxsize=None)
 def _specht_core(lam: tuple, p: int):
-    """(n, dim, generator matrices, Gram matrix) for the standard-polytabloid basis."""
+    """(n, dim, generator matrices, Gram matrix) for the standard-polytabloid basis.
+
+    The basis b has one row per standard polytabloid and one column per
+    tabloid; at p = 2 it is built and kept bit-packed.  The action of s_k on
+    b permutes its columns, and straightening solves for the coefficients on
+    the pivot columns of b, then checks coef·b = s_k·b.
+    """
     lam = check_partition(lam)
     n = sum(lam)
     assert 2 <= n <= MAX_N, "degree outside supported range"
     fld = make_field(p)
-    tabs = list(_tabloids(tuple(range(n)), lam))
-    index = {t: i for i, t in enumerate(tabs)}
+    words, codes = _tabloid_words(lam)
     st = standard_tableaux(lam)
     dim = len(st)
     assert dim == hook_length_dim(lam), "tableau count disagrees with hook lengths"
-    b = np.zeros((dim, len(tabs)), dtype=np.int64)
-    for i, t in enumerate(st):
-        b[i] = _polytabloid_vector(t, index, lam, p)
-    _, piv = rref_array(b, fld)
+    rows, cols, signs = _polytabloid_terms(lam, st, codes)
+    if p == 2:
+        entries = np.zeros((dim, len(codes)), dtype=np.uint8)
+        entries[rows, cols] = 1
+        b = Mat.from_words(fld, pack_rows(entries), len(codes))
+    else:
+        entries = np.zeros((dim, len(codes)), dtype=np.int64)
+        entries[rows, cols] = signs % p
+        b = Mat(fld, entries)
+    _, piv = b.rref()
     assert len(piv) == dim, "standard polytabloids must stay independent mod p"
     piv = list(piv)
-    binv = Mat(fld, b[:, piv]).inverse().a
+    binv = Mat(fld, entries[:, piv]).inverse()
     rng = np.random.default_rng(409 + 97 * n + p)
     gen_mats = []
     for k in range(n - 1):
-        shuffle = _tabloid_swap_perm(tabs, index, k)
-        gb = b[:, shuffle]
-        coef = mm_modp(gb[:, piv], binv, p)
+        shuffle = _tabloid_swap_perm(words, codes, len(lam), k)
+        coef = Mat(fld, entries[:, shuffle[piv]]) @ binv
         if dim <= 200:
-            assert np.array_equal(mm_modp(coef, b, p), gb), "straightening failed"
+            assert coef @ b == Mat(fld, entries[:, shuffle]), "straightening failed"
         else:
-            proj = rng.integers(0, p, size=(64, dim))
-            lhs = mm_modp(mm_modp(proj, coef, p), b, p)
-            rhs = mm_modp(proj, gb, p)
-            assert np.array_equal(lhs, rhs), "straightening failed"
-        gen_mats.append(Mat(fld, coef.T))
-    gram = Mat(fld, mm_modp(b, b.T, p))
+            proj = Mat(fld, rng.integers(0, p, size=(64, dim)))
+            rhs = Mat._of(fld, (proj @ b).a[:, shuffle])
+            assert (proj @ coef) @ b == rhs, "straightening failed"
+        gen_mats.append(coef.T)
+    gram = b @ b.T
     return n, dim, tuple(gen_mats), gram
 
 
@@ -569,10 +583,15 @@ def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[Verificatio
             if n < p:
                 continue
             for lam in p_regular_partitions(n, p):
-                mod = irreducible_D(lam, p)
-                if mod.dim <= 1:
+                def depth():
+                    mod = irreducible_D(lam, p)
+                    if mod.dim <= 1:
+                        return mod, None
+                    return mod, loewy_length(mod, _cyclic_group(n, p))
+
+                ((mod, series), ms) = _timed(depth)
+                if series is None:
                     continue
-                (series, ms) = _timed(lambda: loewy_length(mod, _cyclic_group(n, p)))
                 out.append(make_report(
                     claim_id=f"appendix/odd-cyclic-depth{'-alt' if alt else ''}/p{p}/n{n}/{_lam_id(lam)}",
                     statement="restriction of a non-character mod-p irreducible to the "
@@ -640,9 +659,13 @@ def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[Verificatio
             for k in range(2, (n + 1) // 2):
                 if n - k <= k:
                     continue
-                mod = irreducible_D((n - k, k), 2)
                 sub = pm.special_subgroups(n, "H", m=k)
-                (count, ms) = _timed(lambda: free_summand_count(mod, sub))
+
+                def free_count():
+                    mod = irreducible_D((n - k, k), 2)
+                    return mod, free_summand_count(mod, sub)
+
+                ((mod, count), ms) = _timed(free_count)
                 out.append(make_report(
                     claim_id=f"appendix/pair-partition-free-summand/n{n}/k{k}",
                     statement="the two-row mod-2 irreducible keeps a free summand over "
@@ -693,12 +716,16 @@ def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[Verificatio
             for lam in p_regular_partitions(n, 2):
                 if len(lam) < 3:
                     continue
-                mod = irreducible_D(lam, 2)
-                if mod.dim <= 1:
-                    continue
                 for sub in (pm.special_subgroups(n, "K"), pm.special_subgroups(n, "H", m=2)):
-                    (series, ms) = _timed(lambda: loewy_length(mod, sub))
-                    free = free_summand_count(mod, sub)
+                    def depth_and_free():
+                        mod = irreducible_D(lam, 2)
+                        if mod.dim <= 1:
+                            return mod, None, None
+                        return mod, loewy_length(mod, sub), free_summand_count(mod, sub)
+
+                    ((mod, series, free), ms) = _timed(depth_and_free)
+                    if series is None:
+                        break
                     out.append(make_report(
                         claim_id=f"appendix/three-part-depth/n{n}/{_lam_id(lam)}/{sub.label}",
                         statement="mod-2 irreducibles with at least three parts have "

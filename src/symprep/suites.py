@@ -26,14 +26,14 @@ def _run_jobs(jobs, config: SuiteConfig) -> list[VerificationReport]:
         try:
             result = fn()
         except Exception as exc:  # surface as a fail report, keep the suite going
-            return [make_report(
+            result = make_report(
                 claim_id=label, statement="claim evaluation raised an exception",
                 inputs={}, expected="no exception", computed=repr(exc),
-                status="fail")]
+                status="fail")
         ms = int((time.monotonic() - t0) * 1000)
         reports = result if isinstance(result, list) else [result]
         for r in reports:
-            if r.runtime_ms == 0:
+            if r.runtime_ms is None:
                 r.runtime_ms = ms
         return reports
 

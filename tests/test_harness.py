@@ -4,13 +4,14 @@ and the command line entry point."""
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from symprep.records import (STATUSES, SuiteConfig, VerificationReport,
                              exit_code, make_report, render, report_to_dict,
                              reports_to_csv, reports_to_json, summarize)
-from symprep.suites import SUITE_NAMES, run_suite
+from symprep.suites import SUITE_NAMES, _run_jobs, run_suite
 
 
 def _sample(status="pass", computed=3):
@@ -40,6 +41,22 @@ def test_report_dict_timings_toggle():
     r = VerificationReport("a", "s", {}, 1, 1, "pass", runtime_ms=42)
     assert "runtime_ms" not in report_to_dict(r)
     assert report_to_dict(r, timings=True)["runtime_ms"] == 42
+
+
+def test_run_jobs_keeps_a_zero_runtime():
+    """Only reports whose runtime was never set get the job's total."""
+    def job():
+        time.sleep(0.02)
+        return [make_report("a", "s", {}, 1, 1, runtime_ms=0),
+                make_report("b", "s", {}, 1, 1)]
+
+    def raising():
+        raise RuntimeError("boom")
+
+    timed, untimed, failed = _run_jobs([("j", job), ("r", raising)], SuiteConfig())
+    assert timed.runtime_ms == 0
+    assert untimed.runtime_ms >= 20
+    assert failed.status == "fail" and failed.runtime_ms is not None
 
 
 def test_summary_and_exit_codes():

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from symprep.field import make_field
-from symprep.linalg import (Mat, Subspace, joint_fixed_space, kernel, mm_modp,
-                            quotient_action, radical_of_form, rref, solve)
+from symprep.linalg import (Mat, Subspace, joint_fixed_space, kernel, mm_gf2, mm_modp,
+                            pack_rows, quotient_action, radical_of_form, rref, solve)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
 GF4 = make_field(2, 2)
 GF9 = make_field(3, 2)
+GF5 = make_field(5)
+
+# products from this many multiply-adds on take the packed GF(2) path
+SWITCH = 200_000
 
 
 def random_mat(field, rows, cols, rng):
@@ -205,3 +209,99 @@ def test_key_and_hash_stability():
     b = Mat(GF2, [[1, 0], [1, 1]])
     assert a == b and hash(a) == hash(b) and a.key() == b.key()
     assert a.key() != Mat(GF2, [[1, 0], [0, 1]]).key()
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 65, 130])
+def test_packed_product_matches_int64_reference(k):
+    """Four-Russians products equal (a @ b) % 2 below and above the switch."""
+    rng = np.random.default_rng(1000 + k)
+    big = int(np.ceil(np.sqrt(SWITCH / k))) + 3
+    for n, m in ((3, 5), (big, big), (big + 61, big - 2), (1, SWITCH // k + 1)):
+        a = rng.integers(0, 2, size=(n, k))
+        b = rng.integers(0, 2, size=(k, m))
+        ref = (a @ b) % 2
+        prod = Mat(GF2, a) @ Mat(GF2, b)
+        assert (n * k * m >= SWITCH) == (prod._a is None)
+        assert np.array_equal(prod.a, ref)
+        assert np.array_equal(mm_modp(a, b, 2), ref)
+        assert np.array_equal(mm_gf2(pack_rows(a), k, pack_rows(b)), pack_rows(ref))
+
+
+def test_packed_product_empty_operands():
+    rng = np.random.default_rng(4)
+    for n, k, m in ((0, 600, 600), (600, 600, 0), (600, 0, 600), (0, 0, 0)):
+        a = rng.integers(0, 2, size=(n, k))
+        b = rng.integers(0, 2, size=(k, m))
+        assert np.array_equal(mm_gf2(pack_rows(a), k, pack_rows(b)), pack_rows(np.zeros((n, m))))
+        prod = Mat(GF2, a) @ Mat(GF2, b)
+        assert prod.shape == (n, m) and not prod.a.any()
+
+
+def test_words_and_int64_forms_agree():
+    rng = np.random.default_rng(8)
+    for rows, cols in ((5, 3), (70, 64), (33, 130), (0, 9), (4, 0)):
+        a = rng.integers(0, 2, size=(rows, cols))
+        packed = Mat.from_words(GF2, pack_rows(a), cols)
+        dense = Mat(GF2, a)
+        assert packed == dense and dense == packed
+        assert hash(packed) == hash(dense) and packed.key() == dense.key()
+        assert Mat.from_words(GF2, pack_rows(a), cols).T == dense.T
+        if a.size:
+            b = a.copy()
+            b[-1, -1] ^= 1
+            assert Mat.from_words(GF2, pack_rows(b), cols) != dense
+
+
+def test_packed_arithmetic_and_elimination():
+    """Sums, transposes, row picks, RREF and inverses on words match int64."""
+    rng = np.random.default_rng(12)
+    n = 150
+    a = random_mat(GF2, n, n, rng)
+    b = random_mat(GF2, n, n, rng)
+    pa = Mat.from_words(GF2, pack_rows(a.a), n)
+    pb = Mat.from_words(GF2, pack_rows(b.a), n)
+    assert np.array_equal((pa + pb).a, (a.a + b.a) % 2)
+    assert pa - pb == pa + pb
+    assert np.array_equal(pa.T.a, a.a.T)
+    assert np.array_equal(pa.take_rows([4, 0, 149]).a, a.a[[4, 0, 149]])
+    red_p, piv_p = pa.rref()
+    red_g, piv_g = a.rref(force_generic=True)
+    assert piv_p == piv_g and np.array_equal(red_p.a, red_g.a)
+    while a.rank() < n:
+        a = random_mat(GF2, n, n, rng)
+    ident = Mat.identity(GF2, n)
+    inv = Mat.from_words(GF2, pack_rows(a.a), n).inverse()
+    assert a @ inv == ident and inv @ a == ident
+    singular = Mat(GF2, np.vstack([a.a[:-1], a.a[:1]]))
+    with pytest.raises(ValueError):
+        singular.inverse()
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF5], ids=["GF2", "GF3", "GF5"])
+def test_kernel_large_duality(field):
+    """Vectorized kernel: rank + nullity = cols and M·v = 0, above the switch."""
+    rng = np.random.default_rng(field.p)
+    for rows, cols, r in ((90, 140, 60), (140, 90, 40), (64, 200, 64)):
+        m = random_mat(field, rows, r, rng) @ random_mat(field, r, cols, rng)
+        ker = kernel(m)
+        assert m.rank() + ker.dim == cols
+        assert ker.dim >= cols - r
+        assert rows * cols * ker.dim >= SWITCH
+        assert not (m @ Mat(field, ker.basis).T).a.any()
+        assert ker == kernel(m, force_generic=True)
+
+
+def test_joint_fixed_space_large_gf2():
+    """Packed g ⊕ I stacking gives the same fixed space as the generic path."""
+    rng = np.random.default_rng(17)
+    n = 96
+    perm_mats = []
+    for _ in range(3):
+        pmat = np.zeros((n, n), dtype=np.int64)
+        pmat[np.arange(n), rng.permutation(n)] = 1
+        perm_mats.append(Mat(GF2, pmat))
+    fixed = joint_fixed_space(perm_mats)
+    stacked = Mat(GF2, np.vstack([(g.a + np.eye(n, dtype=np.int64)) % 2 for g in perm_mats]))
+    assert fixed == kernel(stacked, force_generic=True)
+    for g in perm_mats:
+        assert not ((g.a @ fixed.basis.T - fixed.basis.T) % 2).any()
