@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import classical, dickson, oracles, snmod
@@ -72,12 +71,7 @@ def _parabolic_table_rows(max_n: int, enum_cap: int):
     rows = []
     for n in range(5, min(max_n, 12) + 1):
         for kind in ("sym", "alt"):
-            rep = dickson.perm_irrep(n, 2)
-            if kind == "alt":
-                rep = dickson.restrict_to_alternating(rep)
-            w, _, _ = dickson.lagrangian_pair(rep.dim // 2)
-            mode = "exact_enum" if math.factorial(n) <= enum_cap else "certified_bound"
-            res = dickson.parabolic_trivial_subgroup(rep, w, mode=mode, cap=enum_cap)
+            res = dickson.standard_parabolic(n, kind, enum_cap)
             rows.append({"n": n, "kind": kind, "rank": res.rank,
                          "order": res.order, "exact": res.exact})
     return rows

@@ -11,6 +11,7 @@ image formula that avoids multiplying out generator words.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -18,6 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import perm as pm
+from .checks import require
 from .field import GF, make_field
 from .forms import FormSpec, bilinear, is_isotropic, preserves_form
 from .linalg import GF2, Mat, Subspace, mm_modp
@@ -39,6 +41,7 @@ class Representation:
     act: Optional[Callable]  # Perm (degree group.degree) -> Mat
     faithful: Optional[bool]
     label: str = ""
+    tables: Optional[tuple] = None  # (big, dim, E) of _irrep_tables, for the GF(2) backtrack
 
     def act_perm(self, g: pm.Perm) -> Mat:
         if self.act is None:
@@ -128,7 +131,7 @@ def _check_word_consistency(rep: Representation, seed: int = 0, words: int = 20)
         for idx in word:
             g = pm.compose(g, gens[idx])
             m = m @ rep.images[idx]
-        assert m == rep.act(g), "generator images disagree with the element formula"
+        require(m == rep.act(g), "generator images disagree with the element formula")
 
 
 def perm_irrep(n: int, p: int) -> Representation:
@@ -155,8 +158,8 @@ def perm_irrep(n: int, p: int) -> Representation:
         act=act,
         faithful=_faithful_exactly(n, act, dim, fld, alternating=False),
         label=f"perm-irrep(S{n}, p={p})",
+        tables=(big, dim, e),
     )
-    rep._tables = (big, dim, e)  # used by the optimized element sweeps
     _check_word_consistency(rep)
     return rep
 
@@ -174,9 +177,8 @@ def restrict_to_alternating(rep: Representation) -> Representation:
         act=rep.act,
         faithful=_faithful_exactly(n, rep.act, rep.dim, rep.field, alternating=True),
         label=rep.label + "|alt",
+        tables=rep.tables,
     )
-    if hasattr(rep, "_tables"):
-        out._tables = rep._tables
     _check_word_consistency(out)
     return out
 
@@ -242,9 +244,10 @@ def lagrangian_pair(d: int):
     for i in range(d):
         for j in range(d):
             duality[i, j] = bilinear(form, w_rows[i], dual_rows[j])
-    if not np.array_equal(duality, np.eye(d, dtype=np.int64)):
-        raise AssertionError("Lagrangian bases do not pair to the identity")
-    assert is_isotropic(form, w_rows) and is_isotropic(form, dual_rows)
+    require(np.array_equal(duality, np.eye(d, dtype=np.int64)),
+            "Lagrangian bases do not pair to the identity")
+    require(is_isotropic(form, w_rows) and is_isotropic(form, dual_rows),
+            "Lagrangian bases are not isotropic")
     return (
         Subspace.from_rows(GF2, w_rows),
         Subspace.from_rows(GF2, dual_rows),
@@ -279,48 +282,65 @@ class ParabolicResult:
 def _sweep_survivors_gf2(n: int, big: int, e: np.ndarray, w: Subspace, parity: Optional[int]):
     """All g in S_n (or A_n when parity=1) acting trivially on w and V/w.
 
-    Pure-integer bitmask formulation of the trivial-action conditions so the
-    full n! sweep stays cheap; permutations stream in lexicographic order.
+    A depth-first backtrack assigns g one point at a time: the simplest form
+    of partition backtrack (Leon, J. Symbolic Comput. 12, 1991).  The
+    trivial-action conditions are integer bitmask checks, and each runs as
+    soon as every point it reads has an image: a row of w reads the points of
+    its support, and an odd-weight row also reads the last ambient point; the
+    V/w condition on column j reads j and the last ambient point.  S_n moves
+    that point only for even n, and then it is assigned first.  The A_n
+    parity is tested at the leaves.  A subtree is cut only by a failed check,
+    so the survivors are exactly those of a full n! sweep.  They are returned
+    in lexicographic order.
     """
     dim = big - 2
-    ebits = []
-    for j in range(big):
-        ebits.append(int(sum((1 << k) for k in range(dim) if e[j, k] % 2)))
-    fixrows = []
-    for row in w.basis:
-        bits = [k for k in range(dim) if row[k]]
-        val = int(sum(1 << k for k in bits))
-        fixrows.append((tuple(bits), val, len(bits) & 1))
+    last = big - 1
+    moved_last = big == n  # for odd n, S_n fixes the last ambient point
+    ebits = [int(sum(1 << k for k in range(dim) if e[j, k] % 2)) for j in range(big)]
     red = [(piv, int(sum((1 << k) for k in range(dim) if w.basis[i, k]))) for i, piv in enumerate(w.pivots)]
-    unit = [1 << j for j in range(dim)]
+    order = ([last] if moved_last else []) + [j for j in range(n) if j != last]
+    depth = {pt: k for k, pt in enumerate(order)}
+    # checks[k]: (points read, constant, reduce against w?) for each check
+    # whose last point to be assigned is order[k]; it passes when the XOR
+    # of the images' ebits and the constant is 0 (after reduction, if asked)
+    checks = [[] for _ in order]
+
+    def add(points, const, reduce):
+        checks[max(depth[pt] for pt in points)].append((points, const, reduce))
+
+    for row in w.basis:
+        bits = tuple(k for k in range(dim) if row[k])
+        odd = moved_last and len(bits) & 1
+        add(bits + ((last,) if odd else ()), int(sum(1 << k for k in bits)), False)
+    for j in range(dim):
+        add((j, last) if moved_last else (j,), 1 << j, True)
+
+    g = list(range(big))
     survivors = []
-    extended_fixed = big != n  # last ambient point is not moved by S_n
-    for g in itertools.permutations(range(n)):
-        eg_last = 0 if extended_fixed else ebits[g[big - 1]]
-        ok = True
-        for bits, val, par in fixrows:
-            acc = eg_last if par else 0
-            for b in bits:
-                acc ^= ebits[g[b]]
-            if acc != val:
-                ok = False
-                break
-        if not ok:
-            continue
-        for j in range(dim):
-            v = ebits[g[j]] ^ eg_last ^ unit[j]
-            for pivbit, rowmask in red:
-                if (v >> pivbit) & 1:
-                    v ^= rowmask
-            if v:
-                ok = False
-                break
-        if not ok:
-            continue
-        if parity is not None and pm.sign(g) != parity:
-            continue
-        survivors.append(g)
-    return survivors
+
+    def extend(k, free):
+        if k == len(order):
+            perm = tuple(g[:n])
+            if parity is None or pm.sign(perm) == parity:
+                survivors.append(perm)
+            return
+        pt = order[k]
+        for img in free:
+            g[pt] = img
+            for points, acc, reduce in checks[k]:
+                for q in points:
+                    acc ^= ebits[g[q]]
+                if reduce:
+                    for pivbit, rowmask in red:
+                        if (acc >> pivbit) & 1:
+                            acc ^= rowmask
+                if acc:
+                    break
+            else:
+                extend(k + 1, [x for x in free if x != img])
+
+    extend(0, list(range(n)))
+    return sorted(survivors)
 
 
 def _independent_witness(elements, p: int, degree: int):
@@ -350,10 +370,12 @@ def parabolic_trivial_subgroup(
 ) -> ParabolicResult:
     """Subgroup of the represented group acting trivially on both w and V/w.
 
-    exact_enum sweeps the whole group (full factorial for S_n / A_n, BFS
-    closure otherwise) and certifies the subgroup is elementary abelian.
-    certified_bound only verifies a candidate generating set lies inside and
-    reports its rank, with exact=False.
+    exact_enum finds every such element and certifies that they form an
+    elementary abelian group: over GF(2), S_n and A_n are searched by the
+    point-by-point backtrack of _sweep_survivors_gf2; any other group is
+    enumerated by BFS closure and filtered.  Either way it refuses a group
+    of order above cap.  certified_bound only verifies that a candidate
+    generating set lies inside and reports its rank, with exact=False.
     """
     n = rep.group.degree
     fld = rep.field
@@ -375,18 +397,16 @@ def parabolic_trivial_subgroup(
             if not _acts_trivially(rep.act(g), w):
                 raise ValueError(f"candidate generator {pm.to_cycles(g)} fails the trivial-action test")
         ok, rank = pm.is_elementary_abelian(candidates, p)
-        assert ok, "candidate generators do not span an elementary abelian p-group"
+        require(ok, "candidate generators do not span an elementary abelian p-group")
         return ParabolicResult(rank=rank, order=p**rank, witness=tuple(candidates), exact=False)
 
     if mode != "exact_enum":
         raise ValueError(f"unknown mode {mode!r}")
 
-    if rep.group.kind in ("sym", "alt") and p == 2 and hasattr(rep, "_tables"):
-        import math
-
+    if rep.group.kind in ("sym", "alt") and p == 2 and rep.tables is not None:
         if math.factorial(n) > cap:
             raise ValueError(f"group order {math.factorial(n)} exceeds enumeration cap {cap}")
-        big, dim, e = rep._tables
+        big, _, e = rep.tables
         parity = 1 if rep.group.kind == "alt" else None
         survivors = _sweep_survivors_gf2(n, big, e, w, parity)
     else:
@@ -398,12 +418,29 @@ def parabolic_trivial_subgroup(
     ok, rank = pm.is_elementary_abelian(
         [g for g in survivors if g != pm.identity(n)], p
     )
-    assert ok, "trivial-action subgroup is not elementary abelian"
+    require(ok, "trivial-action subgroup is not elementary abelian")
     witness, span_size = _independent_witness(survivors, p, n)
-    assert span_size == len(survivors) == p**rank
+    require(span_size == len(survivors) == p**rank,
+            "witness span, survivor count and p^rank disagree")
     return ParabolicResult(
         rank=rank, order=p**rank, witness=witness, exact=True, elements=survivors
     )
+
+
+def standard_parabolic(n: int, kind: str, cap: int, mode: Optional[str] = None) -> ParabolicResult:
+    """The trivial-action subgroup of S_n or A_n for the standard mod-2 Lagrangian.
+
+    Builds perm_irrep(n, 2), restricts it to A_n when kind is "alt", takes
+    W from lagrangian_pair and runs parabolic_trivial_subgroup.  The mode is
+    exact_enum when n! <= cap and certified_bound otherwise, unless given.
+    """
+    rep = perm_irrep(n, 2)
+    if kind == "alt":
+        rep = restrict_to_alternating(rep)
+    w, _, _ = lagrangian_pair(rep.dim // 2)
+    if mode is None:
+        mode = "exact_enum" if math.factorial(n) <= cap else "certified_bound"
+    return parabolic_trivial_subgroup(rep, w, mode=mode, cap=cap)
 
 
 def gl_parabolic_check(rep: Representation, w: Subspace, group: pm.GroupPresentation) -> bool:

@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
+from .checks import require
+
 Perm = tuple
 
 
@@ -260,12 +262,12 @@ def is_elementary_abelian(group, p: int, cap: int = 10**6):
         if compose(a, b) != compose(b, a):
             return False, 0
     es = closure(GroupPresentation("perm", degree, tuple(gens)), cap=cap)
-    assert es.complete
+    require(es.complete, f"closure of the generators exceeded cap {cap}")
     size = len(es)
     rank = 0
     while p**rank < size:
         rank += 1
-    assert p**rank == size, "commuting order-p generators must span p^k elements"
+    require(p**rank == size, "commuting order-p generators must span p^k elements")
     return True, rank
 
 

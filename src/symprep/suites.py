@@ -8,7 +8,6 @@ crashing the run.
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -70,12 +69,8 @@ def _parabolic_job(n: int, kind: str, config: SuiteConfig):
     label = f"dickson/parabolic-rank/{tag}"
 
     def job():
-        rep = dickson.perm_irrep(n, 2)
-        if kind == "alt":
-            rep = dickson.restrict_to_alternating(rep)
-        w, _, _ = dickson.lagrangian_pair(rep.dim // 2)
-        mode = "exact_enum" if math.factorial(n) <= config.enum_cap else "certified_bound"
-        res = dickson.parabolic_trivial_subgroup(rep, w, mode=mode, cap=config.enum_cap)
+        res = dickson.standard_parabolic(n, kind, config.enum_cap)
+        mode = "exact_enum" if res.exact else "certified_bound"
         expected = n // 2 - (1 if kind == "alt" else 0)
         return make_report(
             claim_id=label,
@@ -96,11 +91,7 @@ def _parabolic_oracle_job(n: int, kind: str, config: SuiteConfig):
     label = f"dickson/parabolic-rank-oracle/{tag}"
 
     def job():
-        rep = dickson.perm_irrep(n, 2)
-        if kind == "alt":
-            rep = dickson.restrict_to_alternating(rep)
-        w, _, _ = dickson.lagrangian_pair(rep.dim // 2)
-        res = dickson.parabolic_trivial_subgroup(rep, w, cap=config.enum_cap)
+        res = dickson.standard_parabolic(n, kind, config.enum_cap, mode="exact_enum")
         ora = oracles.enum_parabolic(n, kind)
         return make_report(
             claim_id=label,
@@ -164,9 +155,8 @@ def _doubled_job(n: int):
             inputs={"n": n, "doubled_dim": doubled.dim},
             expected=True,
             computed=dickson.gl_parabolic_check(
-                rep, dickson.lagrangian_pair(rep.dim // 2)[0],
-                pm.GroupPresentation("perm", n,
-                                     dickson.parabolic_trivial_subgroup(rep, w).witness)),
+                rep, w, pm.GroupPresentation(
+                    "perm", n, dickson.parabolic_trivial_subgroup(rep, w).witness)),
         )
     return label, job
 

@@ -1,17 +1,25 @@
 """The mod-p representation cut from the permutation module, its symplectic
 pairing, Lagrangian structure, and parabolic subgroup computations."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import symprep
 from symprep import perm as pm
-from symprep.dickson import (check_invariance, diagonal_rep, dickson_form,
+from symprep.dickson import (_acts_trivially, _sweep_survivors_gf2,
+                             check_invariance, diagonal_rep, dickson_form,
                              gl_parabolic_check, half_dim, lagrangian_pair,
                              natural_perm_rep, parabolic_trivial_subgroup,
                              perm_irrep, rep_from_json, rep_to_json,
-                             restrict_to_alternating, siegel_unipotent_dim)
-from symprep.forms import preserves_form
-from symprep.linalg import Mat
+                             restrict_to_alternating, siegel_unipotent_dim,
+                             standard_parabolic)
+from symprep.forms import is_isotropic, preserves_form
+from symprep.linalg import GF2, Mat, Subspace
 
 
 def test_dimensions_by_characteristic():
@@ -114,6 +122,71 @@ def test_enum_cap_enforced():
         parabolic_trivial_subgroup(rep, w, cap=1000)
 
 
+def test_exact_search_finds_the_disjoint_transpositions():
+    cap = math.factorial(12)
+    for n in range(5, 13):
+        pairs = [pm.transposition(n, 2 * i, 2 * i + 1) for i in range(n // 2)]
+        full = pm.closure(pairs).elements
+        for kind in ("sym", "alt"):
+            want = full if kind == "sym" else [g for g in full if pm.sign(g) == 1]
+            res = standard_parabolic(n, kind, cap)
+            assert res.exact and res.elements == want, (n, kind)
+            assert res.order == len(want)
+            if n >= 11:
+                cert = standard_parabolic(n, kind, cap, mode="certified_bound")
+                assert res.rank == cert.rank
+
+
+def _other_pairing_lagrangian(d: int) -> Subspace:
+    """Span of e_1+e_3, e_2+e_4, e_5+e_7, e_6+e_8, ... (and e_{2d-1}+e_{2d} for odd d)."""
+    rows = np.zeros((d, 2 * d), dtype=np.int64)
+    for i in range(d):
+        a = 4 * (i // 2) + i % 2
+        b = a + 2 if a + 2 < 2 * d else a + 1
+        rows[i, a] = rows[i, b] = 1
+    assert is_isotropic(dickson_form(d), rows)
+    return Subspace.from_rows(GF2, rows)
+
+
+def test_backtrack_matches_brute_force_on_other_lagrangians():
+    for n in (5, 6, 7):
+        rep = perm_irrep(n, 2)
+        big, _, e = rep.tables
+        d = rep.dim // 2
+        _, dual, _ = lagrangian_pair(d)
+        assert any(sum(row) % 2 for row in dual.basis)  # odd-weight rows read the last point
+        for w in (dual, _other_pairing_lagrangian(d)):
+            for kind, parity in (("sym", None), ("alt", 1)):
+                brute = [g for g in pm.closure(pm.standard_gens(kind, n)).elements
+                         if _acts_trivially(rep.act(g), w)]
+                assert _sweep_survivors_gf2(n, big, e, w, parity) == brute, (n, kind)
+
+
+_BROKEN_CHECK = """
+import sys
+from symprep import perm as pm
+from symprep.dickson import standard_parabolic
+if not sys.flags.optimize:
+    sys.exit(3)
+pm.is_elementary_abelian = lambda group, p, cap=10**6: (False, 0)
+for mode in ("exact_enum", "certified_bound"):
+    try:
+        standard_parabolic(6, "sym", 10**7, mode=mode)
+    except AssertionError as exc:
+        print("raised", mode, type(exc).__name__)
+"""
+
+
+def test_parabolic_certification_survives_python_O():
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CHECK], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised exact_enum CheckFailed",
+                                        "raised certified_bound CheckFailed"]
+
+
 def test_gl_parabolic_check():
     rep = perm_irrep(8, 2)
     w, _, _ = lagrangian_pair(rep.dim // 2)
@@ -143,3 +216,5 @@ def test_json_round_trip():
     back = rep_from_json(doc)
     assert back.dim == rep.dim and back.field == rep.field
     assert all(a == b for a, b in zip(back.images, rep.images))
+    assert rep.tables is not None and back.tables is None
+    assert restrict_to_alternating(rep).tables is rep.tables

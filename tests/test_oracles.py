@@ -1,8 +1,11 @@
 """Independent slow-path checkers: exhaustive parabolic enumeration,
 brute-force free-summand peeling, and the tableau counting recursion."""
 
+import math
+
 import pytest
 
+from symprep import oracles
 from symprep import perm as pm
 from symprep.dickson import (lagrangian_pair, parabolic_trivial_subgroup,
                              perm_irrep)
@@ -26,6 +29,20 @@ def test_enum_parabolic_small_range():
         assert res["rank"] == r and res["order"] == 2**r
         alt = enum_parabolic(n, "alt")
         assert alt["rank"] == r - 1 and alt["order"] == 2 ** (r - 1)
+
+
+def test_enum_parabolic_chunks_not_dividing_group_order(monkeypatch):
+    # the default chunk leaves a partial last chunk at n = 7, 8, which
+    # test_enum_parabolic_small_range covers; 11 is a prime above 8, so it
+    # never divides |S_n| or |A_n|, and 1 is the smallest chunk
+    assert all(math.factorial(n) % oracles._FILTER_CHUNK for n in (7, 8))
+    for chunk in (11, 1):
+        monkeypatch.setattr(oracles, "_FILTER_CHUNK", chunk)
+        for n in (5, 6, 7) if chunk > 1 else (5, 6):
+            for kind in ("sym", "alt"):
+                r = n // 2 - (1 if kind == "alt" else 0)
+                res = enum_parabolic(n, kind)
+                assert (res["rank"], res["order"]) == (r, 2**r), (n, kind, chunk)
 
 
 def test_enum_parabolic_agrees_with_main_path():
