@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import require
 from .field import GF, make_field
 from .forms import FormSpec, preserves_form, unipotent_constraints
 from .linalg import Mat
@@ -186,12 +187,12 @@ def ug_generators(spec: ClassicalSpec) -> list[RootElement]:
                 x[row, col] = t if sgn == 1 else fld.neg(t)
             mat = ident + Mat(fld, x)
             nil = mat - ident
-            assert (nil @ nil) == Mat.zeros(fld, spec.dim, spec.dim), \
-                f"root {label} is not square-zero"
-            if not group_membership(mat, spec):
-                raise AssertionError(f"root element {label} (t={t}) fails membership in {spec.label}")
-            assert _trivial_on_flag(mat, spec.w_size), \
-                f"root {label} does not act trivially on W and V/W"
+            require((nil @ nil) == Mat.zeros(fld, spec.dim, spec.dim),
+                    f"root {label} is not square-zero")
+            require(group_membership(mat, spec),
+                    f"root element {label} (t={t}) fails membership in {spec.label}")
+            require(_trivial_on_flag(mat, spec.w_size),
+                    f"root {label} does not act trivially on W and V/W")
             out.append(RootElement(label=label, t=t, matrix=mat))
     return out
 
@@ -243,11 +244,11 @@ def intersection_dim(spec: ClassicalSpec) -> IntersectionResult:
     vecs = np.array([_phi_vector(r.matrix, w) for r in roots], dtype=np.int64)
     if cons.rows:
         residual = cons @ Mat(fld, vecs.T)
-        assert residual == Mat.zeros(fld, cons.rows, vecs.shape[0]), \
-            "a root element violates the form constraints"
+        require(residual == Mat.zeros(fld, cons.rows, vecs.shape[0]),
+                "a root element violates the form constraints")
     span_dim = Mat(fld, vecs).rank()
-    assert span_dim == computed, \
-        f"root span {span_dim} != constraint nullity {computed} for {spec.label}"
+    require(span_dim == computed,
+            f"root span {span_dim} != constraint nullity {computed} for {spec.label}")
     cf = closed_form_dim(spec.family, spec.m)
     return IntersectionResult(computed=computed, closed_form=cf,
                               match=computed == cf, span_dim=span_dim)

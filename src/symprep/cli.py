@@ -2,18 +2,19 @@
 
 All state comes in through flags, never environment variables, and JSON output
 is canonical (sorted keys, no floats), so identical invocations give identical
-bytes.  Exit codes: 0 all pass/recorded, 1 any fail, 2 bad configuration.
+bytes.  Exit codes: 0 all pass/recorded, 1 any fail or failed certification
+check, 2 bad configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import classical, dickson, oracles, snmod
 from . import perm as pm
-from .records import SuiteConfig, render
+from .checks import CheckFailed
+from .records import SuiteConfig, canonical_json, render, render_rows
 from .suites import SUITE_NAMES, run_suite
 
 
@@ -23,10 +24,6 @@ def _emit(text: str, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _parse_partition(text: str) -> tuple:
@@ -77,39 +74,12 @@ def _parabolic_table_rows(max_n: int, enum_cap: int):
     return rows
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(str(r[c]).lower() if isinstance(r[c], bool) else str(r[c])
-                              for c in cols))
-    return "\n".join(lines) + "\n"
-
-
-def _rows_to_md(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    cols = list(rows[0].keys())
-    lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-    for r in rows:
-        lines.append("| " + " | ".join(str(r[c]) for c in cols) + " |")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_table(args) -> int:
     if args.name == "rp":
         rows = _grid_table_rows()
     else:
         rows = _parabolic_table_rows(args.max_n, args.enum_cap)
-    if args.format == "json":
-        text = _canonical_json(rows)
-    elif args.format == "md":
-        text = _rows_to_md(rows)
-    else:
-        text = _rows_to_csv(rows)
-    _emit(text, args.out)
+    _emit(render_rows(rows, args.format), args.out)
     return 0
 
 
@@ -135,14 +105,14 @@ def _cmd_oracle(args) -> int:
         if args.n is None or args.group is None:
             raise SystemExit(2)
         doc = oracles.enum_parabolic(args.n, args.group)
-        _emit(_canonical_json(doc), args.out)
+        _emit(canonical_json(doc), args.out)
         return 0
     if args.kind == "tableau_count":
         if args.partition is None:
             raise SystemExit(2)
         lam = _parse_partition(args.partition)
         doc = {"partition": list(lam), "count": oracles.tableau_count(lam)}
-        _emit(_canonical_json(doc), args.out)
+        _emit(canonical_json(doc), args.out)
         return 0
     # decompose_small_module: demo decompositions or the full norm validation
     if args.demo:
@@ -152,35 +122,28 @@ def _cmd_oracle(args) -> int:
         mats = _regular_module(rank)
         count = oracles.decompose_small_module(mats, group_order=2**rank)
         doc = {"module": args.demo, "dim": mats[0].rows, "free_count": count}
-        _emit(_canonical_json(doc), args.out)
+        _emit(canonical_json(doc), args.out)
         return 0
     verdict = oracles.validate_norm_rank(seed=args.seed)
     doc = {"cases": verdict["cases"], "all_match": verdict["all_match"],
            "mismatches": [r["label"] for r in verdict["results"] if not r["match"]]}
-    _emit(_canonical_json(doc), args.out)
+    _emit(canonical_json(doc), args.out)
     return 0 if verdict["all_match"] else 1
 
 
 def _cmd_dump(args) -> int:
     if args.object == "perm_irrep":
         rep = dickson.perm_irrep(args.n, args.p)
-        _emit(_canonical_json(dickson.rep_to_json(rep)), args.out)
+        _emit(canonical_json(dickson.rep_to_json(rep)), args.out)
         return 0
     if args.object == "module":
         if args.partition is None:
             raise SystemExit(2)
         lam = _parse_partition(args.partition)
         mod = snmod.irreducible_D(lam, args.p)
-        _emit(_canonical_json(snmod.module_to_json(mod)), args.out)
+        _emit(canonical_json(snmod.module_to_json(mod)), args.out)
         return 0
-    rows = _grid_table_rows()
-    if args.format == "json":
-        text = _canonical_json(rows)
-    elif args.format == "md":
-        text = _rows_to_md(rows)
-    else:
-        text = _rows_to_csv(rows)
-    _emit(text, args.out)
+    _emit(render_rows(_grid_table_rows(), args.format), args.out)
     return 0
 
 
@@ -232,6 +195,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except CheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Mat, mm_modp
+# mm_modp stays importable from here: the layer trace in perfbench/layers.py
+# wraps it by module
+from .linalg import Mat, add, matmul, mm_modp  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,7 @@ class FormSpec:
         if self.kind == "symplectic":
             if (-g.T) != g:
                 raise ValueError("symplectic Gram must be antisymmetric")
-            if any(int(x) for x in np.diag(g.a)):
+            if np.diag(g.a).any():
                 raise ValueError("symplectic Gram must have zero diagonal")
         elif self.kind == "symmetric":
             if g.T != g:
@@ -39,7 +41,7 @@ class FormSpec:
                 raise ValueError("quadratic_char2 forms need characteristic 2")
             if self.quad_diag is None or len(self.quad_diag) != g.rows:
                 raise ValueError("quadratic_char2 needs one basis value per coordinate")
-            if g.T != g or any(int(x) for x in np.diag(g.a)):
+            if g.T != g or np.diag(g.a).any():
                 raise ValueError("polar form of a quadratic form must be alternating")
         else:
             raise ValueError(f"unknown form kind {self.kind!r}")
@@ -51,57 +53,49 @@ class FormSpec:
         return self.gram.rows
 
 
+def _sandwich(f, x: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x·m·y of encoded arrays."""
+    return matmul(f, matmul(f, x, m), y)
+
+
+def _quad_matrix(form: FormSpec) -> np.ndarray:
+    """U with Q(v) = v·U·vᵀ: the basis values on the diagonal and the polar
+    form strictly above it."""
+    u = np.triu(form.gram.a, 1)
+    u[np.diag_indices(form.dim)] = form.quad_diag
+    return u
+
+
 def bilinear(form: FormSpec, u, v) -> int:
-    f = form.gram.field
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if f.r == 1:
-        return int(mm_modp(mm_modp(u.reshape(1, -1), form.gram.a, f.p), v.reshape(-1, 1), f.p)[0, 0])
-    acc = 0
-    for i in range(form.dim):
-        if u[i] == 0:
-            continue
-        for j in range(form.dim):
-            acc = f.add(acc, f.mul(f.mul(int(u[i]), int(form.gram.a[i, j])), int(v[j])))
-    return acc
+    u = np.asarray(u, dtype=np.int64).reshape(1, -1)
+    v = np.asarray(v, dtype=np.int64).reshape(-1, 1)
+    return int(_sandwich(form.gram.field, u, form.gram.a, v)[0, 0])
 
 
 def quad_value(form: FormSpec, v) -> int:
     """Q(v) for a quadratic_char2 form, from basis values plus polar form."""
     assert form.kind == "quadratic_char2"
-    f = form.gram.field
-    v = np.asarray(v, dtype=np.int64)
-    acc = 0
-    nz = [i for i in range(form.dim) if v[i] != 0]
-    for i in nz:
-        ci = int(v[i])
-        acc = f.add(acc, f.mul(f.mul(ci, ci), form.quad_diag[i]))
-    for a in range(len(nz)):
-        for b in range(a + 1, len(nz)):
-            i, j = nz[a], nz[b]
-            acc = f.add(acc, f.mul(f.mul(int(v[i]), int(v[j])), int(form.gram.a[i, j])))
-    return acc
+    v = np.asarray(v, dtype=np.int64).reshape(1, -1)
+    return int(_sandwich(form.gram.field, v, _quad_matrix(form), v.T)[0, 0])
 
 
 def preserves_form(m: Mat, form: FormSpec) -> bool:
     if (m.T @ form.gram @ m) != form.gram:
         return False
     if form.kind == "quadratic_char2":
-        for k in range(form.dim):
-            if quad_value(form, m.a[:, k]) != form.quad_diag[k]:
-                return False
+        q = _sandwich(m.field, m.a.T, _quad_matrix(form), m.a)
+        return bool(np.array_equal(np.diag(q), form.quad_diag))
     return True
 
 
 def is_isotropic(form: FormSpec, rows) -> bool:
     """Do all pairwise form values (and Q, if quadratic) vanish on these rows?"""
-    rows = np.asarray(rows, dtype=np.int64)
-    for i in range(rows.shape[0]):
-        for j in range(rows.shape[0]):
-            if bilinear(form, rows[i], rows[j]) != 0:
-                return False
-        if form.kind == "quadratic_char2" and quad_value(form, rows[i]) != 0:
-            return False
+    f = form.gram.field
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, form.dim)
+    if _sandwich(f, rows, form.gram.a, rows.T).any():
+        return False
+    if form.kind == "quadratic_char2":
+        return not np.diag(_sandwich(f, rows, _quad_matrix(form), rows.T)).any()
     return True
 
 
@@ -118,33 +112,27 @@ def unipotent_constraints(form: FormSpec, w_size: int) -> Mat:
     W-sided conditions hold automatically by isotropy and det(I + phi) = 1.
     """
     f = form.gram.field
-    n = form.dim
-    for i in range(w_size):
-        for j in range(w_size):
-            if int(form.gram.a[i, j]) != 0:
-                raise ValueError("leading block is not isotropic for the form")
-        if form.kind == "quadratic_char2" and form.quad_diag[i] != 0:
-            raise ValueError("leading block is not singular for the quadratic form")
-    c_idx = list(range(w_size, n))
-    nc = len(c_idx)
-    nunk = w_size * nc
-    rows = []
-    for a in range(nc):
-        for b in range(a, nc):
-            row = [0] * nunk
-            for wi in range(w_size):
-                ia = wi * nc + a
-                ib = wi * nc + b
-                row[ia] = f.add(row[ia], int(form.gram.a[wi, c_idx[b]]))
-                row[ib] = f.add(row[ib], int(form.gram.a[c_idx[a], wi]))
-            rows.append(row)
+    g = form.gram.a
+    w, nc = w_size, form.dim - w_size
+    if g[:w, :w].any():
+        raise ValueError("leading block is not isotropic for the form")
+    if form.kind == "quadratic_char2" and any(form.quad_diag[:w]):
+        raise ValueError("leading block is not singular for the quadratic form")
+    # the row of pair (a, b), a <= b, as a w x nc block over the entries of F:
+    # B(w_i, c_b) at (i, a) plus B(c_a, w_i) at (i, b)
+    ia, ib = np.triu_indices(nc)
+    k = np.arange(ia.size)
+    left = np.zeros((ia.size, w, nc), dtype=np.int64)
+    right = np.zeros_like(left)
+    left[k, :, ia] = g[:w, w:][:, ib].T
+    right[k, :, ib] = g[w:, :w][ia]
+    blocks = [add(f, left, right)]
     if form.kind == "quadratic_char2":
-        for a in range(nc):
-            row = [0] * nunk
-            for wi in range(w_size):
-                row[wi * nc + a] = int(form.gram.a[c_idx[a], wi])
-            rows.append(row)
-    return Mat(f, np.array(rows, dtype=np.int64).reshape(len(rows), nunk))
+        diag = np.zeros((nc, w, nc), dtype=np.int64)
+        diag[np.arange(nc), :, np.arange(nc)] = g[w:, :w]
+        blocks.append(diag)
+    rows = np.concatenate(blocks)
+    return Mat(f, rows.reshape(rows.shape[0], w * nc))
 
 
 def unipotent_hom_dim(form: FormSpec, w_size: int) -> int:

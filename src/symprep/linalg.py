@@ -1,12 +1,15 @@
 """Exact linear algebra over GF(p^r).
 
-Matrices are numpy int64 arrays of canonical element encodings.  Prime
-fields get vectorized arithmetic; large products go through float64 BLAS
-for odd p.  A GF(2) matrix may keep its rows bit-packed instead, 64 columns
-to a uint64 word: large GF(2) products use the Four-Russians table product
-on the words, and sums, equality and elimination work on the words too.
-Extension fields fall back to scalar loops, which is fine because every
-extension-field matrix in this package is tiny.
+Matrices are numpy int64 arrays of canonical element encodings, and every
+field shares one vectorized path: the encoded-array operations `add`,
+`neg`, `mul`, `sub_mul` and `matmul`.  Over a prime field each is the plain
+mod-p expression, and large products go through float64 BLAS for odd p.
+Over GF(p^r), r > 1, an array is split into its r base-p digit planes;
+plane products run through `mm_modp` and the degrees r..2r-2 fold back with
+the field's reduction rows.  A GF(2) matrix may keep its rows bit-packed
+instead, 64 columns to a uint64 word: large GF(2) products use the
+Four-Russians table product on the words, and sums, equality and
+elimination work on the words too.
 
 All reduced row echelon forms are canonical: leading coefficient 1, pivot
 columns cleared, rows ordered by pivot.  Two subspaces are equal iff their
@@ -32,7 +35,7 @@ _LARGE_MACS = 200_000
 _TABLE_WORDS = 1 << 16
 
 
-def _as_array(a, like=None) -> np.ndarray:
+def _as_array(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -54,6 +57,81 @@ def mm_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         c = a.astype(np.float64) @ b.astype(np.float64)
         return np.rint(c).astype(np.int64) % p
     return (a @ b) % p
+
+
+# ---------------------------------------------------------------------------
+# encoded-array arithmetic over any field; GF(p^r) entries as digit planes
+
+
+def _planes(f: GF, a) -> np.ndarray:
+    """Base-p digit planes of an encoded array, shape (r,) + a.shape."""
+    a = np.asarray(a, dtype=np.int64)
+    pw = f.p ** np.arange(f.r, dtype=np.int64)
+    return (a // pw.reshape((-1,) + (1,) * a.ndim)) % f.p
+
+
+def _join(f: GF, planes: np.ndarray) -> np.ndarray:
+    """Encoded array from coefficient planes of degree below 2r - 1."""
+    low = planes[: f.r]
+    if planes.shape[0] > f.r:
+        fold = np.array(f._reduce_rows, dtype=np.int64).T  # x^(r+k) -> column k
+        low = low + np.tensordot(fold, planes[f.r:], 1)
+    return np.tensordot(f.p ** np.arange(f.r, dtype=np.int64), low % f.p, 1)
+
+
+def add(f: GF, a, b) -> np.ndarray:
+    """Entrywise a + b of encoded arrays."""
+    if f.p == 2:
+        return a ^ b
+    if f.r == 1:
+        return (a + b) % f.p
+    return _join(f, _planes(f, a) + _planes(f, b))
+
+
+def neg(f: GF, a) -> np.ndarray:
+    """Entrywise -a of an encoded array."""
+    if f.p == 2:
+        return a
+    if f.r == 1:
+        return (-a) % f.p
+    return _join(f, -_planes(f, a))
+
+
+def mul(f: GF, a, b) -> np.ndarray:
+    """Entrywise product of encoded arrays, with numpy broadcasting."""
+    if f.r == 1:
+        return (a * b) % f.p
+    da, db = (_planes(f, x) for x in np.broadcast_arrays(a, b))
+    prod = np.zeros((2 * f.r - 1,) + da.shape[1:], dtype=np.int64)
+    for i in range(f.r):
+        prod[i:i + f.r] += da[i] * db
+    return _join(f, prod)
+
+
+def sub_mul(f: GF, a, x, y) -> np.ndarray:
+    """Entrywise a - x·y, with numpy broadcasting: one elimination step.
+
+    Fused so that a prime-field step reduces mod p once, not twice.
+    """
+    if f.r == 1:
+        return (a - x * y) % f.p
+    return add(f, a, neg(f, mul(f, x, y)))
+
+
+def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of encoded 2-D arrays."""
+    if f.r == 1:
+        return mm_modp(a, b, f.p)
+    r, (n, k), m = f.r, a.shape, b.shape[1]
+    # block (i, j) of [A_0; ..; A_r-1] @ [B_0 | .. | B_r-1] is A_i @ B_j,
+    # the coefficient of x^(i+j)
+    blocks = mm_modp(_planes(f, a).reshape(r * n, k),
+                     _planes(f, b).transpose(1, 0, 2).reshape(k, r * m), f.p)
+    blocks = blocks.reshape(r, n, r, m)
+    prod = np.zeros((2 * r - 1, n, m), dtype=np.int64)
+    for i in range(r):
+        prod[i:i + r] += blocks[i].transpose(1, 0, 2)
+    return _join(f, prod)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +225,14 @@ def _rref_packed(w: np.ndarray, cols: int):
 # generic elimination
 
 
-def _rref_modp(a: np.ndarray, p: int):
-    """RREF of a mod-p array (copy); returns (array, pivot list)."""
-    a = a.copy() % p
+def _rref_generic(a: np.ndarray, f: GF, steps: list | None = None):
+    """RREF of an encoded array (copy); returns (array, pivot list).
+
+    Each pivot appends (rows swapped, pivot entry before scaling) to `steps`
+    if given: the determinant is the product of those entries, each negated
+    where rows were swapped.
+    """
+    a = a % f.q
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -162,56 +245,28 @@ def _rref_modp(a: np.ndarray, p: int):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
+        if steps is not None:
+            steps.append((pr != r, int(a[r, c])))
+        inv = f.inv(int(a[r, c]))
         if inv != 1:
-            a[r] = (a[r] * inv) % p
+            a[r] = mul(f, a[r], inv)
         sel = np.flatnonzero(a[:, c])
         sel = sel[sel != r]
         if sel.size:
-            a[sel] = (a[sel] - np.outer(a[sel, c], a[r])) % p
+            a[sel] = sub_mul(f, a[sel], a[sel, c, None], a[r])
         pivots.append(c)
         r += 1
     return a, pivots
 
 
-def _rref_ext(a: np.ndarray, f: GF):
-    """Scalar-loop RREF for extension fields (tiny matrices only)."""
-    m = [[int(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else a.shape[1]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = f.inv(m[r][c])
-        if inv != 1:
-            m[r] = [f.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                coef = m[i][c]
-                m[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    out = np.array(m, dtype=np.int64) if rows else np.zeros((0, cols), dtype=np.int64)
-    return out, pivots
-
-
 def rref_array(a: np.ndarray, f: GF, force_generic: bool = False):
     """Canonical RREF of an encoded array; returns (array, pivot tuple)."""
     a = _as_array(a)
-    if f.r > 1:
-        out, piv = _rref_ext(a, f)
-        return out, tuple(piv)
     if f.is_gf2 and not force_generic:
         w = pack_rows(a % 2)
         piv = _rref_packed(w, a.shape[1])
         return unpack_rows(w, a.shape[1]), tuple(piv)
-    out, piv = _rref_modp(a, f.p)
+    out, piv = _rref_generic(a, f)
     return out, tuple(piv)
 
 
@@ -329,21 +384,12 @@ class Mat:
         f = self.field
         if f.is_gf2 and (self._a is None or other._a is None):
             return Mat.from_words(f, self.words ^ other.words, self.cols)
-        if f.p == 2:
-            return Mat._of(f, self.a ^ other.a)
-        if f.r == 1:
-            return Mat._of(f, (self.a + other.a) % f.p)
-        add = np.vectorize(f.add, otypes=[np.int64])
-        return Mat(f, add(self.a, other.a) if self.a.size else self.a)
+        return Mat._of(f, add(f, self.a, other.a))
 
     def __neg__(self) -> "Mat":
-        f = self.field
-        if f.p == 2:
+        if self.field.p == 2:
             return self
-        if f.r == 1:
-            return Mat._of(f, (-self.a) % f.p)
-        neg = np.vectorize(f.neg, otypes=[np.int64])
-        return Mat(f, neg(self.a) if self.a.size else self.a)
+        return Mat._of(self.field, neg(self.field, self.a))
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
@@ -353,27 +399,13 @@ class Mat:
         f = self.field
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        if f.r == 1:
-            n, k, m = self.rows, self.cols, other.cols
-            if f.is_gf2 and n * k * m >= _LARGE_MACS:
-                return Mat.from_words(f, mm_gf2(self.words, k, other.words), m)
-            return Mat._of(f, mm_modp(self.a, other.a, f.p))
         n, k, m = self.rows, self.cols, other.cols
-        out = np.zeros((n, m), dtype=np.int64)
-        for i in range(n):
-            for j in range(m):
-                acc = 0
-                for t in range(k):
-                    acc = f.add(acc, f.mul(int(self.a[i, t]), int(other.a[t, j])))
-                out[i, j] = acc
-        return Mat(f, out)
+        if f.is_gf2 and n * k * m >= _LARGE_MACS:
+            return Mat.from_words(f, mm_gf2(self.words, k, other.words), m)
+        return Mat._of(f, matmul(f, self.a, other.a))
 
     def scale(self, c: int) -> "Mat":
-        f = self.field
-        if f.r == 1:
-            return Mat(f, (self.a * (c % f.p)) % f.p)
-        mul = np.vectorize(lambda x: f.mul(c, int(x)), otypes=[np.int64])
-        return Mat(f, mul(self.a) if self.a.size else self.a)
+        return Mat._of(self.field, mul(self.field, self.a, c))
 
     @property
     def T(self) -> "Mat":
@@ -384,19 +416,9 @@ class Mat:
 
     def kron(self, other: "Mat") -> "Mat":
         self._check(other)
-        f = self.field
-        if f.r == 1:
-            return Mat(f, np.kron(self.a, other.a) % f.p)
-        out = np.zeros((self.rows * other.rows, self.cols * other.cols), dtype=np.int64)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                x = int(self.a[i, j])
-                for u in range(other.rows):
-                    for v in range(other.cols):
-                        out[i * other.rows + u, j * other.cols + v] = f.mul(
-                            x, int(other.a[u, v])
-                        )
-        return Mat(f, out)
+        prod = mul(self.field, self.a[:, None, :, None], other.a[None, :, None, :])
+        return Mat._of(self.field, prod.reshape(self.rows * other.rows,
+                                                self.cols * other.cols))
 
     def pow(self, e: int) -> "Mat":
         assert self.rows == self.cols
@@ -446,22 +468,13 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         f = self.field
-        m = [[int(x) for x in row] for row in self.a]
-        n = self.rows
+        steps = []
+        _, piv = _rref_generic(self.a, f, steps)
+        if len(piv) < self.rows:
+            return 0
         det = 1
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pr is None:
-                return 0
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = f.neg(det)
-            det = f.mul(det, m[c][c])
-            inv = f.inv(m[c][c])
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    coef = f.mul(m[i][c], inv)
-                    m[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(m[i], m[c])]
+        for swapped, x in steps:
+            det = f.mul(det, f.neg(x) if swapped else x)
         return det
 
     # -- protocol ----------------------------------------------------------
@@ -531,28 +544,17 @@ class Subspace:
         return len(self.pivots)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v after clearing its pivot coordinates (v mod this space)."""
+        """Residue of v after clearing its pivot coordinates (v mod this space).
+
+        The basis is in RREF, so the residue is v - v[pivots]·B.
+        """
         f = self.field
-        v = np.asarray(v, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64) % f.q
         assert v.shape == (self.ambient,)
-        if f.r == 1:
-            v = v % f.p
-            for i, c in enumerate(self.pivots):
-                coef = int(v[c])
-                if coef:
-                    v = (v - coef * self.basis[i]) % f.p
-            return v
-        v = v.copy()
-        for i, c in enumerate(self.pivots):
-            coef = int(v[c])
-            if coef:
-                row = self.basis[i]
-                for j in range(self.ambient):
-                    v[j] = f.sub(int(v[j]), f.mul(coef, int(row[j])))
-        return v
+        return add(f, v, neg(f, matmul(f, v[None, list(self.pivots)], self.basis)[0]))
 
     def contains(self, v) -> bool:
-        return not np.any(self.reduce(np.asarray(v, dtype=np.int64)))
+        return not np.any(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
         assert other.ambient == self.ambient
@@ -560,25 +562,10 @@ class Subspace:
 
     def coefficients(self, v) -> np.ndarray:
         """Coordinates of v in the canonical basis; raises if v is outside."""
-        f = self.field
-        v = np.asarray(v, dtype=np.int64)
-        coefs = np.array([v[c] for c in self.pivots], dtype=np.int64)
-        recon = mm_modp(coefs.reshape(1, -1), self.basis, f.p)[0] if f.r == 1 else None
-        if recon is None:
-            rem = v.copy()
-            out = []
-            for i, c in enumerate(self.pivots):
-                coef = int(rem[c])
-                out.append(coef)
-                if coef:
-                    for j in range(self.ambient):
-                        rem[j] = f.sub(int(rem[j]), f.mul(coef, int(self.basis[i][j])))
-            if np.any(rem):
-                raise ValueError("vector not in subspace")
-            return np.array(out, dtype=np.int64)
-        if not np.array_equal(recon, v % f.p):
+        v = np.asarray(v, dtype=np.int64) % self.field.q
+        if self.reduce(v).any():
             raise ValueError("vector not in subspace")
-        return coefs
+        return v[list(self.pivots)]
 
     def complement_cols(self):
         """Non-pivot columns in increasing order: coordinates of the quotient."""
@@ -623,11 +610,7 @@ def kernel(m: Mat, force_generic: bool = False) -> Subspace:
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     if piv:
-        coefs = red.take_rows(slice(0, len(piv))).a[:, free].T
-        if f.r == 1:
-            basis[:, list(piv)] = (-coefs) % f.p
-        else:
-            basis[:, list(piv)] = np.vectorize(f.neg, otypes=[np.int64])(coefs)
+        basis[:, list(piv)] = neg(f, red.take_rows(slice(0, len(piv))).a[:, free].T)
     return Subspace.from_rows(f, basis)
 
 
@@ -680,41 +663,17 @@ def quotient_action(mats: list[Mat], s: Subspace) -> list[Mat]:
     n = mats[0].rows
     assert s.field == f and s.ambient == n
     comp = list(s.complement_cols())
+    piv = list(s.pivots)
+    bt = Mat._of(f, s.basis.T)
+    bt_comp = Mat._of(f, s.basis[:, comp].T)
     out = []
-    if f.r == 1 and s.dim > 0:
-        piv = list(s.pivots)
-        bt = Mat._of(f, s.basis.T)
-        bt_comp = Mat._of(f, s.basis[:, comp].T)
-        for g in mats:
-            imgs = g @ bt
-            if imgs != bt @ imgs.take_rows(piv):
-                raise ValueError("subspace is not invariant under the given action")
-            ga = g.a
-            q = Mat._of(f, ga[np.ix_(comp, comp)])
-            out.append(q - bt_comp @ Mat._of(f, ga[np.ix_(piv, comp)]))
-        return out
     for g in mats:
-        for row in s.basis:
-            img = mm_modp(g.a, row.reshape(-1, 1), f.p)[:, 0] if f.r == 1 else _mv_ext(g, row)
-            if not s.contains(img):
-                raise ValueError("subspace is not invariant under the given action")
-        q = np.zeros((len(comp), len(comp)), dtype=np.int64)
-        for j, c in enumerate(comp):
-            img = g.a[:, c].copy()
-            res = s.reduce(img)
-            q[:, j] = [res[cc] for cc in comp]
-        out.append(Mat(f, q))
-    return out
-
-
-def _mv_ext(g: Mat, v: np.ndarray) -> np.ndarray:
-    f = g.field
-    out = np.zeros(g.rows, dtype=np.int64)
-    for i in range(g.rows):
-        acc = 0
-        for j in range(g.cols):
-            acc = f.add(acc, f.mul(int(g.a[i, j]), int(v[j])))
-        out[i] = acc
+        imgs = g @ bt
+        if imgs != bt @ imgs.take_rows(piv):
+            raise ValueError("subspace is not invariant under the given action")
+        ga = g.a
+        q = Mat._of(f, ga[np.ix_(comp, comp)])
+        out.append(q - bt_comp @ Mat._of(f, ga[np.ix_(piv, comp)]))
     return out
 
 

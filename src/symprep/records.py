@@ -94,6 +94,10 @@ def exit_code(reports: list[VerificationReport]) -> int:
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 
+def canonical_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def reports_to_json(suite: str, config: SuiteConfig, reports: list[VerificationReport]) -> str:
     doc = {
         "suite": suite,
@@ -101,7 +105,7 @@ def reports_to_json(suite: str, config: SuiteConfig, reports: list[VerificationR
         "claims": [report_to_dict(r, timings=config.timings) for r in reports],
         "summary": summarize(reports),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return canonical_json(doc)
 
 
 def reports_to_csv(reports: list[VerificationReport], timings: bool = False) -> str:
@@ -150,3 +154,20 @@ def render(suite: str, config: SuiteConfig, reports: list[VerificationReport]) -
     if config.format == "md":
         return reports_to_markdown(reports)
     return reports_to_text(reports, timings=config.timings)
+
+
+def render_rows(rows: list[dict], fmt: str) -> str:
+    """A table of flat rows with one set of keys, as json, md or csv."""
+    if fmt == "json":
+        return canonical_json(rows)
+    if not rows:
+        return "\n"
+    cols = list(rows[0].keys())
+    if fmt == "md":
+        lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
+        lines += ["| " + " | ".join(str(r[c]) for c in cols) + " |" for r in rows]
+    else:
+        lines = [",".join(cols)]
+        lines += [",".join(str(r[c]).lower() if isinstance(r[c], bool) else str(r[c])
+                           for c in cols) for r in rows]
+    return "\n".join(lines) + "\n"

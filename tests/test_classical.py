@@ -1,9 +1,14 @@
 """Classical matrix groups over small finite fields: construction, membership,
 root elements, and the closed-form dimension of the unipotent overlap."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import symprep
 from symprep.classical import (closed_form_dim, field_from_order,
                                grid_points, grid_rows, group_membership,
                                intersection_dim, make_classical, rp_reference,
@@ -115,3 +120,43 @@ def test_odd_orthogonal_even_char_bridge():
         for q in (2, 4):
             res = intersection_dim(make_classical("Sp", m, q))
             assert rp_reference("SOodd", m, q) == res.computed
+
+
+# Each case breaks one input of a certification check in intersection_dim
+# and prints what it raised; run under -O, where a bare assert is stripped.
+_BROKEN_CHECKS = """
+import sys
+import numpy as np
+from symprep import classical
+from symprep.linalg import Mat
+if not sys.flags.optimize:
+    sys.exit(3)
+spec = classical.make_classical("Sp", 2, 4)
+f = spec.field
+nunk = spec.w_size * (spec.dim - spec.w_size)
+cases = {
+    "square-zero": ("_root_positions", lambda spec: [("bad", [(0, 0, 1)])]),
+    "membership": ("group_membership", lambda mat, spec: False),
+    "act trivially": ("_trivial_on_flag", lambda mat, w: False),
+    "violates": ("unipotent_constraints", lambda form, w: Mat.identity(f, nunk)),
+    "root span": ("unipotent_constraints",
+                  lambda form, w: Mat(f, np.zeros((0, nunk), dtype=np.int64))),
+}
+for words, (name, broken) in cases.items():
+    saved = getattr(classical, name)
+    setattr(classical, name, broken)
+    try:
+        classical.intersection_dim(spec)
+    except AssertionError as exc:
+        print(type(exc).__name__, words in str(exc))
+    setattr(classical, name, saved)
+"""
+
+
+def test_intersection_certification_survives_python_O():
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CHECKS], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["CheckFailed True"] * 5

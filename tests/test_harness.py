@@ -201,3 +201,21 @@ def test_cli_bad_args_exit_2():
     assert code == 2
     code, _, _ = _cli("oracle", "enum_parabolic", "--n", "99")
     assert code == 2
+
+
+def test_cli_failed_check_exits_1(monkeypatch, capsys):
+    from symprep import classical, cli
+
+    monkeypatch.setattr(classical, "group_membership", lambda mat, spec: False)
+    assert cli.main(["table", "rp"]) == 1
+    assert capsys.readouterr().err.startswith("check failed: root element")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md", "json"])
+def test_cli_table_rp_and_dump_grid_same_bytes(fmt, capsys):
+    from symprep import cli
+
+    assert cli.main(["table", "rp", "--format", fmt]) == 0
+    table = capsys.readouterr().out
+    assert cli.main(["dump", "grid", "--format", fmt]) == 0
+    assert capsys.readouterr().out == table

@@ -1,5 +1,7 @@
 """Exact linear algebra: RREF paths, dualities, subspaces, quotient actions."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -305,3 +307,144 @@ def test_joint_fixed_space_large_gf2():
     assert fixed == kernel(stacked, force_generic=True)
     for g in perm_mats:
         assert not ((g.a @ fixed.basis.T - fixed.basis.T) % 2).any()
+
+
+# ---------------------------------------------------------------------------
+# extension fields: the digit-plane array path against scalar GF arithmetic
+
+EXT_FIELDS = [make_field(p, r) for p, r in
+              ((2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2), (3, 4))]
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_tables(f):
+    """Addition and multiplication tables filled by the scalar GF methods."""
+    els = range(f.q)
+    return ([[f.add(x, y) for y in els] for x in els],
+            [[f.mul(x, y) for y in els] for x in els])
+
+
+def _ref_matmul(f, a, b):
+    add, mul = _scalar_tables(f)
+    a, b = a.tolist(), b.tolist()
+    out = np.zeros((len(a), len(b[0]) if b else 0), dtype=np.int64)
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            acc = 0
+            for t in range(len(b)):
+                acc = add[acc][mul[a[i][t]][b[t][j]]]
+            out[i, j] = acc
+    return out
+
+
+def _ref_entrywise(op, a, b):
+    return np.array([[op(int(x), int(y)) for x, y in zip(ra, rb)]
+                     for ra, rb in zip(a, b)], dtype=np.int64).reshape(a.shape)
+
+
+def _ref_rref(f, a):
+    m = a.tolist()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = f.inv(m[r][c])
+        m[r] = [f.mul(inv, x) for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                coef = m[i][c]
+                m[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return np.array(m, dtype=np.int64).reshape(a.shape), tuple(pivots)
+
+
+def _ref_det(f, a):
+    m = a.tolist()
+    n = len(m)
+    det = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = f.neg(det)
+        det = f.mul(det, m[c][c])
+        inv = f.inv(m[c][c])
+        for i in range(c + 1, n):
+            coef = f.mul(m[i][c], inv)
+            m[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(m[i], m[c])]
+    return det
+
+
+def _ref_reduce(f, s, v):
+    v = [int(x) for x in v]
+    for row, c in zip(s.basis.tolist(), s.pivots):
+        coef = v[c]
+        v = [f.sub(x, f.mul(coef, y)) for x, y in zip(v, row)]
+    return np.array(v, dtype=np.int64)
+
+
+@pytest.mark.parametrize("f", EXT_FIELDS, ids=lambda f: f"GF{f.q}")
+def test_extension_array_path_matches_scalar_reference(f):
+    from symprep.forms import FormSpec, bilinear
+
+    rng = np.random.default_rng(f.q)
+    for _ in range(3):
+        a, c = random_mat(f, 4, 5, rng), random_mat(f, 4, 5, rng)
+        b = random_mat(f, 5, 3, rng)
+        t = int(rng.integers(0, f.q))
+        assert np.array_equal((a @ b).a, _ref_matmul(f, a.a, b.a))
+        assert np.array_equal((a + c).a, _ref_entrywise(f.add, a.a, c.a))
+        assert np.array_equal((a - c).a, _ref_entrywise(f.sub, a.a, c.a))
+        assert np.array_equal((-a).a, _ref_entrywise(f.sub, np.zeros_like(a.a), a.a))
+        assert np.array_equal(a.scale(t).a, _ref_entrywise(f.mul, np.full_like(a.a, t), a.a))
+        small, other = random_mat(f, 2, 3, rng), random_mat(f, 3, 2, rng)
+        kron = [[f.mul(int(small.a[i // 3, j // 2]), int(other.a[i % 3, j % 2]))
+                 for j in range(6)] for i in range(6)]
+        assert np.array_equal(small.kron(other).a, np.array(kron))
+
+        sq = random_mat(f, 4, 4, rng)
+        singular = Mat(f, np.vstack([sq.a[:3], sq.a[1:2]]))
+        for m in (sq, singular, Mat(f, sq.a[[2, 0, 3, 1]])):
+            assert m.det() == _ref_det(f, m.a)
+
+        # rank at most 3, so some columns are not pivots
+        low = Mat(f, _ref_matmul(f, random_mat(f, 6, 3, rng).a, random_mat(f, 3, 7, rng).a))
+        red, piv = low.rref()
+        ref_red, ref_piv = _ref_rref(f, low.a)
+        assert piv == ref_piv and np.array_equal(red.a, ref_red)
+
+        s = Subspace.from_rows(f, low.a)
+        v = rng.integers(0, f.q, size=7)
+        assert np.array_equal(s.reduce(v), _ref_reduce(f, s, v))
+        coef = rng.integers(0, f.q, size=s.dim)
+        inside = _ref_matmul(f, coef.reshape(1, -1), s.basis)[0]
+        assert np.array_equal(s.coefficients(inside), coef)
+        if _ref_reduce(f, s, v).any():
+            with pytest.raises(ValueError):
+                s.coefficients(v)
+
+        g = random_mat(f, 4, 4, rng)
+        gram = g + g.T
+        if gram.rank() == 4:
+            form = FormSpec(kind="symmetric", gram=gram)
+            u, w = rng.integers(0, f.q, size=(2, 4))
+            ref = _ref_matmul(f, _ref_matmul(f, u.reshape(1, -1), gram.a), w.reshape(-1, 1))
+            assert bilinear(form, u, w) == int(ref[0, 0])
+
+
+@pytest.mark.parametrize("f", [make_field(3, 2), make_field(2, 2)], ids=["GF9", "GF4"])
+def test_extension_large_product_matches_scalar_reference(f):
+    """Above the switch the planes take mm_modp's BLAS (odd p) or packed
+    (p = 2) product."""
+    rng = np.random.default_rng(40 + f.q)
+    n, k, m = 60, 60, 60
+    assert n * k * m >= SWITCH
+    a, b = random_mat(f, n, k, rng), random_mat(f, k, m, rng)
+    assert np.array_equal((a @ b).a, _ref_matmul(f, a.a, b.a))
