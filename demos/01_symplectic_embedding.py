@@ -18,13 +18,13 @@ for n in range(5, 11):
     print(f"n={n}: module dimension {rep.dim} = 2*{d}, "
           f"form preserved: {check_invariance(rep, form)}")
 
-# The subgroup fixing a Lagrangian flag pointwise, computed by exhaustive
-# enumeration.  Disjoint transpositions generate it.
+# The subgroup fixing a Lagrangian flag pointwise, found exactly by a
+# point-by-point backtrack over S_n.  Disjoint transpositions generate it.
 n = 8
 rep = perm_irrep(n, 2)
 w, dual, pairing = lagrangian_pair(rep.dim // 2)
 res = parabolic_trivial_subgroup(rep, w)
-print(f"\nS_{n}: rank {res.rank}, order {res.order}, exact={res.exact}")
+print(f"\nS_{n}: rank {res.rank}, order {res.order}")
 print("witness generators:", ", ".join(pm.to_cycles(g) for g in res.witness))
 
 alt = restrict_to_alternating(rep)

@@ -11,7 +11,6 @@ image formula that avoids multiplying out generator words.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -42,11 +41,6 @@ class Representation:
     faithful: Optional[bool]
     label: str = ""
     tables: Optional[tuple] = None  # (big, dim, E) of _irrep_tables, for the GF(2) backtrack
-
-    def act_perm(self, g: pm.Perm) -> Mat:
-        if self.act is None:
-            raise ValueError("representation has no per-element action attached")
-        return self.act(g)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +76,8 @@ def _irrep_tables(n: int, p: int):
 
 def _make_act(n: int, p: int, big: int, dim: int, e: np.ndarray, fld: GF):
     def act(g: pm.Perm) -> Mat:
-        assert len(g) == n
+        if len(g) != n:
+            raise ValueError(f"permutation of degree {len(g)} on a representation of S_{n}")
         gg = pm.extend(g, big)
         last = e[gg[big - 1]]
         cols = e[[gg[i] for i in range(dim)]]  # dim x dim, rows are images
@@ -275,8 +270,7 @@ class ParabolicResult:
     rank: int
     order: int
     witness: tuple
-    exact: bool
-    elements: Optional[list] = None
+    elements: list
 
 
 def _sweep_survivors_gf2(n: int, big: int, e: np.ndarray, w: Subspace, parity: Optional[int]):
@@ -361,21 +355,15 @@ def _independent_witness(elements, p: int, degree: int):
     return tuple(chosen), len(span)
 
 
-def parabolic_trivial_subgroup(
-    rep: Representation,
-    w: Subspace,
-    mode: str = "exact_enum",
-    cap: int = 10**7,
-    candidates=None,
-) -> ParabolicResult:
+def parabolic_trivial_subgroup(rep: Representation, w: Subspace, cap: int = 10**7) -> ParabolicResult:
     """Subgroup of the represented group acting trivially on both w and V/w.
 
-    exact_enum finds every such element and certifies that they form an
-    elementary abelian group: over GF(2), S_n and A_n are searched by the
-    point-by-point backtrack of _sweep_survivors_gf2; any other group is
-    enumerated by BFS closure and filtered.  Either way it refuses a group
-    of order above cap.  certified_bound only verifies that a candidate
-    generating set lies inside and reports its rank, with exact=False.
+    Finds every such element and certifies that they form an elementary
+    abelian group.  Over GF(2), S_n and A_n are searched by the point-by-point
+    backtrack of _sweep_survivors_gf2, which cuts each branch at its first
+    failed check and so never lists the n! permutations.  Any other group is
+    enumerated by BFS closure and filtered; that enumeration refuses a group
+    of order above cap.
     """
     n = rep.group.degree
     fld = rep.field
@@ -383,29 +371,7 @@ def parabolic_trivial_subgroup(
         raise ValueError("subspace does not live in the representation space")
     p = fld.p
 
-    if mode == "certified_bound":
-        if candidates is None:
-            if rep.group.kind == "sym":
-                candidates = [pm.transposition(n, 2 * i, 2 * i + 1) for i in range(n // 2)]
-            elif rep.group.kind == "alt":
-                candidates = [
-                    pm.double_transposition(n, 0, 1, 2 * i, 2 * i + 1) for i in range(1, n // 2)
-                ]
-            else:
-                raise ValueError("certified_bound needs explicit candidates for this group")
-        for g in candidates:
-            if not _acts_trivially(rep.act(g), w):
-                raise ValueError(f"candidate generator {pm.to_cycles(g)} fails the trivial-action test")
-        ok, rank = pm.is_elementary_abelian(candidates, p)
-        require(ok, "candidate generators do not span an elementary abelian p-group")
-        return ParabolicResult(rank=rank, order=p**rank, witness=tuple(candidates), exact=False)
-
-    if mode != "exact_enum":
-        raise ValueError(f"unknown mode {mode!r}")
-
     if rep.group.kind in ("sym", "alt") and p == 2 and rep.tables is not None:
-        if math.factorial(n) > cap:
-            raise ValueError(f"group order {math.factorial(n)} exceeds enumeration cap {cap}")
         big, _, e = rep.tables
         parity = 1 if rep.group.kind == "alt" else None
         survivors = _sweep_survivors_gf2(n, big, e, w, parity)
@@ -422,25 +388,20 @@ def parabolic_trivial_subgroup(
     witness, span_size = _independent_witness(survivors, p, n)
     require(span_size == len(survivors) == p**rank,
             "witness span, survivor count and p^rank disagree")
-    return ParabolicResult(
-        rank=rank, order=p**rank, witness=witness, exact=True, elements=survivors
-    )
+    return ParabolicResult(rank=rank, order=p**rank, witness=witness, elements=survivors)
 
 
-def standard_parabolic(n: int, kind: str, cap: int, mode: Optional[str] = None) -> ParabolicResult:
+def standard_parabolic(n: int, kind: str) -> ParabolicResult:
     """The trivial-action subgroup of S_n or A_n for the standard mod-2 Lagrangian.
 
     Builds perm_irrep(n, 2), restricts it to A_n when kind is "alt", takes
-    W from lagrangian_pair and runs parabolic_trivial_subgroup.  The mode is
-    exact_enum when n! <= cap and certified_bound otherwise, unless given.
+    W from lagrangian_pair and runs the backtrack of parabolic_trivial_subgroup.
     """
     rep = perm_irrep(n, 2)
     if kind == "alt":
         rep = restrict_to_alternating(rep)
     w, _, _ = lagrangian_pair(rep.dim // 2)
-    if mode is None:
-        mode = "exact_enum" if math.factorial(n) <= cap else "certified_bound"
-    return parabolic_trivial_subgroup(rep, w, mode=mode, cap=cap)
+    return parabolic_trivial_subgroup(rep, w)
 
 
 def gl_parabolic_check(rep: Representation, w: Subspace, group: pm.GroupPresentation) -> bool:
@@ -473,7 +434,7 @@ def diagonal_rep(rep: Representation):
 
     images = tuple(act(g) for g in rep.group.generators)
     for m in images:
-        assert preserves_form(m, form), "doubled image must preserve the symplectic form"
+        require(preserves_form(m, form), "doubled image must preserve the symplectic form")
     doubled = Representation(
         group=rep.group,
         field=fld,

@@ -166,7 +166,8 @@ class GF:
     # -- encoding ----------------------------------------------------------
 
     def digits(self, a: int):
-        assert 0 <= a < self.q, f"element {a} out of range for GF({self.q})"
+        if not 0 <= a < self.q:
+            raise ValueError(f"element {a} out of range for GF({self.q})")
         out = []
         for _ in range(self.r):
             a, d = divmod(a, self.p)

@@ -42,14 +42,16 @@ def enum_parabolic(n: int, kind: str) -> dict:
     """
     from .dickson import lagrangian_pair, perm_irrep
 
-    assert n <= 8, "exhaustive oracle is limited to small degrees"
-    assert kind in ("sym", "alt")
+    if n > 8:
+        raise ValueError(f"exhaustive oracle is limited to n <= 8, got {n}")
+    if kind not in ("sym", "alt"):
+        raise ValueError(f"kind must be sym or alt, got {kind!r}")
     rep = perm_irrep(n, 2)
     dim = rep.dim
     w, _, _ = lagrangian_pair(dim // 2)
     group = pm.standard_gens(kind, n)
     es = pm.closure(group)
-    assert es.complete
+    require(es.complete, "closure of the standard generators did not finish")
     ident = np.eye(dim, dtype=np.int64)
     basis = w.basis
     residue = (ident + basis.T @ ident[list(w.pivots)]) % 2
@@ -153,8 +155,8 @@ def _restrict_to(mats: list[Mat], space: frozenset, fld: GF) -> list[Mat]:
     for m in mats:
         img = mm_modp(m.a, sub.basis.T, 2)
         coef = img[piv, :]
-        assert np.array_equal(mm_modp(sub.basis.T, coef, 2), img), \
-            "subspace not invariant under restriction"
+        require(np.array_equal(mm_modp(sub.basis.T, coef, 2), img),
+                "subspace not invariant under restriction")
         out.append(Mat(fld, coef))
     return out
 
@@ -173,9 +175,11 @@ def decompose_small_module(mats: list[Mat], group_order: int | None = None) -> i
     must be threaded through once restriction makes the action unfaithful.
     """
     fld = mats[0].field
-    assert fld.q == 2, "brute-force decomposition implemented for GF(2) only"
+    if fld.q != 2:
+        raise ValueError("brute-force decomposition implemented for GF(2) only")
     dim = mats[0].rows
-    assert dim <= 8, "brute-force decomposition capped at dimension 8"
+    if dim > 8:
+        raise ValueError("brute-force decomposition capped at dimension 8")
     if dim == 0:
         return 0
     ident = Mat.identity(fld, dim)
@@ -187,14 +191,17 @@ def decompose_small_module(mats: list[Mat], group_order: int | None = None) -> i
             for g in mats:
                 y = m @ g
                 if y.key() not in elems:
-                    assert len(elems) <= 64
+                    if len(elems) > 64:
+                        raise ValueError("brute-force decomposition capped at 64 group elements")
                     elems[y.key()] = y
                     nxt.append(y)
         frontier = nxt
     group = list(elems.values())
     if group_order is None:
         group_order = len(group)
-    assert group_order % len(group) == 0
+    if group_order % len(group):
+        raise ValueError(f"group order {group_order} is not a multiple of "
+                         f"{len(group)}, the order of the matrix group")
     if group_order > dim:
         return 0
     group_tables = [_image_table(m) for m in group]
@@ -231,7 +238,8 @@ def _random_involution(rng, fld: GF, dim: int) -> Mat:
     sm = Mat(fld, _random_invertible(rng, dim))
     n = sm @ Mat(fld, n0) @ sm.inverse()
     out = Mat.identity(fld, dim) + n
-    assert out @ out == Mat.identity(fld, dim) and out != Mat.identity(fld, dim)
+    require(out @ out == Mat.identity(fld, dim) and out != Mat.identity(fld, dim),
+            "random involution is not a nontrivial involution")
     return out
 
 
@@ -260,7 +268,7 @@ def _random_commuting_pair(rng, fld: GF, dim: int):
             if ((x @ x) % 2).any():
                 continue
             b = ident + Mat(fld, x)
-            assert a @ b == b @ a
+            require(a @ b == b @ a, "sampled pair does not commute")
             return [a, b]
     return None
 
@@ -327,8 +335,10 @@ def tableau_count(lam: tuple) -> int:
     """Standard tableau count via the recursion over removable corners."""
     if not lam:
         return 1
-    assert sum(lam) <= 12, "tableau oracle is capped at 12 boxes"
-    assert all(a >= b for a, b in zip(lam, lam[1:])) and lam[-1] > 0
+    if sum(lam) > 12:
+        raise ValueError("tableau oracle is capped at 12 boxes")
+    if not all(a >= b for a, b in zip(lam, lam[1:])) or lam[-1] <= 0:
+        raise ValueError(f"{lam} is not a partition")
     total = 0
     for i in range(len(lam)):
         if i == len(lam) - 1 or lam[i] > lam[i + 1]:

@@ -26,7 +26,8 @@ class VerificationReport:
     runtime_ms: Optional[int] = None  # None until timed
 
     def __post_init__(self):
-        assert self.status in STATUSES, self.status
+        if self.status not in STATUSES:
+            raise ValueError(f"unknown status {self.status!r}; choose from {STATUSES}")
 
 
 def make_report(claim_id: str, statement: str, inputs: dict, expected, computed,
@@ -43,12 +44,9 @@ def make_report(claim_id: str, statement: str, inputs: dict, expected, computed,
 @dataclass
 class SuiteConfig:
     max_n: int = 12
-    enum_cap: int = 10**7
     grid: Optional[tuple] = None  # None = the standard (family, m, q) grid
     format: str = "text"  # text | json | csv | md
     out: Optional[str] = None
-    seed: int = 0
-    jobs: int = 1
     timings: bool = False
 
     def to_dict(self) -> dict:

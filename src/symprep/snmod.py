@@ -20,6 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import perm as pm
+from .checks import require
 from .field import GF, make_field
 # mm_modp and rref_array stay importable from here: the layer trace in
 # perfbench/layers.py wraps them by module
@@ -47,8 +48,10 @@ def partitions(n: int, max_part: Optional[int] = None):
 
 def check_partition(lam) -> tuple:
     lam = tuple(int(x) for x in lam)
-    assert lam and all(a > 0 for a in lam), "parts must be positive"
-    assert all(a >= b for a, b in zip(lam, lam[1:])), "parts must be weakly decreasing"
+    if not lam or not all(a > 0 for a in lam):
+        raise ValueError(f"parts of {lam} must be positive")
+    if not all(a >= b for a, b in zip(lam, lam[1:])):
+        raise ValueError(f"parts of {lam} must be weakly decreasing")
     return lam
 
 
@@ -96,7 +99,7 @@ def hook_length_dim(lam) -> int:
         for j in range(li):
             prod *= li - j + conj[j] - i - 1
     num = math.factorial(sum(lam))
-    assert num % prod == 0
+    require(num % prod == 0, "hook-length product does not divide n!")
     return num // prod
 
 
@@ -140,7 +143,7 @@ def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray):
                        for t in tableaux], dtype=np.int64)
     term_codes = (len(lam) ** points) @ row_of_cell.T
     cols = np.searchsorted(codes, term_codes)
-    assert np.array_equal(codes[cols], term_codes), "polytabloid term is not a tabloid"
+    require(np.array_equal(codes[cols], term_codes), "polytabloid term is not a tabloid")
     rows = np.repeat(np.arange(len(tableaux)), len(signs))
     return rows, cols.reshape(-1), np.tile(np.array(signs, dtype=np.int64), len(tableaux))
 
@@ -169,9 +172,10 @@ class GModule:
 
     def __init__(self, n: int, field: GF, gen_actions, label: str = "",
                  check: str = "auto", seed: int = 0):
-        assert 2 <= n <= MAX_N
         gen_actions = tuple(gen_actions)
-        assert len(gen_actions) == n - 1
+        if not 2 <= n <= MAX_N or len(gen_actions) != n - 1:
+            raise ValueError(f"need 2 <= n <= {MAX_N} and n - 1 generators, got n = {n} "
+                             f"and {len(gen_actions)}")
         self.n = n
         self.field = field
         self.gen_actions = gen_actions
@@ -179,7 +183,8 @@ class GModule:
         self.label = label
         self._act_cache = {}
         for g in gen_actions:
-            assert g.field == field and g.shape == (self.dim, self.dim)
+            if g.field != field or g.shape != (self.dim, self.dim):
+                raise ValueError("generators must be square matrices of one size over the field")
         if check == "auto":
             check = "full" if self.dim <= 400 else "sampled"
         if check != "skip" and self.dim > 0:
@@ -191,30 +196,31 @@ class GModule:
         if full:
             ident = Mat.identity(f, self.dim)
             for a in gens:
-                assert a @ a == ident, "generator is not an involution"
+                require(a @ a == ident, "generator is not an involution")
             for i in range(len(gens) - 1):
                 a, b = gens[i], gens[i + 1]
-                assert a @ (b @ a) == b @ (a @ b), "braid relation fails"
+                require(a @ (b @ a) == b @ (a @ b), "braid relation fails")
             for i in range(len(gens)):
                 for j in range(i + 2, len(gens)):
-                    assert gens[i] @ gens[j] == gens[j] @ gens[i], \
-                        "distant generators must commute"
+                    require(gens[i] @ gens[j] == gens[j] @ gens[i],
+                            "distant generators must commute")
             return
         rng = np.random.default_rng(seed + 77003)
         v = Mat(f, rng.integers(0, f.q, size=(self.dim, 64)))
         for a in gens:
-            assert a @ (a @ v) == v, "generator is not an involution"
+            require(a @ (a @ v) == v, "generator is not an involution")
         for i in range(len(gens) - 1):
             a, b = gens[i], gens[i + 1]
-            assert a @ (b @ (a @ v)) == b @ (a @ (b @ v)), "braid relation fails"
+            require(a @ (b @ (a @ v)) == b @ (a @ (b @ v)), "braid relation fails")
         for i in range(len(gens)):
             for j in range(i + 2, len(gens)):
-                assert gens[i] @ (gens[j] @ v) == gens[j] @ (gens[i] @ v), \
-                    "distant generators must commute"
+                require(gens[i] @ (gens[j] @ v) == gens[j] @ (gens[i] @ v),
+                        "distant generators must commute")
 
     def act(self, g: pm.Perm) -> Mat:
         """Image of an arbitrary permutation via its adjacent-swap factorization."""
-        assert len(g) == self.n
+        if len(g) != self.n:
+            raise ValueError(f"permutation of degree {len(g)} on a module for S_{self.n}")
         g = tuple(g)
         cached = self._act_cache.get(g)
         if cached is not None:
@@ -227,7 +233,8 @@ class GModule:
 
     def restrict(self, new_n: int) -> "GModule":
         """Same space as a module for the smaller symmetric group."""
-        assert 2 <= new_n <= self.n
+        if not 2 <= new_n <= self.n:
+            raise ValueError(f"cannot restrict S_{self.n} to S_{new_n}")
         return GModule(new_n, self.field, self.gen_actions[: new_n - 1],
                        label=f"{self.label}|S{new_n}", check="skip")
 
@@ -250,12 +257,13 @@ def _specht_core(lam: tuple, p: int):
     """
     lam = check_partition(lam)
     n = sum(lam)
-    assert 2 <= n <= MAX_N, "degree outside supported range"
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"degree {n} outside the supported range 2..{MAX_N}")
     fld = make_field(p)
     words, codes = _tabloid_words(lam)
     st = standard_tableaux(lam)
     dim = len(st)
-    assert dim == hook_length_dim(lam), "tableau count disagrees with hook lengths"
+    require(dim == hook_length_dim(lam), "tableau count disagrees with hook lengths")
     rows, cols, signs = _polytabloid_terms(lam, st, codes)
     if p == 2:
         entries = np.zeros((dim, len(codes)), dtype=np.uint8)
@@ -266,7 +274,7 @@ def _specht_core(lam: tuple, p: int):
         entries[rows, cols] = signs % p
         b = Mat(fld, entries)
     _, piv = b.rref()
-    assert len(piv) == dim, "standard polytabloids must stay independent mod p"
+    require(len(piv) == dim, "standard polytabloids must stay independent mod p")
     piv = list(piv)
     binv = Mat(fld, entries[:, piv]).inverse()
     rng = np.random.default_rng(409 + 97 * n + p)
@@ -275,11 +283,11 @@ def _specht_core(lam: tuple, p: int):
         shuffle = _tabloid_swap_perm(words, codes, len(lam), k)
         coef = Mat(fld, entries[:, shuffle[piv]]) @ binv
         if dim <= 200:
-            assert coef @ b == Mat(fld, entries[:, shuffle]), "straightening failed"
+            require(coef @ b == Mat(fld, entries[:, shuffle]), "straightening failed")
         else:
             proj = Mat(fld, rng.integers(0, p, size=(64, dim)))
             rhs = Mat._of(fld, (proj @ b).a[:, shuffle])
-            assert (proj @ coef) @ b == rhs, "straightening failed"
+            require((proj @ coef) @ b == rhs, "straightening failed")
         gen_mats.append(coef.T)
     gram = b @ b.T
     return n, dim, tuple(gen_mats), gram
@@ -312,13 +320,14 @@ def irreducible_D(lam: tuple, p: int) -> GModule:
         return GModule(s.n, s.field, s.gen_actions, label=label, check="skip")
     mats = quotient_action(list(s.gen_actions), rad)
     mod = GModule(s.n, s.field, tuple(mats), label=label)
-    assert mod.dim == gram.rank()
+    require(mod.dim == gram.rank(), "quotient dimension disagrees with the Gram rank")
     return mod
 
 
 def basic_spin_restriction(k: int) -> GModule:
     """Restriction to S_2k of the mod-2 irreducible for the partition (k+1, k)."""
-    assert 1 <= k and 2 * k + 1 <= MAX_N
+    if not 1 <= k or 2 * k + 1 > MAX_N:
+        raise ValueError(f"k = {k} outside 1..{(MAX_N - 1) // 2}")
     return irreducible_D((k + 1, k), 2).restrict(2 * k)
 
 
@@ -340,7 +349,7 @@ def _layers_of_mats(mats: list[Mat]) -> tuple:
     layers = []
     while mats[0].rows > 0:
         fixed = joint_fixed_space(mats)
-        assert fixed.dim > 0, "invariant space of a p-group vanished on a nonzero module"
+        require(fixed.dim > 0, "invariant space of a p-group vanished on a nonzero module")
         layers.append(fixed.dim)
         if fixed.dim == mats[0].rows:
             break
@@ -368,7 +377,7 @@ def loewy_length(mod: GModule, group: pm.GroupPresentation) -> LoewySeries:
     if not mats:
         mats = [Mat.identity(mod.field, mod.dim)]
     series = LoewySeries(_layers_of_mats(mats))
-    assert sum(series.layer_dims) == mod.dim
+    require(sum(series.layer_dims) == mod.dim, "Loewy layers do not add up to the dimension")
     return series
 
 
@@ -391,12 +400,13 @@ def free_summand_count(mod: GModule, group: pm.GroupPresentation) -> int:
     ok, rank = pm.is_elementary_abelian(list(group.generators), p)
     if not ok:
         raise ValueError("subgroup is not elementary abelian")
-    assert rank == len(group.generators), "listed generators must be independent"
+    if rank != len(group.generators):
+        raise ValueError("listed generators must be independent")
     norm = Mat.identity(mod.field, mod.dim)
     for g in group.generators:
         norm = norm @ _geometric_sum(mod.act(g), p)
     count = norm.rank()
-    assert count * p**rank <= mod.dim
+    require(count * p**rank <= mod.dim, "more free summands than the dimension allows")
     return count
 
 
@@ -411,13 +421,13 @@ def cyclic_profile(mod: GModule, g: pm.Perm) -> tuple:
     for _ in range(p):
         ranks.append(power.rank())
         power = power @ x
-    assert ranks[p] == 0, "p-th power of a unipotent difference must vanish"
+    require(ranks[p] == 0, "p-th power of a unipotent difference must vanish")
     blocks = []
     for k in range(1, p + 1):
         at_least_k = ranks[k - 1] - ranks[k]
         at_least_next = (ranks[k] - ranks[k + 1]) if k < p else 0
         blocks.extend([k] * (at_least_k - at_least_next))
-    assert sum(blocks) == mod.dim
+    require(sum(blocks) == mod.dim, "Jordan blocks do not add up to the dimension")
     return tuple(blocks)
 
 
@@ -455,9 +465,9 @@ def fingerprint_of_mats(mats: list[Mat], field: GF,
     dim = mats[0].rows
     ident = Mat.identity(field, dim)
     for a in mats:
-        assert a.pow(p) == ident, "generator order must divide p"
+        require(a.pow(p) == ident, "generator order must divide p")
         for b in mats:
-            assert a @ b == b @ a, "generators must commute"
+            require(a @ b == b @ a, "generators must commute")
     if verify_independent:
         seen = {ident.key()}
         frontier = [ident]
@@ -467,11 +477,11 @@ def fingerprint_of_mats(mats: list[Mat], field: GF,
                 for a in mats:
                     y = m @ a
                     if y.key() not in seen:
-                        assert len(seen) < cap, "matrix group too large to verify"
+                        require(len(seen) < cap, "matrix group too large to verify")
                         seen.add(y.key())
                         nxt.append(y)
             frontier = nxt
-        assert len(seen) == p ** len(mats), "generator matrices are not independent"
+        require(len(seen) == p ** len(mats), "generator matrices are not independent")
     norm = ident
     for a in mats:
         norm = norm @ _geometric_sum(a, p)
@@ -489,7 +499,8 @@ def fingerprint(mod: GModule, group: pm.GroupPresentation) -> Fingerprint:
     ok, rank = pm.is_elementary_abelian(list(group.generators), p)
     if not ok:
         raise ValueError("subgroup is not elementary abelian")
-    assert rank == len(group.generators), "listed generators must be independent"
+    if rank != len(group.generators):
+        raise ValueError("listed generators must be independent")
     if mod.dim == 0:
         return Fingerprint(0, (), 0, ())
     mats = [mod.act(g) for g in group.generators]
@@ -577,7 +588,8 @@ def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[Verificatio
     ns = sorted(set(int(n) for n in ns))
     out = []
     if theorem in ("charnot2", "charnot2_alt"):
-        assert p % 2 == 1
+        if p % 2 == 0:
+            raise ValueError(f"{theorem} needs an odd prime, got {p}")
         alt = theorem.endswith("_alt")
         for n in ns:
             if n < p:
@@ -606,7 +618,8 @@ def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[Verificatio
         return out
 
     if theorem in ("char2", "char2_alt"):
-        assert p == 2
+        if p != 2:
+            raise ValueError(f"{theorem} needs p = 2, got {p}")
         alt = theorem.endswith("_alt")
         for n in ns:
             two_row_only = n > 10
@@ -642,7 +655,8 @@ def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[Verificatio
         return out
 
     if theorem == "H2kproj":
-        assert p == 2
+        if p != 2:
+            raise ValueError(f"{theorem} needs p = 2, got {p}")
         from .oracles import validate_norm_rank
 
         (valid, ms) = _timed(lambda: validate_norm_rank(seed=0))
@@ -711,7 +725,8 @@ def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[Verificatio
         return out
 
     if theorem == "length2":
-        assert p == 2
+        if p != 2:
+            raise ValueError(f"{theorem} needs p = 2, got {p}")
         for n in ns:
             for lam in p_regular_partitions(n, 2):
                 if len(lam) < 3:

@@ -1,26 +1,24 @@
 """Claim suites: ordered batches of verification jobs with stable reports.
 
 A job is (label, thunk); the thunk returns one VerificationReport or a list
-of them.  Jobs may run in a thread pool, but reports are always assembled in
-declaration order, and a raising thunk turns into a fail report instead of
-crashing the run.
+of them.  Jobs run one after another in declaration order, and a raising
+thunk turns into a fail report instead of crashing the run.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import classical, dickson, oracles, snmod
 from . import perm as pm
-from .records import (SuiteConfig, VerificationReport, exit_code, make_report,
-                      render)
+from .records import SuiteConfig, VerificationReport, exit_code, make_report
 
 SUITE_NAMES = ("dickson", "lietype", "appendix", "all")
 
 
-def _run_jobs(jobs, config: SuiteConfig) -> list[VerificationReport]:
-    def guarded(label, fn):
+def _run_jobs(jobs) -> list[VerificationReport]:
+    out = []
+    for label, fn in jobs:
         t0 = time.monotonic()
         try:
             result = fn()
@@ -34,15 +32,8 @@ def _run_jobs(jobs, config: SuiteConfig) -> list[VerificationReport]:
         for r in reports:
             if r.runtime_ms is None:
                 r.runtime_ms = ms
-        return reports
-
-    if config.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(guarded, label, fn) for label, fn in jobs]
-            batches = [f.result() for f in futures]
-    else:
-        batches = [guarded(label, fn) for label, fn in jobs]
-    return [r for batch in batches for r in batch]
+        out.extend(reports)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -64,21 +55,19 @@ def _invariance_job(n: int):
     return f"dickson/symplectic-invariance/S{n}", job
 
 
-def _parabolic_job(n: int, kind: str, config: SuiteConfig):
+def _parabolic_job(n: int, kind: str):
     tag = ("S" if kind == "sym" else "A") + str(n)
     label = f"dickson/parabolic-rank/{tag}"
 
     def job():
-        res = dickson.standard_parabolic(n, kind, config.enum_cap)
-        mode = "exact_enum" if res.exact else "certified_bound"
+        res = dickson.standard_parabolic(n, kind)
         expected = n // 2 - (1 if kind == "alt" else 0)
         return make_report(
             claim_id=label,
             statement="rank of the elementary abelian subgroup acting trivially "
-                      "on a Lagrangian and its quotient"
-                      + ("" if res.exact else " (witness lower bound, not a sweep)"),
-            inputs={"n": n, "kind": kind, "mode": mode, "order": res.order,
-                    "exact": res.exact,
+                      "on a Lagrangian and its quotient",
+            inputs={"n": n, "kind": kind, "mode": "exact_enum", "order": res.order,
+                    "exact": True,
                     "witness": [pm.to_cycles(g) for g in res.witness]},
             expected=expected,
             computed=res.rank,
@@ -86,12 +75,12 @@ def _parabolic_job(n: int, kind: str, config: SuiteConfig):
     return label, job
 
 
-def _parabolic_oracle_job(n: int, kind: str, config: SuiteConfig):
+def _parabolic_oracle_job(n: int, kind: str):
     tag = ("S" if kind == "sym" else "A") + str(n)
     label = f"dickson/parabolic-rank-oracle/{tag}"
 
     def job():
-        res = dickson.standard_parabolic(n, kind, config.enum_cap, mode="exact_enum")
+        res = dickson.standard_parabolic(n, kind)
         ora = oracles.enum_parabolic(n, kind)
         return make_report(
             claim_id=label,
@@ -170,10 +159,10 @@ def dickson_suite(config: SuiteConfig) -> list:
         jobs.append(_invariance_job(n))
     for n in range(5, top + 1):
         for kind in ("sym", "alt"):
-            jobs.append(_parabolic_job(n, kind, config))
+            jobs.append(_parabolic_job(n, kind))
     for n in range(5, min(top, 8) + 1):
         for kind in ("sym", "alt"):
-            jobs.append(_parabolic_oracle_job(n, kind, config))
+            jobs.append(_parabolic_oracle_job(n, kind))
     for n in (6, 7):
         if n <= top:
             jobs.append(_alt_max_rank_job(n))
@@ -348,12 +337,6 @@ def run_suite(name: str, config: SuiteConfig | None = None):
             jobs.extend(builders[part](config))
     else:
         jobs = builders[name](config)
-    reports = _run_jobs(jobs, config)
+    reports = _run_jobs(jobs)
     return reports, exit_code(reports)
 
-
-def render_suite(name: str, config: SuiteConfig | None = None):
-    """Run a suite and produce (rendered text, exit code)."""
-    config = config if config is not None else SuiteConfig()
-    reports, code = run_suite(name, config)
-    return render(name, config, reports), code

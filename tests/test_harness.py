@@ -2,12 +2,14 @@
 and the command line entry point."""
 
 import json
+import os
 import subprocess
 import sys
 import time
 
 import pytest
 
+import symprep
 from symprep.records import (STATUSES, SuiteConfig, VerificationReport,
                              exit_code, make_report, render, report_to_dict,
                              reports_to_csv, reports_to_json, summarize)
@@ -26,7 +28,7 @@ def test_make_report_status_from_equality():
     assert _sample("auto", computed=3).status == "pass"
     assert _sample("auto", computed=4).status == "fail"
     assert _sample("recorded").status == "recorded"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         make_report("x", "s", {}, 1, 1, status="unknown")
 
 
@@ -53,7 +55,7 @@ def test_run_jobs_keeps_a_zero_runtime():
     def raising():
         raise RuntimeError("boom")
 
-    timed, untimed, failed = _run_jobs([("j", job), ("r", raising)], SuiteConfig())
+    timed, untimed, failed = _run_jobs([("j", job), ("r", raising)])
     assert timed.runtime_ms == 0
     assert untimed.runtime_ms >= 20
     assert failed.status == "fail" and failed.runtime_ms is not None
@@ -112,15 +114,6 @@ def test_small_suite_deterministic_bytes():
     assert out1 == out2  # byte identical
 
 
-def test_parallel_jobs_order_stable():
-    base = SuiteConfig(max_n=6, grid=())
-    par = SuiteConfig(max_n=6, grid=(), jobs=4)
-    r1, _ = run_suite("appendix", base)
-    r2, _ = run_suite("appendix", par)
-    assert [r.claim_id for r in r1] == [r.claim_id for r in r2]
-    assert [r.computed for r in r1] == [r.computed for r in r2]
-
-
 def test_lietype_restricted_grid():
     cfg = SuiteConfig(grid=(("SL", 3, 2), ("Sp", 2, 3)))
     reports, code = run_suite("lietype", cfg)
@@ -144,19 +137,39 @@ def test_cli_verify_json():
 
 
 def test_cli_verify_deterministic(tmp_path):
-    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
     cfg = ("verify", "dickson", "--max-n", "5", "--format", "json")
     code1, _, _ = _cli(*cfg, "--out", str(a))
     code2, _, _ = _cli(*cfg, "--out", str(b))
-    code3, _, _ = _cli(*cfg, "--out", str(c), "--jobs", "2")
-    assert code1 == code2 == code3 == 0
+    assert code1 == code2 == 0
     # identical config: byte-identical files
     assert a.read_bytes() == b.read_bytes()
-    # different worker count is echoed in the config block, but the claims
-    # themselves must be byte-for-byte the same
-    da, dc = json.loads(a.read_text()), json.loads(c.read_text())
-    assert json.dumps(da["claims"]) == json.dumps(dc["claims"])
-    assert da["summary"] == dc["summary"]
+
+
+def test_cli_dickson_config_and_exact_claims(capsys):
+    from symprep import cli
+
+    assert cli.main(["verify", "dickson", "--max-n", "12", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["config"]) == {"format", "grid", "max_n", "timings"}
+    assert not [c["claim_id"] for c in doc["claims"] if c["inputs"].get("exact") is False]
+    ranks = {c["claim_id"]: (c["computed"], c["inputs"]["order"]) for c in doc["claims"]
+             if c["claim_id"].startswith("dickson/parabolic-rank/")}
+    assert len(ranks) == 16
+    for tag, want in (("S11", (5, 32)), ("A11", (4, 16)), ("S12", (6, 64)), ("A12", (5, 32))):
+        assert ranks[f"dickson/parabolic-rank/{tag}"] == want
+
+
+@pytest.mark.parametrize("args", [("verify", "dickson", "--jobs", "2"),
+                                  ("verify", "dickson", "--enum-cap", "5"),
+                                  ("verify", "dickson", "--seed", "3"),
+                                  ("table", "parabolic", "--enum-cap", "5")])
+def test_cli_removed_flags_exit_2(args):
+    from symprep import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    assert exc.value.code == 2
 
 
 def test_cli_table_rp_csv():
@@ -201,6 +214,25 @@ def test_cli_bad_args_exit_2():
     assert code == 2
     code, _, _ = _cli("oracle", "enum_parabolic", "--n", "99")
     assert code == 2
+
+
+_BAD_INPUT = """
+import sys
+from symprep import cli
+if not sys.flags.optimize:
+    sys.exit(3)
+print(cli.main(["dump", "module", "--partition", "3,0", "--p", "2"]),
+      cli.main(["oracle", "tableau_count", "--partition", "2,3"]))
+"""
+
+
+def test_cli_bad_input_exits_2_under_python_O():
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BAD_INPUT],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "2"]
+    assert proc.stderr.count("error: ") == 2 and "error: \n" not in proc.stderr
 
 
 def test_cli_failed_check_exits_1(monkeypatch, capsys):

@@ -2,10 +2,16 @@
 tabloid combinatorics, quotients by the form radical, and the structural
 invariants of restrictions to 2-subgroups and p-cycles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import symprep
 from symprep import perm as pm
+from symprep.checks import CheckFailed
 from symprep.field import make_field
 from symprep.linalg import Mat
 from symprep.snmod import (Fingerprint, GModule, basic_spin_restriction,
@@ -30,11 +36,11 @@ def test_partition_counts():
 
 def test_check_partition():
     assert check_partition([3, 1]) == (3, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         check_partition([1, 3])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         check_partition([3, 0])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         check_partition([])
 
 
@@ -95,8 +101,32 @@ def test_relation_check_rejects_garbage():
     f = make_field(3)
     good = Mat(f, [[0, 1], [1, 0]])
     bad = Mat(f, [[1, 1], [0, 1]])  # order 3, not an involution
-    with pytest.raises(AssertionError):
+    with pytest.raises(CheckFailed):
         GModule(3, f, [good, bad])
+
+
+_NOT_AN_INVOLUTION = """
+import sys
+from symprep.checks import CheckFailed
+from symprep.field import make_field
+from symprep.linalg import Mat
+from symprep.snmod import GModule
+if not sys.flags.optimize:
+    sys.exit(3)
+f = make_field(3)
+try:
+    GModule(3, f, [Mat(f, [[0, 1], [1, 0]]), Mat(f, [[1, 1], [0, 1]])])
+except CheckFailed as exc:
+    print(exc)
+"""
+
+
+def test_relation_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _NOT_AN_INVOLUTION],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["generator is not an involution"]
 
 
 def test_act_is_multiplicative():
@@ -115,6 +145,21 @@ def test_restrict_keeps_prefix_action():
     g5 = pm.transposition(5, 0, 1)
     g7 = pm.transposition(7, 0, 1)
     assert res.act(g5) == mod.act(g7)
+
+
+def test_bad_module_arguments_raise_value_error():
+    mod = irreducible_D((3, 2), 2)
+    f = mod.field
+    with pytest.raises(ValueError):
+        mod.restrict(6)
+    with pytest.raises(ValueError):
+        mod.act(pm.identity(6))
+    with pytest.raises(ValueError):
+        GModule(4, f, mod.gen_actions)  # S_4 needs 3 generators, not 4
+    with pytest.raises(ValueError):
+        verify_appendix("char2", [8], 3)
+    with pytest.raises(ValueError):
+        verify_appendix("charnot2", [5], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +205,7 @@ def test_free_summand_rejects_dependent_generators():
     mod = irreducible_D((4, 1), 2)
     g = pm.double_transposition(5, 0, 1, 2, 3)
     dependent = pm.GroupPresentation("perm", 5, (g, g), "dup")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         free_summand_count(mod, dependent)
     not_elab = pm.GroupPresentation("perm", 5, (pm.from_cycles("(1 2 3 4)", 5),), "C4")
     with pytest.raises(ValueError):
