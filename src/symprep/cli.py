@@ -27,11 +27,7 @@ def _emit(text: str, out: str | None):
 
 
 def _parse_partition(text: str) -> tuple:
-    try:
-        lam = tuple(int(x) for x in text.replace(" ", "").split(","))
-    except ValueError:
-        raise SystemExit(2)
-    return lam
+    return tuple(int(x) for x in text.replace(" ", "").split(","))
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -98,22 +94,20 @@ def _regular_module(rank: int):
 def _cmd_oracle(args) -> int:
     if args.kind == "enum_parabolic":
         if args.n is None or args.group is None:
-            raise SystemExit(2)
+            raise ValueError("enum_parabolic needs --n and --group")
         doc = oracles.enum_parabolic(args.n, args.group)
         _emit(canonical_json(doc), args.out)
         return 0
     if args.kind == "tableau_count":
         if args.partition is None:
-            raise SystemExit(2)
+            raise ValueError("tableau_count needs --partition")
         lam = _parse_partition(args.partition)
         doc = {"partition": list(lam), "count": oracles.tableau_count(lam)}
         _emit(canonical_json(doc), args.out)
         return 0
     # decompose_small_module: demo decompositions or the full norm validation
     if args.demo:
-        rank = {"regular-c2": 1, "regular-k4": 2}.get(args.demo)
-        if rank is None:
-            raise SystemExit(2)
+        rank = {"regular-c2": 1, "regular-k4": 2}[args.demo]
         mats = _regular_module(rank)
         count = oracles.decompose_small_module(mats, group_order=2**rank)
         doc = {"module": args.demo, "dim": mats[0].rows, "free_count": count}
@@ -133,7 +127,7 @@ def _cmd_dump(args) -> int:
         return 0
     if args.object == "module":
         if args.partition is None:
-            raise SystemExit(2)
+            raise ValueError("dump module needs --partition")
         lam = _parse_partition(args.partition)
         mod = snmod.irreducible_D(lam, args.p)
         _emit(canonical_json(snmod.module_to_json(mod)), args.out)
@@ -168,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--n", type=int, default=None)
     po.add_argument("--group", choices=("sym", "alt"), default=None)
     po.add_argument("--partition", default=None, help="comma-separated parts, e.g. 5,2")
-    po.add_argument("--demo", default=None,
-                    help="decompose a named module: regular-c2 or regular-k4")
+    po.add_argument("--demo", default=None, choices=("regular-c2", "regular-k4"),
+                    help="decompose a named module instead of validating norm ranks")
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--out", default=None)
     po.set_defaults(fn=_cmd_oracle)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import require
 from .field import GF, make_field
 
 # product of two entries times the inner dimension must stay exactly
@@ -50,7 +51,7 @@ def mm_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     assert k == k2, f"shape mismatch {a.shape} @ {b.shape}"
     if k == 0:
         return np.zeros((n, m), dtype=np.int64)
-    assert (p - 1) * (p - 1) * k < _FLOAT_EXACT
+    require((p - 1) * (p - 1) * k < _FLOAT_EXACT, "mod-p product would leave exact float range")
     if n * k * m >= _LARGE_MACS:
         if p == 2:
             return unpack_rows(mm_gf2(pack_rows(a), k, pack_rows(b)), m)

@@ -328,7 +328,6 @@ class SearchResult:
     rank: int
     witness: tuple
     exact: bool
-    nodes: int
 
 
 def elem_abelian_rank_search(elements: ElementSet, p: int, budget: int = 5_000_000) -> SearchResult:
@@ -345,7 +344,7 @@ def elem_abelian_rank_search(elements: ElementSet, p: int, budget: int = 5_000_0
     pelems = [g for g in elems if order(g) == p]
     m = len(pelems)
     if m == 0:
-        return SearchResult(0, (), True, 0)
+        return SearchResult(0, (), True)
     adj = [0] * m
     for i in range(m):
         gi = pelems[i]
@@ -399,4 +398,4 @@ def elem_abelian_rank_search(elements: ElementSet, p: int, budget: int = 5_000_0
                     new_sub.add(compose(s, acc))
                 acc = compose(acc, y)
             stack.append((chosen + [i], new_sub, cands & adj[i] & higher[i]))
-    return SearchResult(best_rank, best_wit, exact, nodes)
+    return SearchResult(best_rank, best_wit, exact)

@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -23,7 +24,7 @@ class VerificationReport:
     expected: object
     computed: object
     status: str
-    runtime_ms: Optional[int] = None  # None until timed
+    runtime_ms: Optional[int] = None  # stamped by run_jobs
 
     def __post_init__(self):
         if self.status not in STATUSES:
@@ -31,14 +32,34 @@ class VerificationReport:
 
 
 def make_report(claim_id: str, statement: str, inputs: dict, expected, computed,
-                status: Optional[str] = None,
-                runtime_ms: Optional[int] = None) -> VerificationReport:
+                status: Optional[str] = None) -> VerificationReport:
     """Status defaults to pass/fail by comparing computed against expected."""
     if status is None:
         status = "pass" if computed == expected else "fail"
     return VerificationReport(claim_id=claim_id, statement=statement, inputs=inputs,
-                              expected=expected, computed=computed, status=status,
-                              runtime_ms=runtime_ms)
+                              expected=expected, computed=computed, status=status)
+
+
+def run_jobs(jobs) -> list[VerificationReport]:
+    """Run (claim_id, thunk) jobs in order and stamp each report's runtime.
+
+    A thunk returns one VerificationReport, or None when it has nothing to
+    claim.  A raising thunk becomes a fail report under its claim id, and
+    the jobs after it still run.
+    """
+    out = []
+    for claim_id, fn in jobs:
+        t0 = time.monotonic()
+        try:
+            r = fn()
+        except Exception as exc:  # surface as a fail report, keep the run going
+            r = make_report(claim_id=claim_id, statement="claim evaluation raised an exception",
+                            inputs={}, expected="no exception", computed=repr(exc),
+                            status="fail")
+        if r is not None:
+            r.runtime_ms = int((time.monotonic() - t0) * 1000)
+            out.append(r)
+    return out
 
 
 @dataclass

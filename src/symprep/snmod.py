@@ -26,7 +26,7 @@ from .field import GF, make_field
 # perfbench/layers.py wraps them by module
 from .linalg import (Mat, Subspace, joint_fixed_space, kernel, mm_modp,  # noqa: F401
                      pack_rows, quotient_action, rref_array)
-from .records import VerificationReport, make_report
+from .records import VerificationReport, make_report, run_jobs
 
 MAX_N = 12
 
@@ -164,14 +164,15 @@ class GModule:
     """A representation of S_n over GF(p), stored as Coxeter-generator matrices.
 
     gen_actions[i] is the matrix of the adjacent swap (i, i+1), 0-based, in
-    column convention.  Generator relations (involution, braid, distant
-    commutation) are checked at construction: full matrix identities up to
-    dimension 400, then against a 64-column random block, which any violation
-    survives with probability at most p^-64.
+    column convention.  Unless `check` is False, generator relations
+    (involution, braid, distant commutation) are checked at construction:
+    full matrix identities up to dimension 400, then against a 64-column
+    random block, which any violation survives with probability at most
+    p^-64.
     """
 
     def __init__(self, n: int, field: GF, gen_actions, label: str = "",
-                 check: str = "auto", seed: int = 0):
+                 check: bool = True):
         gen_actions = tuple(gen_actions)
         if not 2 <= n <= MAX_N or len(gen_actions) != n - 1:
             raise ValueError(f"need 2 <= n <= {MAX_N} and n - 1 generators, got n = {n} "
@@ -185,12 +186,10 @@ class GModule:
         for g in gen_actions:
             if g.field != field or g.shape != (self.dim, self.dim):
                 raise ValueError("generators must be square matrices of one size over the field")
-        if check == "auto":
-            check = "full" if self.dim <= 400 else "sampled"
-        if check != "skip" and self.dim > 0:
-            self._check_relations(seed, full=(check == "full"))
+        if check and self.dim > 0:
+            self._check_relations(full=self.dim <= 400)
 
-    def _check_relations(self, seed: int, full: bool):
+    def _check_relations(self, full: bool):
         gens = self.gen_actions
         f = self.field
         if full:
@@ -205,7 +204,7 @@ class GModule:
                     require(gens[i] @ gens[j] == gens[j] @ gens[i],
                             "distant generators must commute")
             return
-        rng = np.random.default_rng(seed + 77003)
+        rng = np.random.default_rng(77003)
         v = Mat(f, rng.integers(0, f.q, size=(self.dim, 64)))
         for a in gens:
             require(a @ (a @ v) == v, "generator is not an involution")
@@ -236,7 +235,7 @@ class GModule:
         if not 2 <= new_n <= self.n:
             raise ValueError(f"cannot restrict S_{self.n} to S_{new_n}")
         return GModule(new_n, self.field, self.gen_actions[: new_n - 1],
-                       label=f"{self.label}|S{new_n}", check="skip")
+                       label=f"{self.label}|S{new_n}", check=False)
 
     def __repr__(self):
         return f"GModule({self.label or 'S_' + str(self.n)}, dim {self.dim})"
@@ -317,7 +316,7 @@ def irreducible_D(lam: tuple, p: int) -> GModule:
     rad = kernel(gram)
     label = f"D{lam} mod {p}"
     if rad.dim == 0:
-        return GModule(s.n, s.field, s.gen_actions, label=label, check="skip")
+        return GModule(s.n, s.field, s.gen_actions, label=label, check=False)
     mats = quotient_action(list(s.gen_actions), rad)
     mod = GModule(s.n, s.field, tuple(mats), label=label)
     require(mod.dim == gram.rank(), "quotient dimension disagrees with the Gram rank")
@@ -457,7 +456,7 @@ class Fingerprint:
 
 
 def fingerprint_of_mats(mats: list[Mat], field: GF,
-                        verify_independent: bool = True, cap: int = 4096) -> Fingerprint:
+                        verify_independent: bool = True) -> Fingerprint:
     """Fingerprint from explicit commuting order-p generator matrices."""
     p = field.p
     if not mats or mats[0].rows == 0:
@@ -477,7 +476,7 @@ def fingerprint_of_mats(mats: list[Mat], field: GF,
                 for a in mats:
                     y = m @ a
                     if y.key() not in seen:
-                        require(len(seen) < cap, "matrix group too large to verify")
+                        require(len(seen) < 4096, "matrix group too large to verify")
                         seen.add(y.key())
                         nxt.append(y)
             frontier = nxt
@@ -529,19 +528,16 @@ def module_from_json(data: dict) -> GModule:
     fld = make_field(data["field"]["p"], data["field"]["r"])
     gens = [Mat(fld, g["matrix"]) for g in sorted(data["generators"],
                                                   key=lambda g: g["coxeter_index"])]
-    return GModule(data["n"], fld, gens, label=data["label"], check="skip")
+    return GModule(data["n"], fld, gens, label=data["label"], check=False)
 
 
 # ---------------------------------------------------------------------------
 # the theorem sweeps
-
-
-def _timed(fn):
-    import time
-
-    t0 = time.monotonic()
-    value = fn()
-    return value, int((time.monotonic() - t0) * 1000)
+#
+# Each claim is one (claim_id, thunk) job.  A factory binds the loop values,
+# and the thunks look up irreducible_D, loewy_length and the other helpers
+# as module globals when they run, so wrapping those names on this module
+# also reaches them.
 
 
 def _lam_id(lam) -> str:
@@ -579,179 +575,186 @@ def _sweep_quadratic(n: int, lams: Iterable[tuple], even_part: bool):
     return hits, rows
 
 
-def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[VerificationReport]:
-    """Reports for one theorem family over the given degrees.
+def _odd_depth_job(n: int, lam: tuple, p: int, alt: bool):
+    claim_id = f"appendix/odd-cyclic-depth{'-alt' if alt else ''}/p{p}/n{n}/{_lam_id(lam)}"
 
-    Failures become fail-status reports, never exceptions, so a sweep always
-    documents everything it looked at.
-    """
-    ns = sorted(set(int(n) for n in ns))
-    out = []
-    if theorem in ("charnot2", "charnot2_alt"):
-        if p % 2 == 0:
-            raise ValueError(f"{theorem} needs an odd prime, got {p}")
-        alt = theorem.endswith("_alt")
-        for n in ns:
-            if n < p:
-                continue
-            for lam in p_regular_partitions(n, p):
-                def depth():
-                    mod = irreducible_D(lam, p)
-                    if mod.dim <= 1:
-                        return mod, None
-                    return mod, loewy_length(mod, _cyclic_group(n, p))
+    def job():
+        mod = irreducible_D(lam, p)
+        if mod.dim <= 1:
+            return None
+        series = loewy_length(mod, _cyclic_group(n, p))
+        return make_report(
+            claim_id=claim_id,
+            statement="restriction of a non-character mod-p irreducible to the "
+                      "cyclic group on the first p points has Loewy length at least 3"
+                      + (" (cycle taken inside the even subgroup)" if alt else ""),
+            inputs={"partition": list(lam), "p": p, "n": n, "dim": mod.dim,
+                    "layers": list(series.layer_dims)},
+            expected=True,
+            computed=series.length >= 3,
+        )
+    return claim_id, job
 
-                ((mod, series), ms) = _timed(depth)
-                if series is None:
-                    continue
-                out.append(make_report(
-                    claim_id=f"appendix/odd-cyclic-depth{'-alt' if alt else ''}/p{p}/n{n}/{_lam_id(lam)}",
-                    statement="restriction of a non-character mod-p irreducible to the "
-                              "cyclic group on the first p points has Loewy length at least 3"
-                              + (" (cycle taken inside the even subgroup)" if alt else ""),
-                    inputs={"partition": list(lam), "p": p, "n": n, "dim": mod.dim,
-                            "layers": list(series.layer_dims)},
-                    expected=True,
-                    computed=series.length >= 3,
-                    runtime_ms=ms,
-                ))
-        return out
 
-    if theorem in ("char2", "char2_alt"):
-        if p != 2:
-            raise ValueError(f"{theorem} needs p = 2, got {p}")
-        alt = theorem.endswith("_alt")
-        for n in ns:
-            two_row_only = n > 10
-            lams = (
-                [lam for lam in p_regular_partitions(n, 2) if len(lam) <= 2]
-                if two_row_only else p_regular_partitions(n, 2)
-            )
-            (res, ms) = _timed(lambda: _sweep_quadratic(n, lams, even_part=alt))
-            hits, rows = res
-            top = "H~_" + str(n) if alt else "H_" + str(n)
-            expected_hits = [[f"{n - 1}-1", top]]
-            if n == 8 and not alt:
-                expected_hits.append(["5-3", "K^2xH_0"])
-            expected_hits = sorted(expected_hits)
-            status = None
-            if two_row_only:
-                status = "partial"
-            elif alt and n == 8:
-                status = "recorded"
-            out.append(make_report(
-                claim_id=f"appendix/quadratic-pairs{'-alt' if alt else ''}/n{n}",
-                statement="Loewy length at most 2 over the Klein-by-transposition "
-                          "subgroup chain happens only at the listed module/subgroup pairs"
-                          + (" (two-row modules only)" if two_row_only else ""),
-                inputs={"n": n, "modules_checked": len(set(r[0] for r in rows)),
-                        "pairs_checked": len(rows),
-                        "sweep": "two-row" if two_row_only else "all 2-regular"},
-                expected="recorded-only" if status == "recorded" else expected_hits,
-                computed=sorted(hits),
-                status=status,
-                runtime_ms=ms,
-            ))
-        return out
+def _quadratic_job(n: int, alt: bool):
+    claim_id = f"appendix/quadratic-pairs{'-alt' if alt else ''}/n{n}"
 
-    if theorem == "H2kproj":
-        if p != 2:
-            raise ValueError(f"{theorem} needs p = 2, got {p}")
+    def job():
+        two_row_only = n > 10
+        lams = [lam for lam in p_regular_partitions(n, 2) if not two_row_only or len(lam) <= 2]
+        hits, rows = _sweep_quadratic(n, lams, even_part=alt)
+        expected_hits = [[f"{n - 1}-1", ("H~_" if alt else "H_") + str(n)]]
+        if n == 8 and not alt:
+            expected_hits.append(["5-3", "K^2xH_0"])
+        status = None
+        if two_row_only:
+            status = "partial"
+        elif alt and n == 8:
+            status = "recorded"
+        return make_report(
+            claim_id=claim_id,
+            statement="Loewy length at most 2 over the Klein-by-transposition "
+                      "subgroup chain happens only at the listed module/subgroup pairs"
+                      + (" (two-row modules only)" if two_row_only else ""),
+            inputs={"n": n, "modules_checked": len(set(r[0] for r in rows)),
+                    "pairs_checked": len(rows),
+                    "sweep": "two-row" if two_row_only else "all 2-regular"},
+            expected="recorded-only" if status == "recorded" else sorted(expected_hits),
+            computed=sorted(hits),
+            status=status,
+        )
+    return claim_id, job
+
+
+def _norm_rank_job():
+    claim_id = "appendix/norm-rank-validation"
+
+    def job():
         from .oracles import validate_norm_rank
 
-        (valid, ms) = _timed(lambda: validate_norm_rank(seed=0))
-        out.append(make_report(
-            claim_id="appendix/norm-rank-validation",
+        return make_report(
+            claim_id=claim_id,
             statement="norm-operator rank equals the brute-force free summand count "
                       "on every random small test module",
             inputs={"seed": 0},
             expected=True,
-            computed=valid["all_match"],
-            runtime_ms=ms,
-        ))
-        for n in ns:
-            for k in range(2, (n + 1) // 2):
-                if n - k <= k:
-                    continue
-                sub = pm.special_subgroups(n, "H", m=k)
+            computed=validate_norm_rank(seed=0)["all_match"],
+        )
+    return claim_id, job
 
-                def free_count():
-                    mod = irreducible_D((n - k, k), 2)
-                    return mod, free_summand_count(mod, sub)
 
-                ((mod, count), ms) = _timed(free_count)
-                out.append(make_report(
-                    claim_id=f"appendix/pair-partition-free-summand/n{n}/k{k}",
-                    statement="the two-row mod-2 irreducible keeps a free summand over "
-                              "the rank-k transposition subgroup",
-                    inputs={"partition": [n - k, k], "subgroup": sub.label,
-                            "dim": mod.dim, "free_count": count},
-                    expected=True,
-                    computed=count >= 1,
-                    runtime_ms=ms,
-                ))
-        for k in (1, 2, 3, 4):
-            (mod, ms) = _timed(lambda: basic_spin_restriction(k))
-            out.append(make_report(
-                claim_id=f"appendix/spin-restriction-dim/k{k}",
-                statement="restricting the pair-partition irreducible one point down "
-                          "gives dimension 2^k",
-                inputs={"k": k, "partition": [k + 1, k]},
-                expected=2**k,
-                computed=mod.dim,
-                runtime_ms=ms,
-            ))
+def _free_summand_job(n: int, k: int):
+    claim_id = f"appendix/pair-partition-free-summand/n{n}/k{k}"
+    sub = pm.special_subgroups(n, "H", m=k)
 
-        def tensor_recursion():
-            m4 = basic_spin_restriction(2)
-            m2 = basic_spin_restriction(1)
-            left = fingerprint(m4, pm.special_subgroups(4, "H"))
-            a = m2.gen_actions[0]
-            ident = Mat.identity(m2.field, m2.dim)
-            right = fingerprint_of_mats([a.kron(ident), ident.kron(a)], m2.field)
-            return left, right
+    def job():
+        mod = irreducible_D((n - k, k), 2)
+        count = free_summand_count(mod, sub)
+        return make_report(
+            claim_id=claim_id,
+            statement="the two-row mod-2 irreducible keeps a free summand over "
+                      "the rank-k transposition subgroup",
+            inputs={"partition": [n - k, k], "subgroup": sub.label,
+                    "dim": mod.dim, "free_count": count},
+            expected=True,
+            computed=count >= 1,
+        )
+    return claim_id, job
 
-        ((left, right), ms) = _timed(tensor_recursion)
-        out.append(make_report(
-            claim_id="appendix/spin-tensor-recursion",
+
+def _spin_dim_job(k: int):
+    claim_id = f"appendix/spin-restriction-dim/k{k}"
+
+    def job():
+        return make_report(
+            claim_id=claim_id,
+            statement="restricting the pair-partition irreducible one point down "
+                      "gives dimension 2^k",
+            inputs={"k": k, "partition": [k + 1, k]},
+            expected=2**k,
+            computed=basic_spin_restriction(k).dim,
+        )
+    return claim_id, job
+
+
+def _spin_tensor_job():
+    claim_id = "appendix/spin-tensor-recursion"
+
+    def job():
+        m4 = basic_spin_restriction(2)
+        m2 = basic_spin_restriction(1)
+        left = fingerprint(m4, pm.special_subgroups(4, "H"))
+        a = m2.gen_actions[0]
+        ident = Mat.identity(m2.field, m2.dim)
+        right = fingerprint_of_mats([a.kron(ident), ident.kron(a)], m2.field)
+        return make_report(
+            claim_id=claim_id,
             statement="the dim-4 restriction over its transposition subgroup matches "
                       "the tensor square of the dim-2 one over the product subgroup, "
                       "fingerprint for fingerprint",
             inputs={"left": repr(left), "right": repr(right)},
             expected=True,
             computed=left == right,
-            runtime_ms=ms,
-        ))
-        return out
+        )
+    return claim_id, job
 
+
+def _three_part_job(n: int, lam: tuple, sub: pm.GroupPresentation):
+    claim_id = f"appendix/three-part-depth/n{n}/{_lam_id(lam)}/{sub.label}"
+
+    def job():
+        mod = irreducible_D(lam, 2)
+        if mod.dim <= 1:
+            return None
+        series = loewy_length(mod, sub)
+        return make_report(
+            claim_id=claim_id,
+            statement="mod-2 irreducibles with at least three parts have "
+                      "Loewy length at least 3 on rank-2 four-point subgroups",
+            inputs={"partition": list(lam), "subgroup": sub.label,
+                    "dim": mod.dim, "layers": list(series.layer_dims),
+                    "free_count": free_summand_count(mod, sub)},
+            expected=True,
+            computed=series.length >= 3,
+        )
+    return claim_id, job
+
+
+def appendix_jobs(theorem: str, ns: Iterable[int], p: int) -> list:
+    """One (claim_id, thunk) job per claim of a theorem family over the degrees.
+
+    An unknown theorem key or a wrong prime raises ValueError here, before
+    any job exists.  A thunk returns one VerificationReport, or None where
+    the module has dimension at most 1 and there is nothing to claim.
+    """
+    ns = sorted(set(int(n) for n in ns))
+    if theorem in ("charnot2", "charnot2_alt"):
+        if p % 2 == 0:
+            raise ValueError(f"{theorem} needs an odd prime, got {p}")
+        return [_odd_depth_job(n, lam, p, theorem.endswith("_alt"))
+                for n in ns if n >= p for lam in p_regular_partitions(n, p)]
+    if theorem not in ("char2", "char2_alt", "H2kproj", "length2"):
+        raise ValueError(f"unknown theorem key {theorem!r}")
+    if p != 2:
+        raise ValueError(f"{theorem} needs p = 2, got {p}")
+    if theorem == "H2kproj":
+        return ([_norm_rank_job()]
+                + [_free_summand_job(n, k) for n in ns for k in range(2, (n + 1) // 2)]
+                + [_spin_dim_job(k) for k in (1, 2, 3, 4)]
+                + [_spin_tensor_job()])
     if theorem == "length2":
-        if p != 2:
-            raise ValueError(f"{theorem} needs p = 2, got {p}")
-        for n in ns:
-            for lam in p_regular_partitions(n, 2):
-                if len(lam) < 3:
-                    continue
-                for sub in (pm.special_subgroups(n, "K"), pm.special_subgroups(n, "H", m=2)):
-                    def depth_and_free():
-                        mod = irreducible_D(lam, 2)
-                        if mod.dim <= 1:
-                            return mod, None, None
-                        return mod, loewy_length(mod, sub), free_summand_count(mod, sub)
+        return [_three_part_job(n, lam, sub)
+                for n in ns for lam in p_regular_partitions(n, 2) if len(lam) >= 3
+                for sub in (pm.special_subgroups(n, "K"), pm.special_subgroups(n, "H", m=2))]
+    return [_quadratic_job(n, theorem == "char2_alt") for n in ns]
 
-                    ((mod, series, free), ms) = _timed(depth_and_free)
-                    if series is None:
-                        break
-                    out.append(make_report(
-                        claim_id=f"appendix/three-part-depth/n{n}/{_lam_id(lam)}/{sub.label}",
-                        statement="mod-2 irreducibles with at least three parts have "
-                                  "Loewy length at least 3 on rank-2 four-point subgroups",
-                        inputs={"partition": list(lam), "subgroup": sub.label,
-                                "dim": mod.dim, "layers": list(series.layer_dims),
-                                "free_count": free},
-                        expected=True,
-                        computed=series.length >= 3,
-                        runtime_ms=ms,
-                    ))
-        return out
 
-    raise ValueError(f"unknown theorem key {theorem!r}")
+def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[VerificationReport]:
+    """Reports for one theorem family over the given degrees, one per claim.
+
+    A bad theorem key or prime raises ValueError before anything runs.  Past
+    that, a claim whose computation raises becomes a fail report under its
+    own id and the other claims still run, so a sweep always documents
+    everything it looked at.
+    """
+    return run_jobs(appendix_jobs(theorem, ns, p))

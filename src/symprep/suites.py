@@ -1,39 +1,17 @@
 """Claim suites: ordered batches of verification jobs with stable reports.
 
-A job is (label, thunk); the thunk returns one VerificationReport or a list
-of them.  Jobs run one after another in declaration order, and a raising
-thunk turns into a fail report instead of crashing the run.
+A job is (claim_id, thunk); the thunk returns one VerificationReport.  Jobs
+run through `records.run_jobs`, one after another in declaration order, and
+a raising thunk turns into a fail report instead of crashing the run.
 """
 
 from __future__ import annotations
 
-import time
-
 from . import classical, dickson, oracles, snmod
 from . import perm as pm
-from .records import SuiteConfig, VerificationReport, exit_code, make_report
+from .records import SuiteConfig, exit_code, make_report, run_jobs
 
 SUITE_NAMES = ("dickson", "lietype", "appendix", "all")
-
-
-def _run_jobs(jobs) -> list[VerificationReport]:
-    out = []
-    for label, fn in jobs:
-        t0 = time.monotonic()
-        try:
-            result = fn()
-        except Exception as exc:  # surface as a fail report, keep the suite going
-            result = make_report(
-                claim_id=label, statement="claim evaluation raised an exception",
-                inputs={}, expected="no exception", computed=repr(exc),
-                status="fail")
-        ms = int((time.monotonic() - t0) * 1000)
-        reports = result if isinstance(result, list) else [result]
-        for r in reports:
-            if r.runtime_ms is None:
-                r.runtime_ms = ms
-        out.extend(reports)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,30 +268,21 @@ def appendix_suite(config: SuiteConfig) -> list:
     top = min(config.max_n, 12)
     if top < 4:
         return []
-    jobs = []
-    jobs.append(("appendix/odd-cyclic-depth/p3",
-                 lambda: snmod.verify_appendix("charnot2", range(3, min(top, 7) + 1), 3)))
-    jobs.append(("appendix/odd-cyclic-depth-alt/p3",
-                 lambda: snmod.verify_appendix("charnot2_alt", range(3, min(top, 7) + 1), 3)))
+    odd = [("charnot2", 3), ("charnot2_alt", 3)]
     if top >= 5:
-        jobs.append(("appendix/odd-cyclic-depth/p5",
-                     lambda: snmod.verify_appendix("charnot2", range(5, min(top, 7) + 1), 5)))
-        jobs.append(("appendix/odd-cyclic-depth-alt/p5",
-                     lambda: snmod.verify_appendix("charnot2_alt", range(5, min(top, 7) + 1), 5)))
+        odd += [("charnot2", 5), ("charnot2_alt", 5)]
+    jobs = []
+    for theorem, p in odd:
+        jobs += snmod.appendix_jobs(theorem, range(p, min(top, 7) + 1), p)
     jobs.append(_profile_job((4, 1), 5, [3]))
     jobs.append(_profile_job((3, 1), 3, [3]))
     jobs.append(_profile_job((2, 1, 1), 3, [3]))
     if top >= 8:
-        ns = list(range(8, top + 1))
-        jobs.append(("appendix/quadratic-pairs",
-                     lambda: snmod.verify_appendix("char2", ns, 2)))
-        jobs.append(("appendix/quadratic-pairs-alt",
-                     lambda: snmod.verify_appendix("char2_alt", ns, 2)))
+        for theorem in ("char2", "char2_alt"):
+            jobs += snmod.appendix_jobs(theorem, range(8, top + 1), 2)
     if top >= 6:
-        jobs.append(("appendix/three-part-depth",
-                     lambda: snmod.verify_appendix("length2", [6], 2)))
-    jobs.append(("appendix/free-summands",
-                 lambda: snmod.verify_appendix("H2kproj", range(5, top + 1), 2)))
+        jobs += snmod.appendix_jobs("length2", [6], 2)
+    jobs += snmod.appendix_jobs("H2kproj", range(5, top + 1), 2)
     jobs.append(_green_tensor_job())
     for n in range(5, min(top, 10) + 1):
         jobs.append(_cross_construction_job(n))
@@ -337,6 +306,6 @@ def run_suite(name: str, config: SuiteConfig | None = None):
             jobs.extend(builders[part](config))
     else:
         jobs = builders[name](config)
-    reports = _run_jobs(jobs)
+    reports = run_jobs(jobs)
     return reports, exit_code(reports)
 

@@ -12,8 +12,9 @@ import pytest
 import symprep
 from symprep.records import (STATUSES, SuiteConfig, VerificationReport,
                              exit_code, make_report, render, report_to_dict,
-                             reports_to_csv, reports_to_json, summarize)
-from symprep.suites import SUITE_NAMES, _run_jobs, run_suite
+                             reports_to_csv, reports_to_json, run_jobs,
+                             summarize)
+from symprep.suites import SUITE_NAMES, run_suite
 
 
 def _sample(status="pass", computed=3):
@@ -45,20 +46,27 @@ def test_report_dict_timings_toggle():
     assert report_to_dict(r, timings=True)["runtime_ms"] == 42
 
 
-def test_run_jobs_keeps_a_zero_runtime():
-    """Only reports whose runtime was never set get the job's total."""
-    def job():
+def test_run_jobs_times_each_job_and_fails_alone():
+    def slow():
         time.sleep(0.02)
-        return [make_report("a", "s", {}, 1, 1, runtime_ms=0),
-                make_report("b", "s", {}, 1, 1)]
+        return make_report("a", "s", {}, 1, 1)
 
     def raising():
         raise RuntimeError("boom")
 
-    timed, untimed, failed = _run_jobs([("j", job), ("r", raising)])
-    assert timed.runtime_ms == 0
-    assert untimed.runtime_ms >= 20
-    assert failed.status == "fail" and failed.runtime_ms is not None
+    reports = run_jobs([("a", slow), ("b", raising), ("c", lambda: None),
+                        ("d", lambda: make_report("d", "s", {}, 1, 1))])
+    assert [r.claim_id for r in reports] == ["a", "b", "d"]
+    assert [r.status for r in reports] == ["pass", "fail", "pass"]
+    assert reports[0].runtime_ms >= 20 and reports[2].runtime_ms < 20
+    assert "boom" in reports[1].computed
+    assert all(isinstance(r.runtime_ms, int) for r in reports)
+
+
+def test_appendix_timings_are_per_claim():
+    reports, _ = run_suite("appendix", SuiteConfig(max_n=6, timings=True))
+    assert len(reports) > 10
+    assert all(type(r.runtime_ms) is int and r.runtime_ms >= 0 for r in reports)
 
 
 def test_summary_and_exit_codes():
@@ -214,6 +222,14 @@ def test_cli_bad_args_exit_2():
     assert code == 2
     code, _, _ = _cli("oracle", "enum_parabolic", "--n", "99")
     assert code == 2
+    for argv in (("oracle", "tableau_count", "--partition", "a,b"),
+                 ("oracle", "enum_parabolic", "--n", "6"),
+                 ("dump", "module"),
+                 ("oracle", "decompose_small_module", "--demo", "bogus")):
+        code, _, err = _cli(*argv)
+        assert code == 2, argv
+        line = next(x for x in err.splitlines() if "error: " in x)
+        assert line.split("error: ", 1)[1].strip(), argv
 
 
 _BAD_INPUT = """

@@ -22,18 +22,9 @@ def test_enum_parabolic_reference_point():
     assert res["rank"] == 3 and res["order"] == 8
 
 
-def test_enum_parabolic_small_range():
-    expected_sym = {5: 2, 6: 3, 7: 3, 8: 4}
-    for n, r in expected_sym.items():
-        res = enum_parabolic(n, "sym")
-        assert res["rank"] == r and res["order"] == 2**r
-        alt = enum_parabolic(n, "alt")
-        assert alt["rank"] == r - 1 and alt["order"] == 2 ** (r - 1)
-
-
 def test_enum_parabolic_chunks_not_dividing_group_order(monkeypatch):
     # the default chunk leaves a partial last chunk at n = 7, 8, which
-    # test_enum_parabolic_small_range covers; 11 is a prime above 8, so it
+    # criterion 02 in test_acceptance covers; 11 is a prime above 8, so it
     # never divides |S_n| or |A_n|, and 1 is the smallest chunk
     assert all(math.factorial(n) % oracles._FILTER_CHUNK for n in (7, 8))
     for chunk in (11, 1):

@@ -289,6 +289,28 @@ def test_verify_appendix_odd_cyclic():
     assert "appendix/odd-cyclic-depth/p3/n5/4-1" in ids
 
 
+def test_raising_appendix_claim_fails_alone(monkeypatch):
+    from symprep import snmod
+
+    real = snmod.loewy_length
+
+    def flaky(mod, group):
+        if mod.label == "D(3, 1, 1) mod 3":
+            raise RuntimeError("boom")
+        return real(mod, group)
+
+    monkeypatch.setattr(snmod, "loewy_length", flaky)
+    reports = verify_appendix("charnot2", [5], 3)
+    bad = [r for r in reports if r.status != "pass"]
+    assert [(r.claim_id, r.status) for r in bad] == [
+        ("appendix/odd-cyclic-depth/p3/n5/3-1-1", "fail")]
+    assert "boom" in bad[0].computed
+    good = [r.inputs["partition"] for r in reports if r.status == "pass"]
+    assert sorted(good) == [[2, 2, 1], [4, 1]]
+    assert all(r.claim_id.endswith("/" + "-".join(map(str, r.inputs["partition"])))
+               for r in reports if r.status == "pass")
+
+
 def test_verify_appendix_quadratic_n8():
     (report,) = verify_appendix("char2", [8], 2)
     assert report.status == "pass"
