@@ -8,8 +8,7 @@ its quotient.
 
 from symprep import perm as pm
 from symprep.dickson import (check_invariance, dickson_form, lagrangian_pair,
-                             parabolic_trivial_subgroup, perm_irrep,
-                             restrict_to_alternating)
+                             parabolic_trivial_subgroup, perm_irrep)
 
 for n in range(5, 11):
     rep = perm_irrep(n, 2)
@@ -21,13 +20,11 @@ for n in range(5, 11):
 # The subgroup fixing a Lagrangian flag pointwise, found exactly by a
 # point-by-point backtrack over S_n.  Disjoint transpositions generate it.
 n = 8
-rep = perm_irrep(n, 2)
-w, dual, pairing = lagrangian_pair(rep.dim // 2)
-res = parabolic_trivial_subgroup(rep, w)
+w, dual, pairing = lagrangian_pair(perm_irrep(n, 2).dim // 2)
+res = parabolic_trivial_subgroup(n, "sym", w)
 print(f"\nS_{n}: rank {res.rank}, order {res.order}")
 print("witness generators:", ", ".join(pm.to_cycles(g) for g in res.witness))
 
-alt = restrict_to_alternating(rep)
-res_a = parabolic_trivial_subgroup(alt, w)
+res_a = parabolic_trivial_subgroup(n, "alt", w)
 print(f"A_{n}: rank {res_a.rank}, order {res_a.order}")
 print("witness generators:", ", ".join(pm.to_cycles(g) for g in res_a.witness))

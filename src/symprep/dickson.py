@@ -40,7 +40,6 @@ class Representation:
     act: Optional[Callable]  # Perm (degree group.degree) -> Mat
     faithful: Optional[bool]
     label: str = ""
-    tables: Optional[tuple] = None  # (big, dim, E) of _irrep_tables, for the GF(2) backtrack
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,6 @@ def perm_irrep(n: int, p: int) -> Representation:
         act=act,
         faithful=_faithful_exactly(n, act, dim, fld, alternating=False),
         label=f"perm-irrep(S{n}, p={p})",
-        tables=(big, dim, e),
     )
     _check_word_consistency(rep)
     return rep
@@ -172,34 +170,9 @@ def restrict_to_alternating(rep: Representation) -> Representation:
         act=rep.act,
         faithful=_faithful_exactly(n, rep.act, rep.dim, rep.field, alternating=True),
         label=rep.label + "|alt",
-        tables=rep.tables,
     )
     _check_word_consistency(out)
     return out
-
-
-def natural_perm_rep(n: int, p: int) -> Representation:
-    """Plain permutation matrices on GF(p)^n."""
-    fld = make_field(p)
-
-    def act(g: pm.Perm) -> Mat:
-        m = np.zeros((n, n), dtype=np.int64)
-        for i, gi in enumerate(g):
-            m[gi, i] = 1
-        return Mat(fld, m)
-
-    group = pm.standard_gens("sym", n)
-    rep = Representation(
-        group=group,
-        field=fld,
-        dim=n,
-        images=tuple(act(g) for g in group.generators),
-        act=act,
-        faithful=True,
-        label=f"natural(S{n}, p={p})",
-    )
-    _check_word_consistency(rep)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -337,71 +310,49 @@ def _sweep_survivors_gf2(n: int, big: int, e: np.ndarray, w: Subspace, parity: O
     return sorted(survivors)
 
 
-def _independent_witness(elements, p: int, degree: int):
-    """Greedy increasing independent generating subset of an elementary abelian list."""
+def _independent_witness(elements, degree: int):
+    """Greedy increasing independent generating subset of an elementary abelian 2-group."""
     chosen = []
     span = {pm.identity(degree)}
     for g in sorted(elements):
-        if g in span:
-            continue
-        chosen.append(g)
-        acc = g
-        extra = set()
-        for _ in range(p - 1):
-            for s in span:
-                extra.add(pm.compose(s, acc))
-            acc = pm.compose(acc, g)
-        span |= extra
+        if g not in span:
+            chosen.append(g)
+            span |= {pm.compose(s, g) for s in span}
     return tuple(chosen), len(span)
 
 
-def parabolic_trivial_subgroup(rep: Representation, w: Subspace, cap: int = 10**7) -> ParabolicResult:
-    """Subgroup of the represented group acting trivially on both w and V/w.
+def parabolic_trivial_subgroup(n: int, kind: str, w: Subspace) -> ParabolicResult:
+    """Subgroup of S_n (kind "sym") or A_n ("alt") acting trivially on w and V/w.
 
-    Finds every such element and certifies that they form an elementary
-    abelian group.  Over GF(2), S_n and A_n are searched by the point-by-point
+    V is the mod-2 permutation irreducible of perm_irrep(n, 2) and w a
+    subspace of it.  Every such element is found by the point-by-point
     backtrack of _sweep_survivors_gf2, which cuts each branch at its first
-    failed check and so never lists the n! permutations.  Any other group is
-    enumerated by BFS closure and filtered; that enumeration refuses a group
-    of order above cap.
+    failed check and so never lists the n! permutations.  The survivors are
+    certified to form an elementary abelian group spanned by the witness,
+    and the witness is checked once more through the matrices of perm_irrep.
     """
-    n = rep.group.degree
-    fld = rep.field
-    if w.ambient != rep.dim or w.field != fld:
-        raise ValueError("subspace does not live in the representation space")
-    p = fld.p
-
-    if rep.group.kind in ("sym", "alt") and p == 2 and rep.tables is not None:
-        big, _, e = rep.tables
-        parity = 1 if rep.group.kind == "alt" else None
-        survivors = _sweep_survivors_gf2(n, big, e, w, parity)
-    else:
-        es = pm.closure(rep.group, cap=cap)
-        if not es.complete:
-            raise ValueError(f"group enumeration exceeded cap {cap}")
-        survivors = [g for g in es.elements if _acts_trivially(rep.act(g), w)]
-
+    if kind not in ("sym", "alt"):
+        raise ValueError(f"kind must be sym or alt, got {kind!r}")
+    rep = perm_irrep(n, 2)  # rejects n < 4
+    if w.field != rep.field or w.ambient != rep.dim:
+        raise ValueError(f"w must be a subspace of GF(2)^{rep.dim}")
+    big, _, e = _irrep_tables(n, 2)
+    survivors = _sweep_survivors_gf2(n, big, e, w, 1 if kind == "alt" else None)
     ok, rank = pm.is_elementary_abelian(
-        [g for g in survivors if g != pm.identity(n)], p
+        [g for g in survivors if g != pm.identity(n)], 2
     )
     require(ok, "trivial-action subgroup is not elementary abelian")
-    witness, span_size = _independent_witness(survivors, p, n)
-    require(span_size == len(survivors) == p**rank,
-            "witness span, survivor count and p^rank disagree")
-    return ParabolicResult(rank=rank, order=p**rank, witness=witness, elements=survivors)
+    witness, span_size = _independent_witness(survivors, n)
+    require(span_size == len(survivors) == 2**rank,
+            "witness span, survivor count and 2^rank disagree")
+    require(gl_parabolic_check(rep, w, pm.GroupPresentation("perm", n, witness)),
+            "witness does not act trivially through the representation matrices")
+    return ParabolicResult(rank=rank, order=2**rank, witness=witness, elements=survivors)
 
 
 def standard_parabolic(n: int, kind: str) -> ParabolicResult:
-    """The trivial-action subgroup of S_n or A_n for the standard mod-2 Lagrangian.
-
-    Builds perm_irrep(n, 2), restricts it to A_n when kind is "alt", takes
-    W from lagrangian_pair and runs the backtrack of parabolic_trivial_subgroup.
-    """
-    rep = perm_irrep(n, 2)
-    if kind == "alt":
-        rep = restrict_to_alternating(rep)
-    w, _, _ = lagrangian_pair(rep.dim // 2)
-    return parabolic_trivial_subgroup(rep, w)
+    """The trivial-action subgroup of S_n or A_n for the standard mod-2 Lagrangian."""
+    return parabolic_trivial_subgroup(n, kind, lagrangian_pair(half_dim(n))[0])
 
 
 def gl_parabolic_check(rep: Representation, w: Subspace, group: pm.GroupPresentation) -> bool:

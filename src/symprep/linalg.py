@@ -3,11 +3,11 @@
 Matrices are numpy int64 arrays of canonical element encodings, and every
 field shares one vectorized path: the encoded-array operations `add`,
 `neg`, `mul`, `sub_mul` and `matmul`.  Over a prime field each is the plain
-mod-p expression, and large products go through float64 BLAS for odd p.
+mod-p expression, and `mm_modp` sends large products through float64 BLAS.
 Over GF(p^r), r > 1, an array is split into its r base-p digit planes;
 plane products run through `mm_modp` and the degrees r..2r-2 fold back with
 the field's reduction rows.  A GF(2) matrix may keep its rows bit-packed
-instead, 64 columns to a uint64 word: large GF(2) products use the
+instead, 64 columns to a uint64 word: large GF(2) `Mat` products use the
 Four-Russians table product on the words, and sums, equality and
 elimination work on the words too.
 
@@ -29,7 +29,7 @@ from .field import GF, make_field
 _FLOAT_EXACT = 2**53
 
 # from this many multiply-adds on, a product leaves the plain int64 matmul:
-# odd p goes through float64 BLAS, GF(2) through the packed product
+# mm_modp goes through float64 BLAS, a GF(2) Mat through the packed product
 _LARGE_MACS = 200_000
 
 # words per block of Four-Russians tables, so a block stays in cache
@@ -53,8 +53,6 @@ def mm_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         return np.zeros((n, m), dtype=np.int64)
     require((p - 1) * (p - 1) * k < _FLOAT_EXACT, "mod-p product would leave exact float range")
     if n * k * m >= _LARGE_MACS:
-        if p == 2:
-            return unpack_rows(mm_gf2(pack_rows(a), k, pack_rows(b)), m)
         c = a.astype(np.float64) @ b.astype(np.float64)
         return np.rint(c).astype(np.int64) % p
     return (a @ b) % p

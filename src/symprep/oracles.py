@@ -50,15 +50,14 @@ def enum_parabolic(n: int, kind: str) -> dict:
     dim = rep.dim
     w, _, _ = lagrangian_pair(dim // 2)
     group = pm.standard_gens(kind, n)
-    es = pm.closure(group)
-    require(es.complete, "closure of the standard generators did not finish")
+    elements = pm.closure(group)
     ident = np.eye(dim, dtype=np.int64)
     basis = w.basis
     residue = (ident + basis.T @ ident[list(w.pivots)]) % 2
     left = np.vstack([residue, basis])
     survivors = []
-    for start in range(0, len(es.elements), _FILTER_CHUNK):
-        block = es.elements[start:start + _FILTER_CHUNK]
+    for start in range(0, len(elements), _FILTER_CHUNK):
+        block = elements[start:start + _FILTER_CHUNK]
         diff = (np.stack([rep.act(g).a for g in block]) - ident) % 2
         prod = np.matmul(left, np.concatenate([diff, diff.transpose(0, 2, 1)], axis=2)) % 2
         keep = ~prod[:, :dim, :dim].any(axis=(1, 2)) & ~prod[:, dim:, dim:].any(axis=(1, 2))

@@ -172,18 +172,10 @@ class GroupPresentation:
     label: str = ""
 
     def __post_init__(self):
-        assert self.kind in ("sym", "alt", "perm")
-        for g in self.generators:
-            assert len(g) == self.degree
-
-
-@dataclass
-class ElementSet:
-    elements: list
-    complete: bool
-
-    def __len__(self):
-        return len(self.elements)
+        if self.kind not in ("sym", "alt", "perm"):
+            raise ValueError(f"unknown group kind {self.kind!r}")
+        if any(len(g) != self.degree for g in self.generators):
+            raise ValueError(f"generators must all have degree {self.degree}")
 
 
 def standard_gens(kind: str, n: int) -> GroupPresentation:
@@ -196,7 +188,8 @@ def standard_gens(kind: str, n: int) -> GroupPresentation:
             gens = (gens[0],)
         return GroupPresentation("sym", n, gens, label=f"S{n}")
     if kind == "alt":
-        assert n >= 3
+        if n < 3:
+            raise ValueError(f"A_n needs n >= 3, got {n}")
         three = from_cycles("(1 2 3)", n)
         if n % 2 == 1:
             long = tuple(list(range(1, n)) + [0])  # (1 2 .. n), even when n odd
@@ -207,11 +200,10 @@ def standard_gens(kind: str, n: int) -> GroupPresentation:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def closure(group, cap: int = 10**7) -> ElementSet:
-    """Breadth-first product closure of permutation generators.
+def closure(group, cap: int = 10**7) -> list:
+    """Breadth-first product closure of permutation generators, sorted.
 
-    Exceeding the cap is not an error: you get the partial set back with
-    complete=False.
+    Raises ValueError as soon as the group has more than cap elements.
     """
     if isinstance(group, GroupPresentation):
         gens, degree = list(group.generators), group.degree
@@ -223,7 +215,6 @@ def closure(group, cap: int = 10**7) -> ElementSet:
     e = identity(degree)
     seen = {e}
     frontier = [e]
-    complete = True
     while frontier:
         fresh = []
         for x in frontier:
@@ -231,17 +222,11 @@ def closure(group, cap: int = 10**7) -> ElementSet:
                 y = compose(x, g)
                 if y not in seen:
                     if len(seen) >= cap:
-                        complete = False
-                        frontier = []
-                        fresh = []
-                        break
+                        raise ValueError(f"group has more than cap = {cap} elements")
                     seen.add(y)
                     fresh.append(y)
-            else:
-                continue
-            break
         frontier = fresh
-    return ElementSet(sorted(seen), complete)
+    return sorted(seen)
 
 
 def is_elementary_abelian(group, p: int, cap: int = 10**6):
@@ -261,9 +246,7 @@ def is_elementary_abelian(group, p: int, cap: int = 10**6):
     for a, b in itertools.combinations(gens, 2):
         if compose(a, b) != compose(b, a):
             return False, 0
-    es = closure(GroupPresentation("perm", degree, tuple(gens)), cap=cap)
-    require(es.complete, f"closure of the generators exceeded cap {cap}")
-    size = len(es)
+    size = len(closure(GroupPresentation("perm", degree, tuple(gens)), cap=cap))
     rank = 0
     while p**rank < size:
         rank += 1
@@ -286,11 +269,13 @@ def special_subgroups(n: int, kind: str, m: int = 0) -> GroupPresentation:
     """
     if kind == "H":
         k = m if m > 0 else n // 2
-        assert 2 * k <= n
+        if 2 * k > n:
+            raise ValueError(f"{k} disjoint transpositions need n >= {2 * k}, got {n}")
         gens = tuple(transposition(n, 2 * i, 2 * i + 1) for i in range(k))
         return GroupPresentation("perm", n, gens, label=f"H_{n if m == 0 else 2 * k}")
     if kind == "K":
-        assert n >= 4
+        if n < 4:
+            raise ValueError(f"the Klein four group needs n >= 4, got {n}")
         gens = (double_transposition(n, 0, 1, 2, 3), double_transposition(n, 0, 2, 1, 3))
         return GroupPresentation("perm", n, gens, label="K")
     if kind == "Htilde":
@@ -298,7 +283,8 @@ def special_subgroups(n: int, kind: str, m: int = 0) -> GroupPresentation:
         gens = tuple(double_transposition(n, 0, 1, 2 * i, 2 * i + 1) for i in range(1, k))
         return GroupPresentation("perm", n, gens, label=f"H~_{n}")
     if kind in ("KmH", "KmHtilde"):
-        assert m >= 1 and 4 * m <= n
+        if m < 1 or 4 * m > n:
+            raise ValueError(f"{kind} needs 1 <= m <= n / 4, got m = {m}, n = {n}")
         gens = []
         for b in range(m):
             o = 4 * b
@@ -330,7 +316,7 @@ class SearchResult:
     exact: bool
 
 
-def elem_abelian_rank_search(elements: ElementSet, p: int, budget: int = 5_000_000) -> SearchResult:
+def elem_abelian_rank_search(elements: list, p: int, budget: int = 5_000_000) -> SearchResult:
     """Largest rank of an elementary abelian p-subgroup inside a listed group.
 
     Depth-first search over canonically increasing chains of commuting
@@ -340,8 +326,7 @@ def elem_abelian_rank_search(elements: ElementSet, p: int, budget: int = 5_000_0
     which case happened.  Commutation is precomputed as bitsets, which is
     what makes S_8 practical.
     """
-    elems = elements.elements
-    pelems = [g for g in elems if order(g) == p]
+    pelems = [g for g in elements if order(g) == p]
     m = len(pelems)
     if m == 0:
         return SearchResult(0, (), True)

@@ -9,8 +9,10 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass, field, asdict
+import traceback
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 STATUSES = ("pass", "fail", "recorded", "partial")
@@ -44,8 +46,9 @@ def run_jobs(jobs) -> list[VerificationReport]:
     """Run (claim_id, thunk) jobs in order and stamp each report's runtime.
 
     A thunk returns one VerificationReport, or None when it has nothing to
-    claim.  A raising thunk becomes a fail report under its claim id, and
-    the jobs after it still run.
+    claim.  A raising thunk becomes a fail report under its claim id whose
+    `raised_at` input lists the innermost three frames below this one as
+    "file.py:LINE in func", and the jobs after it still run.
     """
     out = []
     for claim_id, fn in jobs:
@@ -53,9 +56,11 @@ def run_jobs(jobs) -> list[VerificationReport]:
         try:
             r = fn()
         except Exception as exc:  # surface as a fail report, keep the run going
+            frames = traceback.extract_tb(exc.__traceback__.tb_next)[-3:]  # not run_jobs
+            where = [f"{os.path.basename(f.filename)}:{f.lineno} in {f.name}" for f in frames]
             r = make_report(claim_id=claim_id, statement="claim evaluation raised an exception",
-                            inputs={}, expected="no exception", computed=repr(exc),
-                            status="fail")
+                            inputs={"raised_at": where}, expected="no exception",
+                            computed=repr(exc), status="fail")
         if r is not None:
             r.runtime_ms = int((time.monotonic() - t0) * 1000)
             out.append(r)
@@ -131,27 +136,17 @@ def reports_to_csv(reports: list[VerificationReport], timings: bool = False) -> 
     cols = ["claim_id", "status", "expected", "computed"]
     if timings:
         cols.append("runtime_ms")
-    lines = [",".join(cols)]
-    for r in reports:
-        d = report_to_dict(r, timings=timings)
-        row = []
-        for c in cols:
-            cell = json.dumps(d[c], sort_keys=True) if not isinstance(d[c], str) else d[c]
-            if "," in cell or '"' in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            row.append(cell)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    dicts = [report_to_dict(r, timings=timings) for r in reports]
+    return _table(cols, [[d[c] for c in cols] for d in dicts], "csv")
 
 
 def reports_to_markdown(reports: list[VerificationReport]) -> str:
-    lines = ["| claim | status | expected | computed |", "|---|---|---|---|"]
+    rows = []
     for r in reports:
         d = report_to_dict(r)
-        exp = json.dumps(d["expected"], sort_keys=True)
-        comp = json.dumps(d["computed"], sort_keys=True)
-        lines.append(f"| {r.claim_id} | {r.status} | {exp} | {comp} |")
-    return "\n".join(lines) + "\n"
+        rows.append([r.claim_id, r.status, json.dumps(d["expected"], sort_keys=True),
+                     json.dumps(d["computed"], sort_keys=True)])
+    return _table(["claim", "status", "expected", "computed"], rows, "md")
 
 
 def reports_to_text(reports: list[VerificationReport], timings: bool = False) -> str:
@@ -175,6 +170,26 @@ def render(suite: str, config: SuiteConfig, reports: list[VerificationReport]) -
     return reports_to_text(reports, timings=config.timings)
 
 
+def _csv_cell(value) -> str:
+    """A string as it is, anything else as sorted-key JSON; quoted when it
+    holds a comma or a double quote."""
+    cell = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+    if "," in cell or '"' in cell:
+        cell = '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _table(cols: list, rows: list, fmt: str) -> str:
+    """Header plus one line per row of cells, as md (cells as str) or csv."""
+    if fmt == "md":
+        lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
+        lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+    else:
+        lines = [",".join(cols)]
+        lines += [",".join(_csv_cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def render_rows(rows: list[dict], fmt: str) -> str:
     """A table of flat rows with one set of keys, as json, md or csv."""
     if fmt == "json":
@@ -182,11 +197,4 @@ def render_rows(rows: list[dict], fmt: str) -> str:
     if not rows:
         return "\n"
     cols = list(rows[0].keys())
-    if fmt == "md":
-        lines = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
-        lines += ["| " + " | ".join(str(r[c]) for c in cols) + " |" for r in rows]
-    else:
-        lines = [",".join(cols)]
-        lines += [",".join(str(r[c]).lower() if isinstance(r[c], bool) else str(r[c])
-                           for c in cols) for r in rows]
-    return "\n".join(lines) + "\n"
+    return _table(cols, [[r[c] for c in cols] for r in rows], fmt)

@@ -75,8 +75,7 @@ def _alt_max_rank_job(n: int):
     label = f"dickson/even-subgroup-max-rank/n{n}"
 
     def job():
-        es = pm.closure(pm.standard_gens("alt", n))
-        sr = pm.elem_abelian_rank_search(es, 2)
+        sr = pm.elem_abelian_rank_search(pm.closure(pm.standard_gens("alt", n)), 2)
         b = (n - 2) // 4
         return make_report(
             claim_id=label,
@@ -114,6 +113,7 @@ def _doubled_job(n: int):
         rep = dickson.perm_irrep(n, 2)
         doubled, form = dickson.diagonal_rep(rep)
         w, _, _ = dickson.lagrangian_pair(rep.dim // 2)
+        witness = dickson.standard_parabolic(n, "sym").witness
         return make_report(
             claim_id=label,
             statement="the block-diagonal embedding g + inverse-transpose lands in "
@@ -121,9 +121,7 @@ def _doubled_job(n: int):
                       "distinguished Lagrangian flag",
             inputs={"n": n, "doubled_dim": doubled.dim},
             expected=True,
-            computed=dickson.gl_parabolic_check(
-                rep, w, pm.GroupPresentation(
-                    "perm", n, dickson.parabolic_trivial_subgroup(rep, w).witness)),
+            computed=dickson.gl_parabolic_check(rep, w, pm.GroupPresentation("perm", n, witness)),
         )
     return label, job
 

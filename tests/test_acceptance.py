@@ -13,9 +13,9 @@ import numpy as np
 
 from symprep import perm as pm
 from symprep.classical import grid_points, intersection_dim, make_classical
-from symprep.dickson import (check_invariance, dickson_form, lagrangian_pair,
-                             parabolic_trivial_subgroup, perm_irrep,
-                             restrict_to_alternating, siegel_unipotent_dim)
+from symprep.dickson import (check_invariance, dickson_form, half_dim,
+                             lagrangian_pair, parabolic_trivial_subgroup,
+                             perm_irrep, siegel_unipotent_dim)
 from symprep.field import MAX_DEGREE, MAX_PRIME, is_prime, make_field
 from symprep.linalg import Mat, kernel, rref_array
 from symprep.oracles import enum_parabolic, validate_norm_rank
@@ -54,12 +54,9 @@ def test_criterion_02_parabolic_rank_table():
     with criterion(2, 120.0, "parabolic trivial-action ranks, exact to n=12, "
                              "oracle to n=8"):
         for n in range(5, 13):
+            w, _, _ = lagrangian_pair(half_dim(n))
             for kind in ("sym", "alt"):
-                rep = perm_irrep(n, 2)
-                if kind == "alt":
-                    rep = restrict_to_alternating(rep)
-                w, _, _ = lagrangian_pair(rep.dim // 2)
-                res = parabolic_trivial_subgroup(rep, w)
+                res = parabolic_trivial_subgroup(n, kind, w)
                 want = n // 2 - (1 if kind == "alt" else 0)
                 assert res.rank == want, (n, kind, res.rank)
                 assert res.order == len(res.elements) == 2**want

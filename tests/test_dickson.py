@@ -10,13 +10,15 @@ import pytest
 
 import symprep
 from symprep import perm as pm
-from symprep.dickson import (_acts_trivially, _sweep_survivors_gf2,
-                             check_invariance, diagonal_rep, dickson_form,
-                             gl_parabolic_check, half_dim, lagrangian_pair,
-                             natural_perm_rep, parabolic_trivial_subgroup,
-                             perm_irrep, rep_from_json, rep_to_json,
+from symprep.dickson import (_acts_trivially, _irrep_tables,
+                             _sweep_survivors_gf2, check_invariance,
+                             diagonal_rep, dickson_form, gl_parabolic_check,
+                             half_dim, lagrangian_pair,
+                             parabolic_trivial_subgroup, perm_irrep,
+                             rep_from_json, rep_to_json,
                              restrict_to_alternating, siegel_unipotent_dim,
                              standard_parabolic)
+from symprep.field import make_field
 from symprep.forms import is_isotropic, preserves_form
 from symprep.linalg import GF2, Mat, Subspace
 
@@ -55,6 +57,8 @@ def test_faithfulness_flags():
     assert perm_irrep(5, 2).faithful
     assert perm_irrep(8, 2).faithful
     assert not perm_irrep(4, 2).faithful  # Klein kernel at n = 4
+    alt = restrict_to_alternating(perm_irrep(5, 2))
+    assert alt.group.kind == "alt" and alt.faithful
 
 
 def test_invariance_all_small_degrees():
@@ -62,14 +66,6 @@ def test_invariance_all_small_degrees():
         rep = perm_irrep(n, 2)
         form = dickson_form(rep.dim // 2)
         assert check_invariance(rep, form)
-
-
-def test_natural_rep_is_permutation_matrices():
-    rep = natural_perm_rep(4, 3)
-    g = pm.from_cycles("(1 2 3 4)", 4)
-    m = rep.act(g)
-    assert sorted(int(np.argmax(m.a[:, j])) for j in range(4)) == [0, 1, 2, 3]
-    assert m @ rep.act(pm.inverse(g)) == Mat.identity(rep.field, 4)
 
 
 def test_lagrangian_duality():
@@ -81,33 +77,34 @@ def test_lagrangian_duality():
 
 def test_parabolic_ranks_exact_small():
     for n in (5, 6, 7, 8):
-        rep = perm_irrep(n, 2)
-        w, _, _ = lagrangian_pair(rep.dim // 2)
-        res = parabolic_trivial_subgroup(rep, w)
+        w, _, _ = lagrangian_pair(half_dim(n))
+        res = parabolic_trivial_subgroup(n, "sym", w)
         assert res.rank == n // 2 and res.order == 2 ** (n // 2)
-        alt = restrict_to_alternating(rep)
-        res_a = parabolic_trivial_subgroup(alt, w)
+        res_a = parabolic_trivial_subgroup(n, "alt", w)
         assert res_a.rank == n // 2 - 1
 
 
 def test_parabolic_witnesses_are_disjoint_transpositions():
-    rep = perm_irrep(8, 2)
-    w, _, _ = lagrangian_pair(rep.dim // 2)
-    res = parabolic_trivial_subgroup(rep, w)
+    w, _, _ = lagrangian_pair(half_dim(8))
+    res = parabolic_trivial_subgroup(8, "sym", w)
     cycles = sorted(pm.to_cycles(g) for g in res.witness)
     assert cycles == ["(1 2)", "(3 4)", "(5 6)", "(7 8)"]
 
 
-def test_enum_cap_enforced():
-    # no backtrack tables, so S_8 (order 40320) goes through the capped closure
-    with pytest.raises(ValueError):
-        parabolic_trivial_subgroup(natural_perm_rep(8, 2), Subspace.zero(GF2, 8), cap=1000)
+def test_parabolic_rejects_bad_input():
+    w, _, _ = lagrangian_pair(3)
+    for n, kind, sub in ((8, "perm", w),  # only S_n and A_n
+                         (9, "sym", w),  # V has dimension 8 at n = 9
+                         (8, "sym", Subspace.zero(make_field(3), 6)),  # not over GF(2)
+                         (3, "sym", Subspace.zero(GF2, 2))):  # V is zero below n = 4
+        with pytest.raises(ValueError):
+            parabolic_trivial_subgroup(n, kind, sub)
 
 
 def test_exact_search_finds_the_disjoint_transpositions():
     for n in range(5, 13):
         pairs = [pm.transposition(n, 2 * i, 2 * i + 1) for i in range(n // 2)]
-        full = pm.closure(pairs).elements
+        full = pm.closure(pairs)
         for kind in ("sym", "alt"):
             want = full if kind == "sym" else [g for g in full if pm.sign(g) == 1]
             res = standard_parabolic(n, kind)
@@ -129,15 +126,16 @@ def _other_pairing_lagrangian(d: int) -> Subspace:
 def test_backtrack_matches_brute_force_on_other_lagrangians():
     for n in (5, 6, 7):
         rep = perm_irrep(n, 2)
-        big, _, e = rep.tables
+        big, _, e = _irrep_tables(n, 2)
         d = rep.dim // 2
         _, dual, _ = lagrangian_pair(d)
         assert any(sum(row) % 2 for row in dual.basis)  # odd-weight rows read the last point
         for w in (dual, _other_pairing_lagrangian(d)):
             for kind, parity in (("sym", None), ("alt", 1)):
-                brute = [g for g in pm.closure(pm.standard_gens(kind, n)).elements
+                brute = [g for g in pm.closure(pm.standard_gens(kind, n))
                          if _acts_trivially(rep.act(g), w)]
                 assert _sweep_survivors_gf2(n, big, e, w, parity) == brute, (n, kind)
+                assert parabolic_trivial_subgroup(n, kind, w).elements == brute, (n, kind)
 
 
 _BROKEN_CHECK = """
@@ -192,5 +190,3 @@ def test_json_round_trip():
     back = rep_from_json(doc)
     assert back.dim == rep.dim and back.field == rep.field
     assert all(a == b for a, b in zip(back.images, rep.images))
-    assert rep.tables is not None and back.tables is None
-    assert restrict_to_alternating(rep).tables is rep.tables

@@ -63,6 +63,16 @@ def test_run_jobs_times_each_job_and_fails_alone():
     assert all(isinstance(r.runtime_ms, int) for r in reports)
 
 
+def test_raising_job_reports_where_it_raised():
+    from symprep import snmod
+
+    (report,) = run_jobs([("bad", lambda: snmod.check_partition((0,)))])
+    where = report.inputs["raised_at"]
+    assert report.status == "fail" and report.computed.startswith("ValueError(")
+    assert 2 <= len(where) <= 3 and where[0].startswith("test_harness.py:")
+    assert where[-1].startswith("snmod.py:") and where[-1].endswith(" in check_partition")
+
+
 def test_appendix_timings_are_per_claim():
     reports, _ = run_suite("appendix", SuiteConfig(max_n=6, timings=True))
     assert len(reports) > 10
@@ -155,14 +165,15 @@ def test_cli_verify_deterministic(tmp_path):
 
 
 def test_cli_dickson_config_and_exact_claims(capsys):
-    from symprep import cli
+    from symprep import cli, suites
 
-    assert cli.main(["verify", "dickson", "--max-n", "12", "--format", "json"]) == 0
+    assert cli.main(["verify", "dickson", "--max-n", "4", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc["config"]) == {"format", "grid", "max_n", "timings"}
-    assert not [c["claim_id"] for c in doc["claims"] if c["inputs"].get("exact") is False]
-    ranks = {c["claim_id"]: (c["computed"], c["inputs"]["order"]) for c in doc["claims"]
-             if c["claim_id"].startswith("dickson/parabolic-rank/")}
+    claims = run_jobs([suites._parabolic_job(n, kind)
+                       for n in range(5, 13) for kind in ("sym", "alt")])
+    assert not [c.claim_id for c in claims if c.inputs.get("exact") is not True]
+    ranks = {c.claim_id: (c.computed, c.inputs["order"]) for c in claims if c.status == "pass"}
     assert len(ranks) == 16
     for tag, want in (("S11", (5, 32)), ("A11", (4, 16)), ("S12", (6, 64)), ("A12", (5, 32))):
         assert ranks[f"dickson/parabolic-rank/{tag}"] == want

@@ -441,8 +441,8 @@ def test_extension_array_path_matches_scalar_reference(f):
 
 @pytest.mark.parametrize("f", [make_field(3, 2), make_field(2, 2)], ids=["GF9", "GF4"])
 def test_extension_large_product_matches_scalar_reference(f):
-    """Above the switch the planes take mm_modp's BLAS (odd p) or packed
-    (p = 2) product."""
+    """Above the switch the planes take mm_modp's float64 BLAS product, at
+    p = 2 as at odd p."""
     rng = np.random.default_rng(40 + f.q)
     n, k, m = 60, 60, 60
     assert n * k * m >= SWITCH

@@ -6,9 +6,8 @@ import math
 import pytest
 
 from symprep import oracles
-from symprep import perm as pm
-from symprep.dickson import (lagrangian_pair, parabolic_trivial_subgroup,
-                             perm_irrep)
+from symprep.dickson import (half_dim, lagrangian_pair,
+                             parabolic_trivial_subgroup)
 from symprep.field import make_field
 from symprep.linalg import Mat
 from symprep.oracles import (decompose_small_module, enum_parabolic,
@@ -38,9 +37,8 @@ def test_enum_parabolic_chunks_not_dividing_group_order(monkeypatch):
 
 def test_enum_parabolic_agrees_with_main_path():
     for n in (5, 6, 7):
-        rep = perm_irrep(n, 2)
-        w, _, _ = lagrangian_pair(rep.dim // 2)
-        main = parabolic_trivial_subgroup(rep, w)
+        w, _, _ = lagrangian_pair(half_dim(n))
+        main = parabolic_trivial_subgroup(n, "sym", w)
         oracle = enum_parabolic(n, "sym")
         assert (main.rank, main.order) == (oracle["rank"], oracle["order"])
 

@@ -55,15 +55,32 @@ def test_adjacent_factorization_reconstructs():
 
 def test_standard_gens_generate():
     for kind, n, size in (("sym", 4, 24), ("alt", 4, 12), ("sym", 5, 120), ("alt", 5, 60)):
-        es = pm.closure(pm.standard_gens(kind, n))
-        assert es.complete and len(es) == size
+        elements = pm.closure(pm.standard_gens(kind, n))
+        assert len(elements) == size and elements == sorted(elements)
         if kind == "alt":
-            assert all(pm.sign(g) == 1 for g in es.elements)
+            assert all(pm.sign(g) == 1 for g in elements)
 
 
 def test_closure_cap():
-    es = pm.closure(pm.standard_gens("sym", 7), cap=100)
-    assert not es.complete
+    with pytest.raises(ValueError):
+        pm.closure(pm.standard_gens("sym", 7), cap=100)
+    assert len(pm.closure(pm.standard_gens("sym", 5), cap=120)) == 120
+
+
+def test_bad_arguments_raise_value_error():
+    with pytest.raises(ValueError):
+        pm.GroupPresentation("cyclic", 3, ())
+    with pytest.raises(ValueError):
+        pm.GroupPresentation("perm", 4, ((1, 0, 2),))
+    with pytest.raises(ValueError):
+        pm.standard_gens("alt", 2)
+    with pytest.raises(ValueError):
+        pm.special_subgroups(5, "H", m=3)
+    with pytest.raises(ValueError):
+        pm.special_subgroups(3, "K")
+    for kind, n, m in (("KmH", 8, 0), ("KmHtilde", 7, 2)):
+        with pytest.raises(ValueError):
+            pm.special_subgroups(n, kind, m=m)
 
 
 def test_is_elementary_abelian():
@@ -101,14 +118,11 @@ def test_h_pair_count_parameter():
 
 
 def test_elem_abelian_rank_search_small():
-    es = pm.closure(pm.standard_gens("sym", 4))
-    sr = pm.elem_abelian_rank_search(es, 2)
+    sr = pm.elem_abelian_rank_search(pm.closure(pm.standard_gens("sym", 4)), 2)
     assert sr.exact and sr.rank == 2  # the Klein four group inside S_4
-    es6 = pm.closure(pm.standard_gens("alt", 6))
-    sr6 = pm.elem_abelian_rank_search(es6, 2)
+    sr6 = pm.elem_abelian_rank_search(pm.closure(pm.standard_gens("alt", 6)), 2)
     assert sr6.exact and sr6.rank == 2
-    es3 = pm.closure(pm.standard_gens("sym", 3))
-    sr3 = pm.elem_abelian_rank_search(es3, 3)
+    sr3 = pm.elem_abelian_rank_search(pm.closure(pm.standard_gens("sym", 3)), 3)
     assert sr3.exact and sr3.rank == 1
 
 
