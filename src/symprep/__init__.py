@@ -8,7 +8,7 @@ from .classical import (grid_points, grid_rows, intersection_dim,
                         make_classical, rp_reference, ug_generators)
 from .dickson import (check_invariance, diagonal_rep, dickson_form,
                       lagrangian_pair, parabolic_trivial_subgroup, perm_irrep,
-                      restrict_to_alternating, siegel_unipotent_dim)
+                      siegel_unipotent_dim)
 from .field import GF, FieldElement, make_field
 from .linalg import (
     GF2,
@@ -44,7 +44,6 @@ __all__ = [
     "quotient_action",
     "radical_of_form",
     "perm_irrep",
-    "restrict_to_alternating",
     "dickson_form",
     "check_invariance",
     "lagrangian_pair",

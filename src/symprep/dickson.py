@@ -4,12 +4,14 @@ The heart of the module: over GF(2) the (n-1 or n-2)-dimensional quotient of
 the permutation module carries a nondegenerate alternating form (all-ones
 minus identity Gram), the span of e_{2i-1}+e_{2i} is a Lagrangian W, and the
 subgroup of S_n acting trivially on both W and V/W is elementary abelian of
-rank floor(n/2).  Everything here is computed exactly, with a per-element
-image formula that avoids multiplying out generator words.
+rank floor(n/2).  Everything here is computed exactly, with an element
+image formula, applied to whole blocks of permutations at once, that avoids
+multiplying out generator words.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -73,41 +75,41 @@ def _irrep_tables(n: int, p: int):
     return n, dim, e
 
 
-def _make_act(n: int, p: int, big: int, dim: int, e: np.ndarray, fld: GF):
+def irrep_images(perms: np.ndarray, p: int) -> np.ndarray:
+    """Images under perm_irrep(n, p) of the rows of a (k, n) permutation array.
+
+    Returns a (k, dim, dim) int64 array.  Column i of the image of g is
+    E[g(i)] - E[g(N)] mod p, with E and the ambient point count N from
+    _irrep_tables and g extended to fix the ambient points n..N-1, so a
+    whole block of elements costs two gathers.
+    """
+    k, n = perms.shape
+    big, dim, e = _irrep_tables(n, p)
+    ext = np.concatenate([perms, np.broadcast_to(np.arange(n, big), (k, big - n))], axis=1)
+    return (e[ext[:, :dim]] - e[ext[:, big - 1:]]).transpose(0, 2, 1) % p
+
+
+def _make_act(n: int, p: int, fld: GF):
     def act(g: pm.Perm) -> Mat:
         if len(g) != n:
             raise ValueError(f"permutation of degree {len(g)} on a representation of S_{n}")
-        gg = pm.extend(g, big)
-        last = e[gg[big - 1]]
-        cols = e[[gg[i] for i in range(dim)]]  # dim x dim, rows are images
-        return Mat(fld, (cols - last).T % p)
+        return Mat(fld, irrep_images(np.array([g]), p)[0])
 
     return act
 
 
-def _faithful_exactly(n: int, act, dim: int, fld: GF, alternating: bool) -> bool:
+def _faithful_exactly(n: int, act, dim: int, fld: GF) -> bool:
     """Exact kernel triviality.
 
     Small n: sweep every element.  n >= 5: the kernel is a normal subgroup,
-    and the only normal subgroups of S_n (resp. A_n) are 1, A_n, S_n (resp.
-    1, A_n), so nontrivial action of a 3-cycle plus (for S_n) a transposition
-    settles it.
+    and the only normal subgroups of S_n are 1, A_n and S_n, so nontrivial
+    action of a 3-cycle and of a transposition settles it.
     """
     ident = Mat.identity(fld, dim)
     if n >= 5:
-        three = pm.from_cycles("(1 2 3)", n)
-        if act(three) == ident:
-            return False
-        if not alternating and act(pm.transposition(n, 0, 1)) == ident:
-            return False
-        return True
-    kernel_size = 0
-    for g in itertools.permutations(range(n)):
-        if alternating and pm.sign(g) != 1:
-            continue
-        if act(g) == ident:
-            kernel_size += 1
-    return kernel_size == 1
+        return (act(pm.from_cycles("(1 2 3)", n)) != ident
+                and act(pm.transposition(n, 0, 1)) != ident)
+    return sum(act(g) == ident for g in itertools.permutations(range(n))) == 1
 
 
 def _check_word_consistency(rep: Representation):
@@ -140,8 +142,8 @@ def perm_irrep(n: int, p: int) -> Representation:
     if p == 2 and n < 4:
         raise ValueError("mod-2 reduced module needs n >= 4 to be nonzero")
     fld = make_field(p)
-    big, dim, e = _irrep_tables(n, p)
-    act = _make_act(n, p, big, dim, e, fld)
+    _, dim, _ = _irrep_tables(n, p)
+    act = _make_act(n, p, fld)
     group = pm.standard_gens("sym", n)
     images = tuple(act(g) for g in group.generators)
     rep = Representation(
@@ -150,29 +152,11 @@ def perm_irrep(n: int, p: int) -> Representation:
         dim=dim,
         images=images,
         act=act,
-        faithful=_faithful_exactly(n, act, dim, fld, alternating=False),
+        faithful=_faithful_exactly(n, act, dim, fld),
         label=f"perm-irrep(S{n}, p={p})",
     )
     _check_word_consistency(rep)
     return rep
-
-
-def restrict_to_alternating(rep: Representation) -> Representation:
-    """Same matrices, generators of A_n instead of S_n."""
-    n = rep.group.degree
-    group = pm.standard_gens("alt", n)
-    images = tuple(rep.act(g) for g in group.generators)
-    out = Representation(
-        group=group,
-        field=rep.field,
-        dim=rep.dim,
-        images=images,
-        act=rep.act,
-        faithful=_faithful_exactly(n, rep.act, rep.dim, rep.field, alternating=True),
-        label=rep.label + "|alt",
-    )
-    _check_word_consistency(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +222,12 @@ def _acts_trivially(m: Mat, w: Subspace) -> bool:
     return all(w.contains(shifted[:, c]) for c in range(m.cols))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParabolicResult:
     rank: int
     order: int
     witness: tuple
-    elements: list
+    elements: tuple
 
 
 def _sweep_survivors_gf2(n: int, big: int, e: np.ndarray, w: Subspace, parity: Optional[int]):
@@ -347,11 +331,16 @@ def parabolic_trivial_subgroup(n: int, kind: str, w: Subspace) -> ParabolicResul
             "witness span, survivor count and 2^rank disagree")
     require(gl_parabolic_check(rep, w, pm.GroupPresentation("perm", n, witness)),
             "witness does not act trivially through the representation matrices")
-    return ParabolicResult(rank=rank, order=2**rank, witness=witness, elements=survivors)
+    return ParabolicResult(rank=rank, order=2**rank, witness=witness, elements=tuple(survivors))
 
 
+@functools.lru_cache(maxsize=None)
 def standard_parabolic(n: int, kind: str) -> ParabolicResult:
-    """The trivial-action subgroup of S_n or A_n for the standard mod-2 Lagrangian."""
+    """The trivial-action subgroup of S_n or A_n for the standard mod-2 Lagrangian.
+
+    Cached: each (n, kind) is searched once per process, and the frozen
+    result is shared by every caller.
+    """
     return parabolic_trivial_subgroup(n, kind, lagrangian_pair(half_dim(n))[0])
 
 

@@ -32,25 +32,24 @@ _FILTER_CHUNK = 512
 def enum_parabolic(n: int, kind: str) -> dict:
     """Brute-force rank/order of the subgroup acting trivially on W and V/W.
 
-    Enumerates the whole permutation group by closure (so only sensible for
-    n <= 8) and maps each element g through the mod-2 representation.  The
-    images are filtered in chunks of at most _FILTER_CHUNK elements, with one
-    batched product per chunk testing D = g - I two ways: B D^T = 0, where
-    the rows of B span W (g fixes W pointwise), and R D = 0, where R v is
-    the residue of v after clearing W's pivots (g is the identity on V/W).
-    No packed-word tricks anywhere.
+    Enumerates the whole permutation group as the sorted element array of
+    pm.closure (so only sensible for n <= 8) and maps each chunk of at most
+    _FILTER_CHUNK rows through the mod-2 representation with one gather
+    (irrep_images).  One batched product per chunk tests D = g - I two ways:
+    B D^T = 0, where the rows of B span W (g fixes W pointwise), and R D = 0,
+    where R v is the residue of v after clearing W's pivots (g is the
+    identity on V/W).  Only the survivors become permutation tuples.  No
+    packed-word tricks anywhere.  Returns {n, kind, rank, order}.
     """
-    from .dickson import lagrangian_pair, perm_irrep
+    from .dickson import irrep_images, lagrangian_pair, perm_irrep
 
     if n > 8:
         raise ValueError(f"exhaustive oracle is limited to n <= 8, got {n}")
     if kind not in ("sym", "alt"):
         raise ValueError(f"kind must be sym or alt, got {kind!r}")
-    rep = perm_irrep(n, 2)
-    dim = rep.dim
+    dim = perm_irrep(n, 2).dim
     w, _, _ = lagrangian_pair(dim // 2)
-    group = pm.standard_gens(kind, n)
-    elements = pm.closure(group)
+    elements = pm.closure(pm.standard_gens(kind, n))
     ident = np.eye(dim, dtype=np.int64)
     basis = w.basis
     residue = (ident + basis.T @ ident[list(w.pivots)]) % 2
@@ -58,10 +57,10 @@ def enum_parabolic(n: int, kind: str) -> dict:
     survivors = []
     for start in range(0, len(elements), _FILTER_CHUNK):
         block = elements[start:start + _FILTER_CHUNK]
-        diff = (np.stack([rep.act(g).a for g in block]) - ident) % 2
+        diff = (irrep_images(block, 2) - ident) % 2
         prod = np.matmul(left, np.concatenate([diff, diff.transpose(0, 2, 1)], axis=2)) % 2
         keep = ~prod[:, :dim, :dim].any(axis=(1, 2)) & ~prod[:, dim:, dim:].any(axis=(1, 2))
-        survivors.extend(g for g, k in zip(block, keep) if k)
+        survivors.extend(map(tuple, block[keep].tolist()))
     ok, rank = pm.is_elementary_abelian(survivors, 2)
     require(ok, "trivially-acting elements should form an elementary abelian group")
     return {"n": n, "kind": kind, "rank": rank, "order": len(survivors)}

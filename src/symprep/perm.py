@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
+import numpy as np
+
 from .checks import require
 
 Perm = tuple
@@ -62,12 +64,6 @@ def order(a: Perm) -> int:
             clen += 1
         o = lcm(o, clen)
     return o
-
-
-def extend(a: Perm, n: int) -> Perm:
-    """View a as a permutation of n >= len(a) points, fixing the new ones."""
-    assert n >= len(a)
-    return tuple(a) + tuple(range(len(a), n))
 
 
 def cycles_of(a: Perm):
@@ -200,10 +196,16 @@ def standard_gens(kind: str, n: int) -> GroupPresentation:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def closure(group, cap: int = 10**7) -> list:
-    """Breadth-first product closure of permutation generators, sorted.
+def closure(group, cap: int = 10**7) -> np.ndarray:
+    """Breadth-first product closure of permutation generators.
 
-    Raises ValueError as soon as the group has more than cap elements.
+    Returns the group as an (order, degree) int64 array, one element per row
+    in one-line form, with the rows sorted lexicographically (the order of
+    sorted tuples).  Each round composes the whole frontier with every
+    generator as one gather and dedupes the products by their base-degree
+    integer codes, so the degree is limited to 15 for the codes to fit in
+    int64.  Raises ValueError as soon as a round takes the group past cap
+    elements, so at most cap times the generator count rows are held.
     """
     if isinstance(group, GroupPresentation):
         gens, degree = list(group.generators), group.degree
@@ -212,24 +214,24 @@ def closure(group, cap: int = 10**7) -> list:
         if not gens:
             raise ValueError("need a GroupPresentation to close an empty generator list")
         degree = len(gens[0])
-    e = identity(degree)
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"group has more than cap = {cap} elements")
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return sorted(seen)
+    if degree > 15:
+        raise ValueError(f"closure codes need degree <= 15, got {degree}")
+    gens = np.array(gens, dtype=np.intp).reshape(len(gens), degree)
+    weights = degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
+    frontier = np.arange(degree, dtype=np.int64)[None, :]
+    seen = frontier @ weights
+    while len(frontier):
+        products = frontier[:, gens].reshape(-1, degree)
+        codes, first = np.unique(products @ weights, return_index=True)
+        fresh = seen[np.searchsorted(seen, codes).clip(max=len(seen) - 1)] != codes
+        if len(seen) + np.count_nonzero(fresh) > cap:
+            raise ValueError(f"group has more than cap = {cap} elements")
+        frontier = products[first[fresh]]
+        seen = np.sort(np.concatenate([seen, codes[fresh]]), kind="stable")
+    return seen[:, None] // weights % degree
 
 
-def is_elementary_abelian(group, p: int, cap: int = 10**6):
+def is_elementary_abelian(group, p: int):
     """(is elementary abelian p-group, rank).  Accepts a presentation or gens."""
     if isinstance(group, GroupPresentation):
         gens = list(group.generators)
@@ -246,7 +248,7 @@ def is_elementary_abelian(group, p: int, cap: int = 10**6):
     for a, b in itertools.combinations(gens, 2):
         if compose(a, b) != compose(b, a):
             return False, 0
-    size = len(closure(GroupPresentation("perm", degree, tuple(gens)), cap=cap))
+    size = len(closure(GroupPresentation("perm", degree, tuple(gens))))
     rank = 0
     while p**rank < size:
         rank += 1
@@ -316,8 +318,9 @@ class SearchResult:
     exact: bool
 
 
-def elem_abelian_rank_search(elements: list, p: int, budget: int = 5_000_000) -> SearchResult:
-    """Largest rank of an elementary abelian p-subgroup inside a listed group.
+def elem_abelian_rank_search(elements: np.ndarray, p: int, budget: int = 5_000_000) -> SearchResult:
+    """Largest rank of an elementary abelian p-subgroup of a group, given as
+    the element array that closure returns.
 
     Depth-first search over canonically increasing chains of commuting
     order-p elements.  Every subgroup of rank k contains an increasing
@@ -326,7 +329,7 @@ def elem_abelian_rank_search(elements: list, p: int, budget: int = 5_000_000) ->
     which case happened.  Commutation is precomputed as bitsets, which is
     what makes S_8 practical.
     """
-    pelems = [g for g in elements if order(g) == p]
+    pelems = [g for g in map(tuple, elements.tolist()) if order(g) == p]
     m = len(pelems)
     if m == 0:
         return SearchResult(0, (), True)

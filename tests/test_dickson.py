@@ -13,10 +13,9 @@ from symprep import perm as pm
 from symprep.dickson import (_acts_trivially, _irrep_tables,
                              _sweep_survivors_gf2, check_invariance,
                              diagonal_rep, dickson_form, gl_parabolic_check,
-                             half_dim, lagrangian_pair,
+                             half_dim, irrep_images, lagrangian_pair,
                              parabolic_trivial_subgroup, perm_irrep,
-                             rep_from_json, rep_to_json,
-                             restrict_to_alternating, siegel_unipotent_dim,
+                             rep_from_json, rep_to_json, siegel_unipotent_dim,
                              standard_parabolic)
 from symprep.field import make_field
 from symprep.forms import is_isotropic, preserves_form
@@ -57,8 +56,18 @@ def test_faithfulness_flags():
     assert perm_irrep(5, 2).faithful
     assert perm_irrep(8, 2).faithful
     assert not perm_irrep(4, 2).faithful  # Klein kernel at n = 4
-    alt = restrict_to_alternating(perm_irrep(5, 2))
-    assert alt.group.kind == "alt" and alt.faithful
+
+
+def test_batched_images_match_act():
+    rng = np.random.default_rng(11)
+    cases = [(n, 2) for n in range(5, 11)] + [(7, 3), (10, 5)]
+    for n, p in cases:
+        rep = perm_irrep(n, p)
+        perms = np.stack([rng.permutation(n) for _ in range(12)])
+        images = irrep_images(perms, p)
+        assert images.shape == (12, rep.dim, rep.dim), (n, p)
+        for g, img in zip(perms.tolist(), images):
+            assert Mat(rep.field, img) == rep.act(tuple(g)), (n, p, g)
 
 
 def test_invariance_all_small_degrees():
@@ -104,9 +113,9 @@ def test_parabolic_rejects_bad_input():
 def test_exact_search_finds_the_disjoint_transpositions():
     for n in range(5, 13):
         pairs = [pm.transposition(n, 2 * i, 2 * i + 1) for i in range(n // 2)]
-        full = pm.closure(pairs)
+        full = tuple(map(tuple, pm.closure(pairs).tolist()))
         for kind in ("sym", "alt"):
-            want = full if kind == "sym" else [g for g in full if pm.sign(g) == 1]
+            want = full if kind == "sym" else tuple(g for g in full if pm.sign(g) == 1)
             res = standard_parabolic(n, kind)
             assert res.elements == want, (n, kind)
             assert res.order == len(want)
@@ -132,23 +141,32 @@ def test_backtrack_matches_brute_force_on_other_lagrangians():
         assert any(sum(row) % 2 for row in dual.basis)  # odd-weight rows read the last point
         for w in (dual, _other_pairing_lagrangian(d)):
             for kind, parity in (("sym", None), ("alt", 1)):
-                brute = [g for g in pm.closure(pm.standard_gens(kind, n))
+                brute = [g for g in map(tuple, pm.closure(pm.standard_gens(kind, n)).tolist())
                          if _acts_trivially(rep.act(g), w)]
                 assert _sweep_survivors_gf2(n, big, e, w, parity) == brute, (n, kind)
-                assert parabolic_trivial_subgroup(n, kind, w).elements == brute, (n, kind)
+                assert parabolic_trivial_subgroup(n, kind, w).elements == tuple(brute), (n, kind)
+
+
+def test_standard_parabolic_is_searched_once_and_frozen():
+    res = standard_parabolic(6, "sym")
+    assert standard_parabolic(6, "sym") is res
+    with pytest.raises(AttributeError):
+        res.rank = 0
 
 
 _BROKEN_CHECK = """
 import sys
+from symprep import oracles
 from symprep import perm as pm
 from symprep.dickson import standard_parabolic
 if not sys.flags.optimize:
     sys.exit(3)
-pm.is_elementary_abelian = lambda group, p, cap=10**6: (False, 0)
-try:
-    standard_parabolic(6, "sym")
-except AssertionError as exc:
-    print("raised", type(exc).__name__)
+pm.is_elementary_abelian = lambda group, p: (False, 0)
+for check in (lambda: standard_parabolic(6, "sym"), lambda: oracles.enum_parabolic(6, "sym")):
+    try:
+        check()
+    except AssertionError as exc:
+        print("raised", type(exc).__name__)
 """
 
 
@@ -158,7 +176,7 @@ def test_parabolic_certification_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CHECK], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["raised CheckFailed"]
+    assert proc.stdout.splitlines() == ["raised CheckFailed"] * 2
 
 
 def test_gl_parabolic_check():

@@ -1,6 +1,7 @@
 """Permutation layer: composition conventions, cycles, subgroups, searches."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -36,12 +37,6 @@ def test_cycle_round_trip():
     assert pm.from_cycles("(1 2)", 2) == (1, 0)
 
 
-def test_extend_keeps_action():
-    g = pm.from_cycles("(1 2 3)", 3)
-    h = pm.extend(g, 6)
-    assert h[:3] == g and h[3:] == (3, 4, 5)
-
-
 def test_adjacent_factorization_reconstructs():
     for g in itertools.permutations(range(5)):
         word = pm.adjacent_factorization(g)
@@ -55,16 +50,40 @@ def test_adjacent_factorization_reconstructs():
 
 def test_standard_gens_generate():
     for kind, n, size in (("sym", 4, 24), ("alt", 4, 12), ("sym", 5, 120), ("alt", 5, 60)):
-        elements = pm.closure(pm.standard_gens(kind, n))
+        elements = [tuple(g) for g in pm.closure(pm.standard_gens(kind, n)).tolist()]
         assert len(elements) == size and elements == sorted(elements)
         if kind == "alt":
             assert all(pm.sign(g) == 1 for g in elements)
+
+
+def test_closure_matches_itertools_in_sorted_order():
+    for n in range(4, 8):
+        for kind in ("sym", "alt"):
+            arr = pm.closure(pm.standard_gens(kind, n))
+            want = [g for g in itertools.permutations(range(n))
+                    if kind == "sym" or pm.sign(g) == 1]
+            assert arr.shape == (len(want), n), (n, kind)
+            assert [tuple(g) for g in arr.tolist()] == want, (n, kind)
 
 
 def test_closure_cap():
     with pytest.raises(ValueError):
         pm.closure(pm.standard_gens("sym", 7), cap=100)
     assert len(pm.closure(pm.standard_gens("sym", 5), cap=120)) == 120
+    with pytest.raises(ValueError):
+        pm.closure([pm.transposition(16, 0, 1)])  # codes would overflow int64
+
+
+def test_closure_refuses_before_growing_past_cap():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            pm.closure(pm.standard_gens("sym", 12), cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 1000 rows of 12 int64 entries are 96 kB; S_12 itself would be 46 GB
+    assert peak < 2**20
 
 
 def test_bad_arguments_raise_value_error():
