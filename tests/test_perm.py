@@ -49,14 +49,7 @@ def test_adjacent_factorization_reconstructs():
 
 
 def test_standard_gens_generate():
-    for kind, n, size in (("sym", 4, 24), ("alt", 4, 12), ("sym", 5, 120), ("alt", 5, 60)):
-        elements = [tuple(g) for g in pm.closure(pm.standard_gens(kind, n)).tolist()]
-        assert len(elements) == size and elements == sorted(elements)
-        if kind == "alt":
-            assert all(pm.sign(g) == 1 for g in elements)
-
-
-def test_closure_matches_itertools_in_sorted_order():
+    # the closure array against itertools, in the same lexicographic order
     for n in range(4, 8):
         for kind in ("sym", "alt"):
             arr = pm.closure(pm.standard_gens(kind, n))
@@ -72,9 +65,6 @@ def test_closure_cap():
     assert len(pm.closure(pm.standard_gens("sym", 5), cap=120)) == 120
     with pytest.raises(ValueError):
         pm.closure([pm.transposition(16, 0, 1)])  # codes would overflow int64
-
-
-def test_closure_refuses_before_growing_past_cap():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
