@@ -7,7 +7,7 @@ its quotient.
 """
 
 from symprep import perm as pm
-from symprep.dickson import (check_invariance, dickson_form, lagrangian_pair,
+from symprep.dickson import (check_invariance, dickson_form, half_dim, lagrangian_pair,
                              parabolic_trivial_subgroup, perm_irrep)
 
 for n in range(5, 11):
@@ -20,7 +20,7 @@ for n in range(5, 11):
 # The subgroup fixing a Lagrangian flag pointwise, found exactly by a
 # point-by-point backtrack over S_n.  Disjoint transpositions generate it.
 n = 8
-w, dual, pairing = lagrangian_pair(perm_irrep(n, 2).dim // 2)
+w, dual, pairing = lagrangian_pair(half_dim(n))
 res = parabolic_trivial_subgroup(n, "sym", w)
 print(f"\nS_{n}: rank {res.rank}, order {res.order}")
 print("witness generators:", ", ".join(pm.to_cycles(g) for g in res.witness))

@@ -6,7 +6,9 @@ minus identity Gram), the span of e_{2i-1}+e_{2i} is a Lagrangian W, and the
 subgroup of S_n acting trivially on both W and V/W is elementary abelian of
 rank floor(n/2).  Everything here is computed exactly, with an element
 image formula, applied to whole blocks of permutations at once, that avoids
-multiplying out generator words.
+multiplying out generator words.  The representation itself is one frozen
+value per (n, p): perm_irrep builds and checks it once per process, and
+every caller shares it.
 """
 
 from __future__ import annotations
@@ -15,14 +17,15 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import perm as pm
 from .checks import require
 from .field import GF, make_field
-from .forms import FormSpec, bilinear, is_isotropic, preserves_form
+from .forms import (FormSpec, bilinear, is_isotropic, preserves_form,
+                    unipotent_hom_dim)
 from .linalg import GF2, Mat, Subspace, mm_modp
 
 
@@ -31,17 +34,27 @@ def half_dim(n: int) -> int:
     return (n + 1) // 2 - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Representation:
-    """A matrix representation of a permutation group with exact per-element images."""
+    """The mod-p permutation irreducible of S_n, as built by perm_irrep.
+
+    images are the matrices of group.generators; act(g) is the image of any
+    element, from the same formula (irrep_images).  The value is frozen
+    because perm_irrep caches it and hands the same object to every caller.
+    """
 
     group: pm.GroupPresentation
     field: GF
     dim: int
     images: tuple
-    act: Optional[Callable]  # Perm (degree group.degree) -> Mat
-    faithful: Optional[bool]
-    label: str = ""
+    faithful: bool
+    label: str
+
+    def act(self, g: pm.Perm) -> Mat:
+        n = self.group.degree
+        if len(g) != n:
+            raise ValueError(f"permutation of degree {len(g)} on a representation of S_{n}")
+        return Mat(self.field, irrep_images(np.array([g]), self.field.p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -89,35 +102,27 @@ def irrep_images(perms: np.ndarray, p: int) -> np.ndarray:
     return (e[ext[:, :dim]] - e[ext[:, big - 1:]]).transpose(0, 2, 1) % p
 
 
-def _make_act(n: int, p: int, fld: GF):
-    def act(g: pm.Perm) -> Mat:
-        if len(g) != n:
-            raise ValueError(f"permutation of degree {len(g)} on a representation of S_{n}")
-        return Mat(fld, irrep_images(np.array([g]), p)[0])
-
-    return act
-
-
-def _faithful_exactly(n: int, act, dim: int, fld: GF) -> bool:
+def _faithful_exactly(n: int, p: int) -> bool:
     """Exact kernel triviality.
 
-    Small n: sweep every element.  n >= 5: the kernel is a normal subgroup,
-    and the only normal subgroups of S_n are 1, A_n and S_n, so nontrivial
-    action of a 3-cycle and of a transposition settles it.
+    Small n: every element's image, in one batch, and only the identity may
+    act trivially.  n >= 5: the kernel is a normal subgroup, and the only
+    normal subgroups of S_n are 1, A_n and S_n, so nontrivial action of a
+    3-cycle and of a transposition settles it.
     """
-    ident = Mat.identity(fld, dim)
     if n >= 5:
-        return (act(pm.from_cycles("(1 2 3)", n)) != ident
-                and act(pm.transposition(n, 0, 1)) != ident)
-    return sum(act(g) == ident for g in itertools.permutations(range(n))) == 1
+        perms = [pm.from_cycles("(1 2 3)", n), pm.transposition(n, 0, 1)]
+    else:
+        perms = list(itertools.permutations(range(n)))
+    images = irrep_images(np.array(perms), p)
+    trivial = int((images == np.eye(images.shape[1], dtype=np.int64)).all(axis=(1, 2)).sum())
+    return trivial == (0 if n >= 5 else 1)
 
 
 def _check_word_consistency(rep: Representation):
     """On 20 random words, the product of generator images is the word's image."""
     rng = random.Random(0)
     gens = rep.group.generators
-    if not gens:
-        return
     n = rep.group.degree
     for _ in range(20):
         length = rng.randint(1, 10)
@@ -130,29 +135,29 @@ def _check_word_consistency(rep: Representation):
         require(m == rep.act(g), "generator images disagree with the element formula")
 
 
+@functools.lru_cache(maxsize=None)
 def perm_irrep(n: int, p: int) -> Representation:
     """The reduced permutation representation of S_n over GF(p).
 
     dim = n-1 when p does not divide n, n-2 when it does; for p = 2 the
     module is realized inside GF(2)^(2 ceil(n/2)) so that the symplectic
     basis conventions below apply verbatim for odd and even n alike.
+    Cached: each (n, p) is built, and its faithfulness and word checks run,
+    once per process, and the frozen result is shared by every caller.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if p == 2 and n < 4:
         raise ValueError("mod-2 reduced module needs n >= 4 to be nonzero")
     fld = make_field(p)
-    _, dim, _ = _irrep_tables(n, p)
-    act = _make_act(n, p, fld)
     group = pm.standard_gens("sym", n)
-    images = tuple(act(g) for g in group.generators)
+    images = irrep_images(np.array(group.generators), p)
     rep = Representation(
         group=group,
         field=fld,
-        dim=dim,
-        images=images,
-        act=act,
-        faithful=_faithful_exactly(n, act, dim, fld),
+        dim=images.shape[1],
+        images=tuple(Mat(fld, m) for m in images),
+        faithful=_faithful_exactly(n, p),
         label=f"perm-irrep(S{n}, p={p})",
     )
     _check_word_consistency(rep)
@@ -355,36 +360,30 @@ def gl_parabolic_check(rep: Representation, w: Subspace, group: pm.GroupPresenta
 # doubling into the symplectic group
 
 
-def diagonal_rep(rep: Representation):
-    """g |-> diag(g, g^-T) on V + V*, preserving the standard symplectic form."""
-    fld = rep.field
-    d = rep.dim
-    gram = np.zeros((2 * d, 2 * d), dtype=np.int64)
-    gram[:d, d:] = np.eye(d, dtype=np.int64)
-    gram[d:, :d] = (-np.eye(d, dtype=np.int64)) % fld.p
-    form = FormSpec(kind="symplectic", gram=Mat(fld, gram))
+def _standard_symplectic(fld: GF, g: int) -> FormSpec:
+    """The form with Gram [[0, I], [-I, 0]] on GF(q)^(2g)."""
+    gram = np.zeros((2 * g, 2 * g), dtype=np.int64)
+    gram[:g, g:] = np.eye(g, dtype=np.int64)
+    gram[g:, :g] = (-np.eye(g, dtype=np.int64)) % fld.p
+    return FormSpec(kind="symplectic", gram=Mat(fld, gram))
 
-    def act(g: pm.Perm) -> Mat:
-        m = rep.act(g)
-        minvt = m.inverse().T
+
+def diagonal_rep(rep: Representation):
+    """The generator images doubled as g |-> diag(g, g^-T) on V + V*.
+
+    Returns (images, form): one 2·dim matrix per generator of rep.group, each
+    required to preserve the standard symplectic form.
+    """
+    d = rep.dim
+    form = _standard_symplectic(rep.field, d)
+    images = []
+    for m in rep.images:
         out = np.zeros((2 * d, 2 * d), dtype=np.int64)
         out[:d, :d] = m.a
-        out[d:, d:] = minvt.a
-        return Mat(fld, out)
-
-    images = tuple(act(g) for g in rep.group.generators)
-    for m in images:
-        require(preserves_form(m, form), "doubled image must preserve the symplectic form")
-    doubled = Representation(
-        group=rep.group,
-        field=fld,
-        dim=2 * d,
-        images=images,
-        act=act,
-        faithful=rep.faithful,
-        label=rep.label + "+dual",
-    )
-    return doubled, form
+        out[d:, d:] = m.inverse().T.a
+        images.append(Mat(rep.field, out))
+        require(preserves_form(images[-1], form), "doubled image must preserve the symplectic form")
+    return tuple(images), form
 
 
 def siegel_unipotent_dim(g: int, p: int) -> int:
@@ -394,14 +393,7 @@ def siegel_unipotent_dim(g: int, p: int) -> int:
     phi: V/W -> W, not from the closed form, so it can serve as a cross-check
     of binom(g+1, 2).
     """
-    from .forms import unipotent_hom_dim
-
-    fld = make_field(p)
-    gram = np.zeros((2 * g, 2 * g), dtype=np.int64)
-    gram[:g, g:] = np.eye(g, dtype=np.int64)
-    gram[g:, :g] = (-np.eye(g, dtype=np.int64)) % p
-    form = FormSpec(kind="symplectic", gram=Mat(fld, gram))
-    return unipotent_hom_dim(form, g)
+    return unipotent_hom_dim(_standard_symplectic(make_field(p), g), g)
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +418,3 @@ def rep_to_json(rep: Representation) -> dict:
             for g, m in zip(rep.group.generators, rep.images)
         ],
     }
-
-
-def rep_from_json(data: dict) -> Representation:
-    fld = make_field(data["field"]["p"], data["field"]["r"])
-    degree = data["group"]["degree"]
-    gens = tuple(pm.from_cycles(c, degree) for c in data["group"]["generators"])
-    group = pm.GroupPresentation(
-        kind=data["group"]["kind"], degree=degree, generators=gens, label=data["group"]["label"]
-    )
-    images = tuple(Mat(fld, g["matrix"]) for g in data["generators"])
-    return Representation(
-        group=group,
-        field=fld,
-        dim=data["dim"],
-        images=images,
-        act=None,
-        faithful=data["faithful"],
-        label=data["label"],
-    )

@@ -74,7 +74,8 @@ def bilinear(form: FormSpec, u, v) -> int:
 
 def quad_value(form: FormSpec, v) -> int:
     """Q(v) for a quadratic_char2 form, from basis values plus polar form."""
-    assert form.kind == "quadratic_char2"
+    if form.kind != "quadratic_char2":
+        raise ValueError(f"Q(v) needs a quadratic_char2 form, got {form.kind!r}")
     v = np.asarray(v, dtype=np.int64).reshape(1, -1)
     return int(_sandwich(form.gram.field, v, _quad_matrix(form), v.T)[0, 0])
 

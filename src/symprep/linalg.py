@@ -420,7 +420,8 @@ class Mat:
                                                 self.cols * other.cols))
 
     def pow(self, e: int) -> "Mat":
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ValueError(f"power of a non-square {self.rows}x{self.cols} matrix")
         if e < 0:
             return self.inverse().pow(-e)
         out = Mat.identity(self.field, self.rows)
@@ -526,7 +527,8 @@ class Subspace:
         if arr.size == 0 and ambient is not None:
             arr = arr.reshape(0, ambient)
         amb = arr.shape[1] if ambient is None else ambient
-        assert arr.shape[1] == amb
+        if arr.shape[1] != amb:
+            raise ValueError(f"rows of length {arr.shape[1]} in a subspace of dimension {amb}")
         red, piv = rref_array(arr, field)
         return cls(field, amb, red[: len(piv)], piv)
 
@@ -549,14 +551,16 @@ class Subspace:
         """
         f = self.field
         v = np.asarray(v, dtype=np.int64) % f.q
-        assert v.shape == (self.ambient,)
+        if v.shape != (self.ambient,):
+            raise ValueError(f"vector of shape {v.shape} in a space of dimension {self.ambient}")
         return add(f, v, neg(f, matmul(f, v[None, list(self.pivots)], self.basis)[0]))
 
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
-        assert other.ambient == self.ambient
+        if other.ambient != self.ambient:
+            raise ValueError(f"subspaces of dimensions {other.ambient} and {self.ambient}")
         return all(self.contains(row) for row in other.basis)
 
     def coefficients(self, v) -> np.ndarray:
@@ -660,7 +664,8 @@ def quotient_action(mats: list[Mat], s: Subspace) -> list[Mat]:
         return []
     f = mats[0].field
     n = mats[0].rows
-    assert s.field == f and s.ambient == n
+    if s.field != f or s.ambient != n:
+        raise ValueError("subspace and matrices live on different spaces")
     comp = list(s.complement_cols())
     piv = list(s.pivots)
     bt = Mat._of(f, s.basis.T)

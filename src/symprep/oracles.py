@@ -41,14 +41,14 @@ def enum_parabolic(n: int, kind: str) -> dict:
     identity on V/W).  Only the survivors become permutation tuples.  No
     packed-word tricks anywhere.  Returns {n, kind, rank, order}.
     """
-    from .dickson import irrep_images, lagrangian_pair, perm_irrep
+    from .dickson import half_dim, irrep_images, lagrangian_pair
 
-    if n > 8:
-        raise ValueError(f"exhaustive oracle is limited to n <= 8, got {n}")
+    if not 4 <= n <= 8:
+        raise ValueError(f"exhaustive oracle needs 4 <= n <= 8, got {n}")
     if kind not in ("sym", "alt"):
         raise ValueError(f"kind must be sym or alt, got {kind!r}")
-    dim = perm_irrep(n, 2).dim
-    w, _, _ = lagrangian_pair(dim // 2)
+    w, _, _ = lagrangian_pair(half_dim(n))
+    dim = w.ambient
     elements = pm.closure(pm.standard_gens(kind, n))
     ident = np.eye(dim, dtype=np.int64)
     basis = w.basis

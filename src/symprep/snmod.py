@@ -524,13 +524,6 @@ def module_to_json(mod: GModule) -> dict:
     }
 
 
-def module_from_json(data: dict) -> GModule:
-    fld = make_field(data["field"]["p"], data["field"]["r"])
-    gens = [Mat(fld, g["matrix"]) for g in sorted(data["generators"],
-                                                  key=lambda g: g["coxeter_index"])]
-    return GModule(data["n"], fld, gens, label=data["label"], check=False)
-
-
 # ---------------------------------------------------------------------------
 # the theorem sweeps
 #

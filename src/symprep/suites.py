@@ -111,15 +111,15 @@ def _doubled_job(n: int):
 
     def job():
         rep = dickson.perm_irrep(n, 2)
-        doubled, form = dickson.diagonal_rep(rep)
-        w, _, _ = dickson.lagrangian_pair(rep.dim // 2)
+        images, _ = dickson.diagonal_rep(rep)
+        w, _, _ = dickson.lagrangian_pair(dickson.half_dim(n))
         witness = dickson.standard_parabolic(n, "sym").witness
         return make_report(
             claim_id=label,
             statement="the block-diagonal embedding g + inverse-transpose lands in "
                       "the symplectic group and the original image fixes the "
                       "distinguished Lagrangian flag",
-            inputs={"n": n, "doubled_dim": doubled.dim},
+            inputs={"n": n, "doubled_dim": images[0].rows},
             expected=True,
             computed=dickson.gl_parabolic_check(rep, w, pm.GroupPresentation("perm", n, witness)),
         )

@@ -15,7 +15,7 @@ from symprep.dickson import (_acts_trivially, _irrep_tables,
                              diagonal_rep, dickson_form, gl_parabolic_check,
                              half_dim, irrep_images, lagrangian_pair,
                              parabolic_trivial_subgroup, perm_irrep,
-                             rep_from_json, rep_to_json, siegel_unipotent_dim,
+                             rep_to_json, siegel_unipotent_dim,
                              standard_parabolic)
 from symprep.field import make_field
 from symprep.forms import is_isotropic, preserves_form
@@ -50,6 +50,15 @@ def test_homomorphism_on_random_words():
         a = tuple(rng.permutation(7))
         b = tuple(rng.permutation(7))
         assert rep.act(pm.compose(a, b)) == rep.act(a) @ rep.act(b)
+
+
+def test_perm_irrep_is_built_once_and_frozen():
+    rep = perm_irrep(6, 2)
+    assert perm_irrep(6, 2) is rep
+    with pytest.raises(AttributeError):
+        rep.dim = 0
+    with pytest.raises(ValueError):
+        rep.act(pm.identity(5))
 
 
 def test_faithfulness_flags():
@@ -190,10 +199,11 @@ def test_gl_parabolic_check():
 
 def test_diagonal_rep_symplectic():
     rep = perm_irrep(6, 2)
-    doubled, form = diagonal_rep(rep)
-    assert doubled.dim == 2 * rep.dim
-    g = pm.from_cycles("(1 2 3 4 5 6)", 6)
-    assert preserves_form(doubled.act(g), form)
+    images, form = diagonal_rep(rep)
+    assert len(images) == len(rep.images)
+    for m in images:
+        assert m.shape == (2 * rep.dim, 2 * rep.dim)
+        assert preserves_form(m, form)
 
 
 def test_siegel_dims():
@@ -205,6 +215,7 @@ def test_siegel_dims():
 def test_json_round_trip():
     rep = perm_irrep(6, 2)
     doc = rep_to_json(rep)
-    back = rep_from_json(doc)
-    assert back.dim == rep.dim and back.field == rep.field
-    assert all(a == b for a, b in zip(back.images, rep.images))
+    assert (doc["dim"], doc["field"]["p"], doc["faithful"]) == (rep.dim, 2, True)
+    assert len(doc["generators"]) == len(rep.images)
+    for g in doc["generators"]:
+        assert Mat(rep.field, g["matrix"]) == rep.act(pm.from_cycles(g["cycles"], 6))

@@ -55,6 +55,11 @@ def test_quadratic_char2_polarization():
             assert lhs == bilinear(form, u, v)
 
 
+def test_quad_value_rejects_other_kinds():
+    with pytest.raises(ValueError):
+        quad_value(standard_symplectic(GF2, 1), [1, 0])
+
+
 def test_preserves_form():
     form = standard_symplectic(GF3, 1)
     rot = Mat(GF3, [[0, 2], [1, 0]])  # determinant 1, swaps the two lines

@@ -226,6 +226,17 @@ def test_cli_dump_module():
     assert doc["kind"] == "gmodule" and doc["dim"] == 4
 
 
+def test_cli_dump_perm_irrep():
+    from symprep.dickson import perm_irrep, rep_to_json
+    from symprep.records import canonical_json
+
+    code, out, _ = _cli("dump", "perm_irrep", "--n", "6", "--p", "2")
+    assert code == 0
+    assert out == canonical_json(rep_to_json(perm_irrep(6, 2)))
+    doc = json.loads(out)
+    assert doc["dim"] == 4 and doc["faithful"] is True
+
+
 def test_cli_bad_args_exit_2():
     code, _, err = _cli("verify", "bogus-suite")
     assert code == 2

@@ -1,10 +1,14 @@
 """Exact linear algebra: RREF paths, dualities, subspaces, quotient actions."""
 
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import symprep
 from symprep.field import make_field
 from symprep.linalg import (Mat, Subspace, joint_fixed_space, kernel, mm_gf2, mm_modp,
                             pack_rows, quotient_action, radical_of_form, rref, solve)
@@ -176,6 +180,44 @@ def test_quotient_action_rejects_non_invariant():
     bad = Subspace.from_rows(GF2, [[0, 1]])  # not invariant: e2 -> e1 + e2
     with pytest.raises(ValueError):
         quotient_action([m], bad)
+
+
+# public entry points given arguments from different spaces
+_BAD_ARGUMENTS = {
+    "quotient_action-field": lambda: quotient_action([Mat.identity(GF3, 2)], Subspace.zero(GF2, 2)),
+    "quotient_action-ambient": lambda: quotient_action([Mat.identity(GF2, 3)], Subspace.zero(GF2, 2)),
+    "from_rows-ambient": lambda: Subspace.from_rows(GF2, [[1, 0]], ambient=3),
+    "reduce-length": lambda: Subspace.full(GF2, 3).reduce(np.array([1, 0])),
+    "contains_space-ambient": lambda: Subspace.full(GF2, 3).contains_space(Subspace.full(GF2, 2)),
+    "pow-non-square": lambda: Mat(GF2, [[1, 0, 1]]).pow(2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_bad_arguments_raise_value_error(case):
+    with pytest.raises(ValueError):
+        _BAD_ARGUMENTS[case]()
+
+
+_MISMATCH_UNDER_O = """
+import sys
+from symprep.field import make_field
+from symprep.linalg import GF2, Mat, Subspace, quotient_action
+if not sys.flags.optimize:
+    sys.exit(3)
+try:
+    quotient_action([Mat.identity(make_field(3), 2)], Subspace.zero(GF2, 2))
+except ValueError:
+    print("raised ValueError")
+"""
+
+
+def test_argument_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _MISMATCH_UNDER_O],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised ValueError"]
 
 
 def test_quotient_action_functorial():

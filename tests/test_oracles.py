@@ -47,6 +47,8 @@ def test_enum_parabolic_cap():
     with pytest.raises(ValueError):
         enum_parabolic(9, "sym")
     with pytest.raises(ValueError):
+        enum_parabolic(3, "sym")
+    with pytest.raises(ValueError):
         enum_parabolic(6, "perm")
 
 
