@@ -12,7 +12,6 @@ import argparse
 import sys
 
 from . import classical, dickson, oracles, snmod
-from . import perm as pm
 from .checks import CheckFailed
 from .records import SuiteConfig, canonical_json, render, render_rows
 from .suites import SUITE_NAMES, run_suite

@@ -108,7 +108,7 @@ def hook_length_dim(lam) -> int:
 #
 # A tabloid of shape lam is its row word: entry x is the row that holds x.
 # Its code is the row word read in base len(lam), sum of row(x) * base^x, so
-# sorted codes index the tabloids, and a point swap shifts one code.
+# sorted codes index the tabloids.
 
 
 def _tabloid_words(lam: tuple):
@@ -148,11 +148,17 @@ def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray):
     return rows, cols.reshape(-1), np.tile(np.array(signs, dtype=np.int64), len(tableaux))
 
 
-def _tabloid_swap_perm(words: np.ndarray, codes: np.ndarray, base: int, k: int) -> np.ndarray:
-    """Index map m with (s_k . x) = x[m] for coefficient vectors x over tabloids."""
-    moved = codes + (words[:, k + 1] - words[:, k]) * (base**k - base ** (k + 1))
+def _tabloid_perm(words: np.ndarray, codes: np.ndarray, base: int, g: pm.Perm) -> np.ndarray:
+    """Index map m with (g . x) = x[m] for coefficient vectors x over tabloids.
+
+    g moves the entry x of a tabloid to g(x), so the row word of g.T is the
+    word of T read at g^-1.
+    """
+    moved = words[:, list(pm.inverse(g))] @ base ** np.arange(len(g), dtype=np.int64)
+    at = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
+    require(np.array_equal(codes[at], moved), "moved code is not a tabloid code")
     out = np.empty(len(codes), dtype=np.int64)
-    out[np.searchsorted(codes, moved)] = np.arange(len(codes))
+    out[at] = np.arange(len(codes))
     return out
 
 
@@ -279,7 +285,7 @@ def _specht_core(lam: tuple, p: int):
     rng = np.random.default_rng(409 + 97 * n + p)
     gen_mats = []
     for k in range(n - 1):
-        shuffle = _tabloid_swap_perm(words, codes, len(lam), k)
+        shuffle = _tabloid_perm(words, codes, len(lam), pm.transposition(n, k, k + 1))
         coef = Mat(fld, entries[:, shuffle[piv]]) @ binv
         if dim <= 200:
             require(coef @ b == Mat(fld, entries[:, shuffle]), "straightening failed")
@@ -552,18 +558,66 @@ def _mixed_subgroups(n: int, even_part: bool) -> list[pm.GroupPresentation]:
     return subs
 
 
+def _quadratic_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool]:
+    """Per subgroup, whether the tabloid module proves D(lam) has Loewy length >= 3 on it.
+
+    A subgroup E is generated by commuting involutions g_i; with x_i = g_i - 1
+    and x_i^2 = 0, D|E has Loewy length <= 2 iff x_i x_j D = 0 for all i < j.
+    D = S / (S meet S^perp), with S the row span of the polytabloid matrix b,
+    and the tabloid permutations P_i are symmetric, so x_i x_j D = 0 iff
+    b (P_i - 1)(P_j - 1) b^T = 0.  That product is applied to one fixed
+    64-column block V over GF(2), one uint64 word per standard tableau; a
+    nonzero word is an exact witness.  False means only that no witness turned
+    up, and the caller decides that subgroup on D(lam) itself.
+    """
+    n = sum(lam)
+    words, codes = _tabloid_words(lam)
+    ident = np.arange(len(codes))
+    maps = {}
+    for sub in subs:
+        for g in sub.generators:
+            require(pm.compose(g, g) == pm.identity(n), "subgroup generator is not an involution")
+            require(all(pm.compose(g, h) == pm.compose(h, g) for h in sub.generators),
+                    "subgroup generators must commute")
+            if g not in maps:
+                maps[g] = _tabloid_perm(words, codes, len(lam), g)
+                require(np.array_equal(maps[g][maps[g]], ident),
+                        "tabloid map of an involution is not an involution")
+    tableaux = standard_tableaux(lam)
+    rows, cols, _ = _polytabloid_terms(lam, tableaux, codes)
+    v = np.random.default_rng(5077).integers(0, 2**64, size=len(tableaux), dtype=np.uint64)
+    u = np.zeros(len(codes), dtype=np.uint64)
+    np.bitwise_xor.at(u, cols, v[rows])
+    # the terms come grouped by tableau, an equal number per tableau
+    terms = cols.reshape(len(tableaux), -1)
+    out = []
+    for sub in subs:
+        gens = sub.generators
+        xu = [u ^ u[maps[g]] for g in gens]
+        out.append(any(np.bitwise_xor.reduce((y ^ y[maps[gens[i]]])[terms], axis=1).any()
+                       for j, y in enumerate(xu) for i in range(j)))
+    return out
+
+
 def _sweep_quadratic(n: int, lams: Iterable[tuple], even_part: bool):
-    """(quadratic hits, all rows) over modules x subgroups, length <= 2 flagged."""
+    """(quadratic hits, (module, subgroup) rows) over modules x subgroups.
+
+    A pair is a hit when D(lam) has Loewy length <= 2 on the subgroup.  A
+    tabloid witness rules a pair out; every other pair, and so every hit, is
+    decided by the socle series of D(lam).  A module counts when dim D > 1,
+    which a witness implies, as it shows a Loewy length of at least 3.
+    """
+    subs = _mixed_subgroups(n, even_part)
     hits = []
     rows = []
     for lam in lams:
-        mod = irreducible_D(lam, 2)
-        if mod.dim <= 1:
+        witnessed = _quadratic_witnesses(lam, subs)
+        mod = None if all(witnessed) else irreducible_D(lam, 2)
+        if mod is not None and mod.dim <= 1:
             continue
-        for sub in _mixed_subgroups(n, even_part):
-            series = loewy_length(mod, sub)
-            rows.append((_lam_id(lam), sub.label, series.length, list(series.layer_dims)))
-            if series.length <= 2:
+        for sub, seen in zip(subs, witnessed):
+            rows.append((_lam_id(lam), sub.label))
+            if not seen and loewy_length(mod, sub).length <= 2:
                 hits.append([_lam_id(lam), sub.label])
     return hits, rows
 

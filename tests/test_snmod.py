@@ -327,3 +327,84 @@ def test_verify_appendix_alt_n8_recorded():
 def test_verify_appendix_length2():
     reports = verify_appendix("length2", [6], 2)
     assert reports and all(r.status == "pass" for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# the quadratic-pair sweep through tabloid witnesses
+
+
+def _socle_series_sweep(n, alt):
+    """Hits, modules and pairs of the sweep over every pair, all on D(lam)."""
+    from symprep import snmod
+
+    hits, modules, pairs = [], 0, 0
+    for lam in p_regular_partitions(n, 2):
+        mod = irreducible_D(lam, 2)
+        if mod.dim <= 1:
+            continue
+        modules += 1
+        for sub in snmod._mixed_subgroups(n, alt):
+            pairs += 1
+            if loewy_length(mod, sub).length <= 2:
+                hits.append([snmod._lam_id(lam), sub.label])
+    return sorted(hits), modules, pairs
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("theorem", ["char2", "char2_alt"])
+def test_quadratic_sweep_matches_socle_series(n, theorem):
+    (report,) = verify_appendix(theorem, [n], 2)
+    hits, modules, pairs = _socle_series_sweep(n, theorem == "char2_alt")
+    assert report.computed == hits
+    assert (report.inputs["modules_checked"], report.inputs["pairs_checked"]) == (modules, pairs)
+
+
+def test_quadratic_sweep_without_witnesses_gives_same_reports(monkeypatch):
+    from symprep import snmod
+    from symprep.records import report_to_dict
+
+    def sweep():
+        return [report_to_dict(r) for th in ("char2", "char2_alt")
+                for r in verify_appendix(th, [8, 9], 2)]
+
+    found = sweep()
+    monkeypatch.setattr(snmod, "_quadratic_witnesses", lambda lam, subs: [False] * len(subs))
+    assert sweep() == found
+
+
+def test_tabloid_perm_rejects_non_tabloid_code():
+    from symprep import snmod
+
+    words, codes = snmod._tabloid_words((5, 2))
+    m = snmod._tabloid_perm(words, codes, 2, pm.transposition(7, 0, 3))
+    assert np.array_equal(m[m], np.arange(len(codes)))
+    with pytest.raises(CheckFailed, match="not a tabloid code"):
+        snmod._tabloid_perm(words[:-1], codes[:-1], 2, pm.transposition(7, 0, 6))
+
+
+_CORRUPT_TABLOID_MAPS = """
+import sys
+import numpy as np
+from symprep import snmod
+if not sys.flags.optimize:
+    sys.exit(3)
+real_words, real_perm = snmod._tabloid_words, snmod._tabloid_perm
+# drop the last tabloid of every shape that has more than one
+snmod._tabloid_words = lambda lam: tuple(a[:-1] if len(lam) > 1 else a for a in real_words(lam))
+(r,) = snmod.verify_appendix("char2", [8], 2)
+print(r.status, r.computed)
+snmod._tabloid_words = real_words
+snmod._tabloid_perm = lambda *args: np.roll(real_perm(*args), 1)
+(r,) = snmod.verify_appendix("char2_alt", [8], 2)
+print(r.status, r.computed)
+"""
+
+
+def test_corrupt_tabloid_map_fails_the_claim_under_python_O():
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_TABLOID_MAPS],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "fail CheckFailed('moved code is not a tabloid code')",
+        "fail CheckFailed('tabloid map of an involution is not an involution')"]
