@@ -15,7 +15,7 @@ import traceback
 from dataclasses import dataclass, asdict
 from typing import Optional
 
-STATUSES = ("pass", "fail", "recorded", "partial")
+STATUSES = ("pass", "fail", "recorded")
 
 
 @dataclass

@@ -127,10 +127,12 @@ def _tabloid_words(lam: tuple):
 
 
 def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray):
-    """(tableau row, tabloid index, sign) arrays of every standard polytabloid term.
+    """(tabloid indices, signs) of the standard polytabloid terms.
 
     The polytabloid of t is the signed sum of {σt} over its column group;
     the term for σ puts the entry in row a of column j into row σ_j(a).
+    Row r of the (tableau x term) index array is the polytabloid of
+    tableaux[r], and term k carries signs[k] in every row.
     """
     conj = conjugate(lam)
     per_col = [list(itertools.permutations(range(c))) for c in conj]
@@ -142,10 +144,9 @@ def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray):
     points = np.array([[t[a][j] for j, c in enumerate(conj) for a in range(c)]
                        for t in tableaux], dtype=np.int64)
     term_codes = (len(lam) ** points) @ row_of_cell.T
-    cols = np.searchsorted(codes, term_codes)
-    require(np.array_equal(codes[cols], term_codes), "polytabloid term is not a tabloid")
-    rows = np.repeat(np.arange(len(tableaux)), len(signs))
-    return rows, cols.reshape(-1), np.tile(np.array(signs, dtype=np.int64), len(tableaux))
+    terms = np.searchsorted(codes, term_codes)
+    require(np.array_equal(codes[terms], term_codes), "polytabloid term is not a tabloid")
+    return terms, np.array(signs, dtype=np.int64)
 
 
 def _tabloid_perm(words: np.ndarray, codes: np.ndarray, base: int, g: pm.Perm) -> np.ndarray:
@@ -269,14 +270,15 @@ def _specht_core(lam: tuple, p: int):
     st = standard_tableaux(lam)
     dim = len(st)
     require(dim == hook_length_dim(lam), "tableau count disagrees with hook lengths")
-    rows, cols, signs = _polytabloid_terms(lam, st, codes)
+    terms, signs = _polytabloid_terms(lam, st, codes)
+    rows = np.arange(dim)[:, None]
     if p == 2:
         entries = np.zeros((dim, len(codes)), dtype=np.uint8)
-        entries[rows, cols] = 1
+        entries[rows, terms] = 1
         b = Mat.from_words(fld, pack_rows(entries), len(codes))
     else:
         entries = np.zeros((dim, len(codes)), dtype=np.int64)
-        entries[rows, cols] = signs % p
+        entries[rows, terms] = signs % p
         b = Mat(fld, entries)
     _, piv = b.rref()
     require(len(piv) == dim, "standard polytabloids must stay independent mod p")
@@ -584,12 +586,10 @@ def _quadratic_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[b
                 require(np.array_equal(maps[g][maps[g]], ident),
                         "tabloid map of an involution is not an involution")
     tableaux = standard_tableaux(lam)
-    rows, cols, _ = _polytabloid_terms(lam, tableaux, codes)
+    terms, _ = _polytabloid_terms(lam, tableaux, codes)
     v = np.random.default_rng(5077).integers(0, 2**64, size=len(tableaux), dtype=np.uint64)
     u = np.zeros(len(codes), dtype=np.uint64)
-    np.bitwise_xor.at(u, cols, v[rows])
-    # the terms come grouped by tableau, an equal number per tableau
-    terms = cols.reshape(len(tableaux), -1)
+    np.bitwise_xor.at(u, terms, v[:, None])
     out = []
     for sub in subs:
         gens = sub.generators
@@ -599,8 +599,8 @@ def _quadratic_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[b
     return out
 
 
-def _sweep_quadratic(n: int, lams: Iterable[tuple], even_part: bool):
-    """(quadratic hits, (module, subgroup) rows) over modules x subgroups.
+def _sweep_quadratic(n: int, even_part: bool):
+    """(quadratic hits, (module, subgroup) rows) over the 2-regular modules x subgroups.
 
     A pair is a hit when D(lam) has Loewy length <= 2 on the subgroup.  A
     tabloid witness rules a pair out; every other pair, and so every hit, is
@@ -610,7 +610,7 @@ def _sweep_quadratic(n: int, lams: Iterable[tuple], even_part: bool):
     subs = _mixed_subgroups(n, even_part)
     hits = []
     rows = []
-    for lam in lams:
+    for lam in p_regular_partitions(n, 2):
         witnessed = _quadratic_witnesses(lam, subs)
         mod = None if all(witnessed) else irreducible_D(lam, 2)
         if mod is not None and mod.dim <= 1:
@@ -647,28 +647,20 @@ def _quadratic_job(n: int, alt: bool):
     claim_id = f"appendix/quadratic-pairs{'-alt' if alt else ''}/n{n}"
 
     def job():
-        two_row_only = n > 10
-        lams = [lam for lam in p_regular_partitions(n, 2) if not two_row_only or len(lam) <= 2]
-        hits, rows = _sweep_quadratic(n, lams, even_part=alt)
+        hits, rows = _sweep_quadratic(n, even_part=alt)
         expected_hits = [[f"{n - 1}-1", ("H~_" if alt else "H_") + str(n)]]
         if n == 8 and not alt:
             expected_hits.append(["5-3", "K^2xH_0"])
-        status = None
-        if two_row_only:
-            status = "partial"
-        elif alt and n == 8:
-            status = "recorded"
+        recorded = alt and n == 8
         return make_report(
             claim_id=claim_id,
             statement="Loewy length at most 2 over the Klein-by-transposition "
-                      "subgroup chain happens only at the listed module/subgroup pairs"
-                      + (" (two-row modules only)" if two_row_only else ""),
+                      "subgroup chain happens only at the listed module/subgroup pairs",
             inputs={"n": n, "modules_checked": len(set(r[0] for r in rows)),
-                    "pairs_checked": len(rows),
-                    "sweep": "two-row" if two_row_only else "all 2-regular"},
-            expected="recorded-only" if status == "recorded" else sorted(expected_hits),
+                    "pairs_checked": len(rows), "sweep": "all 2-regular"},
+            expected="recorded-only" if recorded else sorted(expected_hits),
             computed=sorted(hits),
-            status=status,
+            status="recorded" if recorded else None,
         )
     return claim_id, job
 

@@ -106,15 +106,22 @@ def test_criterion_05_odd_characteristic_depth():
 
 
 def test_criterion_06_quadratic_pair_sweep():
-    with criterion(6, 300.0, "exhaustive quadratic sweep at n = 8, 9, 10"):
-        reports = {r.claim_id: r for r in verify_appendix("char2", [8, 9, 10], 2)}
+    with criterion(6, 300.0, "exhaustive quadratic sweep at n = 8..11, "
+                             "and its even-subgroup twin at n = 11"):
+        reports = {r.claim_id: r for r in verify_appendix("char2", [8, 9, 10, 11], 2)
+                   + verify_appendix("char2_alt", [11], 2)}
         r8 = reports["appendix/quadratic-pairs/n8"]
         assert r8.status == "pass"
         assert r8.computed == [["5-3", "K^2xH_0"], ["7-1", "H_8"]]
-        for n in (9, 10):
+        for n in (9, 10, 11):
             r = reports[f"appendix/quadratic-pairs/n{n}"]
             assert r.status == "pass"
             assert r.computed == [[f"{n - 1}-1", f"H_{n}"]], (n, r.computed)
+        r11 = reports["appendix/quadratic-pairs-alt/n11"]
+        assert r11.status == "pass"
+        assert r11.computed == [["10-1", "H~_11"]]
+        for r in (reports["appendix/quadratic-pairs/n11"], r11):
+            assert (r.inputs["modules_checked"], r.inputs["pairs_checked"]) == (11, 33)
 
 
 def test_criterion_07_free_summands_and_spin_recursion():

@@ -80,11 +80,13 @@ def test_appendix_timings_are_per_claim():
 
 
 def test_summary_and_exit_codes():
-    rs = [_sample(), _sample("recorded"), _sample("partial")]
+    rs = [_sample(), _sample("recorded")]
     s = summarize(rs)
-    assert s == {"pass": 1, "fail": 0, "recorded": 1, "partial": 1}
+    assert s == {"pass": 1, "fail": 0, "recorded": 1}
     assert exit_code(rs) == 0
     assert exit_code(rs + [_sample("auto", computed=9)]) == 1
+    with pytest.raises(ValueError):
+        make_report("x", "s", {}, 1, 1, status="partial")
 
 
 def test_json_schema_top_level():

@@ -14,8 +14,9 @@ from symprep import perm as pm
 from symprep.checks import CheckFailed
 from symprep.field import make_field
 from symprep.linalg import Mat
-from symprep.snmod import (Fingerprint, GModule, basic_spin_restriction,
-                           check_partition, conjugate, cyclic_profile,
+from symprep.snmod import (Fingerprint, GModule, LoewySeries,
+                           basic_spin_restriction, check_partition,
+                           conjugate, cyclic_profile,
                            fingerprint, fingerprint_of_mats,
                            free_summand_count, hook_length_dim, irreducible_D,
                            is_p_regular, loewy_length,
@@ -370,6 +371,26 @@ def test_quadratic_sweep_without_witnesses_gives_same_reports(monkeypatch):
     found = sweep()
     monkeypatch.setattr(snmod, "_quadratic_witnesses", lambda lam, subs: [False] * len(subs))
     assert sweep() == found
+
+
+def test_planted_quadratic_hit_at_n11_fails(monkeypatch):
+    from symprep import snmod
+
+    real_witnesses, real_loewy = snmod._quadratic_witnesses, snmod.loewy_length
+
+    def no_witness_for_9_2(lam, subs):
+        return [False] * len(subs) if lam == (9, 2) else real_witnesses(lam, subs)
+
+    def two_layers_on_9_2(mod, group):
+        if mod.label == "D(9, 2) mod 2":
+            return LoewySeries((mod.dim - 1, 1))
+        return real_loewy(mod, group)
+
+    monkeypatch.setattr(snmod, "_quadratic_witnesses", no_witness_for_9_2)
+    monkeypatch.setattr(snmod, "loewy_length", two_layers_on_9_2)
+    (report,) = verify_appendix("char2", [11], 2)
+    assert report.status == "fail"
+    assert ["9-2", "H_11"] in report.computed
 
 
 def test_tabloid_perm_rejects_non_tabloid_code():
