@@ -606,7 +606,9 @@ def kernel(m: Mat, force_generic: bool = False) -> Subspace:
     red, piv = m.rref(force_generic=force_generic)
     f = m.field
     cols = m.cols
-    free = np.setdiff1d(np.arange(cols), piv)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[list(piv)] = False
+    free = np.flatnonzero(is_free)
     if not free.size:
         return Subspace.zero(f, cols)
     # free column c gives e_c minus its RREF column on the pivot coordinates

@@ -108,7 +108,14 @@ def hook_length_dim(lam) -> int:
 #
 # A tabloid of shape lam is its row word: entry x is the row that holds x.
 # Its code is the row word read in base len(lam), sum of row(x) * base^x, so
-# sorted codes index the tabloids.
+# sorted codes index the tabloids.  The row sizes fix the row of the last
+# entry, so the low n - 1 digits of a code already name its tabloid, and a
+# dense table over them turns a code into its index in one gather.
+
+# cap on the slots of that table, 64 MiB of int32.  Every 2-regular shape to
+# n = 13 fits (4^12 slots at most); a shape with many rows, such as (2, 1^8)
+# with 9^9 slots, looks its codes up by binary search instead.
+_INDEX_SLOTS = 1 << 24
 
 
 def _tabloid_words(lam: tuple):
@@ -126,14 +133,43 @@ def _tabloid_words(lam: tuple):
     return words[order], codes[order]
 
 
-def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray):
+def _code_index(codes: np.ndarray, base: int, n: int) -> Optional[np.ndarray]:
+    """Index of each code in codes, at the slot of its low n - 1 digits.
+
+    Slots no tabloid fills hold 0, so a lookup must compare the code it finds.
+    None where the table would pass _INDEX_SLOTS.
+    """
+    slots = base ** (n - 1)
+    if slots > _INDEX_SLOTS:
+        return None
+    index = np.zeros(slots, dtype=np.int32)
+    index[codes % slots] = np.arange(len(codes), dtype=np.int32)
+    return index
+
+
+def _code_positions(codes: np.ndarray, index: Optional[np.ndarray], query: np.ndarray,
+                    message: str) -> np.ndarray:
+    """int32 positions of the query codes in codes; CheckFailed(message) if one is not there."""
+    if index is None:
+        at = np.minimum(np.searchsorted(codes, query), len(codes) - 1).astype(np.int32)
+    else:
+        at = index[query % len(index)]
+    require(np.array_equal(codes[at], query), message)
+    return at
+
+
+def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray,
+                       index: Optional[np.ndarray] = None):
     """(tabloid indices, signs) of the standard polytabloid terms.
 
     The polytabloid of t is the signed sum of {σt} over its column group;
     the term for σ puts the entry in row a of column j into row σ_j(a).
-    Row r of the (tableau x term) index array is the polytabloid of
-    tableaux[r], and term k carries signs[k] in every row.
+    Row r of the (tableau x term) int32 index array is the polytabloid of
+    tableaux[r], and term k carries signs[k] in every row.  index is
+    _code_index of codes, built here when not given.
     """
+    if index is None:
+        index = _code_index(codes, len(lam), sum(lam))
     conj = conjugate(lam)
     per_col = [list(itertools.permutations(range(c))) for c in conj]
     row_of_cell, signs = [], []
@@ -144,22 +180,24 @@ def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray):
     points = np.array([[t[a][j] for j, c in enumerate(conj) for a in range(c)]
                        for t in tableaux], dtype=np.int64)
     term_codes = (len(lam) ** points) @ row_of_cell.T
-    terms = np.searchsorted(codes, term_codes)
-    require(np.array_equal(codes[terms], term_codes), "polytabloid term is not a tabloid")
+    terms = _code_positions(codes, index, term_codes, "polytabloid term is not a tabloid")
     return terms, np.array(signs, dtype=np.int64)
 
 
-def _tabloid_perm(words: np.ndarray, codes: np.ndarray, base: int, g: pm.Perm) -> np.ndarray:
+def _tabloid_perm(words: np.ndarray, codes: np.ndarray, base: int, g: pm.Perm,
+                  index: Optional[np.ndarray] = None) -> np.ndarray:
     """Index map m with (g . x) = x[m] for coefficient vectors x over tabloids.
 
     g moves the entry x of a tabloid to g(x), so the row word of g.T is the
-    word of T read at g^-1.
+    word of T read at g^-1.  index is _code_index of codes, built here when
+    not given.
     """
+    if index is None:
+        index = _code_index(codes, base, len(g))
     moved = words[:, list(pm.inverse(g))] @ base ** np.arange(len(g), dtype=np.int64)
-    at = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
-    require(np.array_equal(codes[at], moved), "moved code is not a tabloid code")
-    out = np.empty(len(codes), dtype=np.int64)
-    out[at] = np.arange(len(codes))
+    at = _code_positions(codes, index, moved, "moved code is not a tabloid code")
+    out = np.empty(len(codes), dtype=np.int32)
+    out[at] = np.arange(len(codes), dtype=np.int32)
     return out
 
 
@@ -267,10 +305,11 @@ def _specht_core(lam: tuple, p: int):
         raise ValueError(f"degree {n} outside the supported range 2..{MAX_N}")
     fld = make_field(p)
     words, codes = _tabloid_words(lam)
+    index = _code_index(codes, len(lam), n)
     st = standard_tableaux(lam)
     dim = len(st)
     require(dim == hook_length_dim(lam), "tableau count disagrees with hook lengths")
-    terms, signs = _polytabloid_terms(lam, st, codes)
+    terms, signs = _polytabloid_terms(lam, st, codes, index)
     rows = np.arange(dim)[:, None]
     if p == 2:
         entries = np.zeros((dim, len(codes)), dtype=np.uint8)
@@ -287,7 +326,7 @@ def _specht_core(lam: tuple, p: int):
     rng = np.random.default_rng(409 + 97 * n + p)
     gen_mats = []
     for k in range(n - 1):
-        shuffle = _tabloid_perm(words, codes, len(lam), pm.transposition(n, k, k + 1))
+        shuffle = _tabloid_perm(words, codes, len(lam), pm.transposition(n, k, k + 1), index)
         coef = Mat(fld, entries[:, shuffle[piv]]) @ binv
         if dim <= 200:
             require(coef @ b == Mat(fld, entries[:, shuffle]), "straightening failed")
@@ -560,7 +599,7 @@ def _mixed_subgroups(n: int, even_part: bool) -> list[pm.GroupPresentation]:
     return subs
 
 
-def _quadratic_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool]:
+def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool]:
     """Per subgroup, whether the tabloid module proves D(lam) has Loewy length >= 3 on it.
 
     A subgroup E is generated by commuting involutions g_i; with x_i = g_i - 1
@@ -570,10 +609,12 @@ def _quadratic_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[b
     b (P_i - 1)(P_j - 1) b^T = 0.  That product is applied to one fixed
     64-column block V over GF(2), one uint64 word per standard tableau; a
     nonzero word is an exact witness.  False means only that no witness turned
-    up, and the caller decides that subgroup on D(lam) itself.
+    up, and the caller decides that subgroup on D(lam) itself.  A pair
+    (g_i, g_j) shared by two subgroups is decided once.
     """
     n = sum(lam)
     words, codes = _tabloid_words(lam)
+    index = _code_index(codes, len(lam), n)
     ident = np.arange(len(codes))
     maps = {}
     for sub in subs:
@@ -582,21 +623,47 @@ def _quadratic_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[b
             require(all(pm.compose(g, h) == pm.compose(h, g) for h in sub.generators),
                     "subgroup generators must commute")
             if g not in maps:
-                maps[g] = _tabloid_perm(words, codes, len(lam), g)
+                maps[g] = _tabloid_perm(words, codes, len(lam), g, index)
                 require(np.array_equal(maps[g][maps[g]], ident),
                         "tabloid map of an involution is not an involution")
     tableaux = standard_tableaux(lam)
-    terms, _ = _polytabloid_terms(lam, tableaux, codes)
+    terms, _ = _polytabloid_terms(lam, tableaux, codes, index)
     v = np.random.default_rng(5077).integers(0, 2**64, size=len(tableaux), dtype=np.uint64)
     u = np.zeros(len(codes), dtype=np.uint64)
     np.bitwise_xor.at(u, terms, v[:, None])
-    out = []
-    for sub in subs:
-        gens = sub.generators
-        xu = [u ^ u[maps[g]] for g in gens]
-        out.append(any(np.bitwise_xor.reduce((y ^ y[maps[gens[i]]])[terms], axis=1).any()
-                       for j, y in enumerate(xu) for i in range(j)))
-    return out
+    xu = {g: u ^ u[m] for g, m in maps.items()}
+    pairs = {}
+
+    def witnessed(gi, gj):
+        if (gi, gj) not in pairs:
+            y = xu[gj]
+            pairs[gi, gj] = bool(np.bitwise_xor.reduce((y ^ y[maps[gi]])[terms], axis=1).any())
+        return pairs[gi, gj]
+
+    def decided(gens):
+        return any(witnessed(gens[i], gens[j]) for j in range(len(gens)) for i in range(j))
+
+    return [decided(sub.generators) for sub in subs]
+
+
+@functools.lru_cache(maxsize=None)
+def _witness_table(lam: tuple) -> dict:
+    """{subgroup generators: witnessed} over the sym and the alt chain of degree sum(lam).
+
+    The chains share most generators, so the two quadratic twins build the
+    tabloid data of lam once; only the verdicts are kept.  A failed check in
+    either chain fails the twin that asked first, and a table that failed is
+    not kept, so the other twin builds it again and fails too.
+    """
+    n = sum(lam)
+    subs = _mixed_subgroups(n, False) + _mixed_subgroups(n, True)
+    return {sub.generators: seen for sub, seen in zip(subs, _decide_witnesses(lam, subs))}
+
+
+def _quadratic_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool]:
+    """_decide_witnesses over subgroups of the sym or alt chain, read from _witness_table."""
+    table = _witness_table(lam)
+    return [table[sub.generators] for sub in subs]
 
 
 def _sweep_quadratic(n: int, even_part: bool):

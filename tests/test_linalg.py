@@ -220,6 +220,24 @@ def test_argument_check_survives_python_O():
     assert proc.stdout.splitlines() == ["raised ValueError"]
 
 
+_SWEEPS_WITHOUT_NUMPY_MA = """
+import sys
+from symprep.snmod import verify_appendix
+verify_appendix("char2", [8], 2)
+verify_appendix("charnot2", [5], 3)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sweeps_do_not_import_numpy_ma():
+    """kernel finds its free columns without np.unique, which imports numpy.ma."""
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    proc = subprocess.run([sys.executable, "-c", _SWEEPS_WITHOUT_NUMPY_MA],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
+
+
 def test_quotient_action_functorial():
     """Composing then quotienting equals quotienting then composing."""
     rng = np.random.default_rng(31)

@@ -403,6 +403,58 @@ def test_tabloid_perm_rejects_non_tabloid_code():
         snmod._tabloid_perm(words[:-1], codes[:-1], 2, pm.transposition(7, 0, 6))
 
 
+@pytest.mark.parametrize("lam", [lam for n in range(2, 10) for lam in p_regular_partitions(n, 2)]
+                         + [(3, 2, 2, 1)])
+def test_polytabloid_terms_lookup_matches_binary_search(monkeypatch, lam):
+    from symprep import snmod
+
+    _, codes = snmod._tabloid_words(lam)
+    tableaux = standard_tableaux(lam)
+    assert snmod._code_index(codes, len(lam), sum(lam)) is not None
+    terms, signs = snmod._polytabloid_terms(lam, tableaux, codes)
+    # no table fits in zero slots, so this lookup goes through searchsorted
+    monkeypatch.setattr(snmod, "_INDEX_SLOTS", 0)
+    assert snmod._code_index(codes, len(lam), sum(lam)) is None
+    ref_terms, ref_signs = snmod._polytabloid_terms(lam, tableaux, codes)
+    assert terms.dtype == ref_terms.dtype == np.int32
+    assert np.array_equal(terms, ref_terms) and np.array_equal(signs, ref_signs)
+
+
+@pytest.mark.parametrize("slots", [None, 0])
+def test_polytabloid_term_aliasing_a_tabloid_in_the_low_digits_fails(monkeypatch, slots):
+    from symprep import snmod
+
+    if slots is not None:
+        monkeypatch.setattr(snmod, "_INDEX_SLOTS", slots)
+    _, codes = snmod._tabloid_words((2, 2))
+    # the filling puts entry 1 in both cells of row 1, so its first term has
+    # row word (0, 0, 1, 0), code 4: not a (2, 2) tabloid, but its low three
+    # digits are those of the tabloid (0, 0, 1, 1), code 12
+    assert 4 not in codes and 12 in codes and 4 % 2**3 == 12 % 2**3
+    with pytest.raises(CheckFailed, match="polytabloid term is not a tabloid"):
+        snmod._polytabloid_terms((2, 2), [((0, 2), (1, 1))], codes)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_witness_table_matches_each_chain_on_its_own(n):
+    from symprep import snmod
+
+    for lam in p_regular_partitions(n, 2):
+        for alt in (False, True):
+            subs = snmod._mixed_subgroups(n, alt)
+            assert snmod._quadratic_witnesses(lam, subs) == snmod._decide_witnesses(lam, subs)
+
+
+def test_quadratic_twins_build_one_witness_table_per_partition():
+    from symprep import snmod
+
+    snmod._witness_table.cache_clear()
+    verify_appendix("char2", [9], 2)
+    verify_appendix("char2_alt", [9], 2)
+    info = snmod._witness_table.cache_info()
+    assert info.misses == len(p_regular_partitions(9, 2)) == info.hits
+
+
 _CORRUPT_TABLOID_MAPS = """
 import sys
 import numpy as np
