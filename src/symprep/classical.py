@@ -16,10 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import require
+from .checks import CheckFailed, require
 from .field import GF, make_field
 from .forms import FormSpec, preserves_form, unipotent_constraints
-from .linalg import Mat
+from .linalg import Mat, add, det, entries, matmul, neg
 
 FAMILIES = ("SL", "Sp", "SOeven", "SOodd")
 
@@ -110,19 +110,19 @@ def make_classical(family: str, m: int, q: int, allow_nonstandard: bool = False)
                          f"SO_{n}(F_{q})")
 
 
-def group_membership(mat: Mat, spec: ClassicalSpec) -> bool:
-    """Defining conditions: det 1 for SL and SO, form preservation for Sp and SO."""
-    if mat.shape != (spec.dim, spec.dim):
-        raise ValueError(f"matrix size {mat.shape} does not fit {spec.label}")
-    if mat.field != spec.field:
-        raise ValueError("matrix field does not match the group field")
+def group_membership(mats, spec: ClassicalSpec):
+    """Defining conditions, one verdict per matrix of `mats` (one Mat or an
+    encoded stack of shape (..., d, d)): det 1 for SL and SO, form
+    preservation for Sp and SO."""
+    a = entries(mats, spec.field)
+    if a.shape[-2:] != (spec.dim, spec.dim):
+        raise ValueError(f"matrix size {a.shape[-2:]} does not fit {spec.label}")
     if spec.family == "SL":
-        return mat.det() == 1
-    if not preserves_form(mat, spec.form):
-        return False
-    if spec.family in ("SOeven", "SOodd") and mat.det() != 1:
-        return False
-    return True
+        return det(spec.field, a) == 1
+    ok = preserves_form(a, spec.form)
+    if spec.family != "Sp":
+        ok &= det(spec.field, a) == 1
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +136,13 @@ class RootElement:
     matrix: Mat
 
 
-def _trivial_on_flag(mat: Mat, w: int) -> bool:
-    """Is the matrix of the shape [[I, *], [0, I]] for the leading w coordinates?"""
-    a = mat.a
-    n = mat.rows
-    return (np.array_equal(a[:w, :w], np.eye(w, dtype=np.int64))
-            and not a[w:, :w].any()
-            and np.array_equal(a[w:, w:], np.eye(n - w, dtype=np.int64)))
+def _trivial_on_flag(mats, w: int):
+    """Is each matrix of the shape [[I, *], [0, I]] for the leading w
+    coordinates?  One verdict per matrix of a Mat or an encoded stack."""
+    a = entries(mats)
+    off = a != np.eye(a.shape[-1], dtype=np.int64)
+    off[..., :w, w:] = False  # the block * is free
+    return ~off.any(axis=(-2, -1))
 
 
 def _root_positions(spec: ClassicalSpec):
@@ -172,29 +172,37 @@ def _root_positions(spec: ClassicalSpec):
     return out
 
 
+def _require_each(ok, keys: list, failure: str) -> None:
+    """Raise CheckFailed naming the first root element (label, t) of `keys`
+    whose verdict is false; a single verdict stands for every element."""
+    ok = np.broadcast_to(ok, (len(keys),))
+    if not ok.all():
+        label, t = keys[int(np.argmin(ok))]
+        raise CheckFailed(f"root element {label} (t={t}) {failure}")
+
+
 def ug_generators(spec: ClassicalSpec) -> list[RootElement]:
     """Root elements I + t X spanning the unipotent overlap, one per root per
-    F_p-basis scalar t of F_q; each is checked to be square-zero unipotent, a
-    group member, and trivial on W and V/W."""
-    fld = spec.field
-    scalars = [fld.p ** k for k in range(fld.r)]  # encodings of 1, x, x^2, ...
-    out = []
-    ident = Mat.identity(fld, spec.dim)
-    for label, positions in _root_positions(spec):
-        for t in scalars:
-            x = np.zeros((spec.dim, spec.dim), dtype=np.int64)
-            for row, col, sgn in positions:
-                x[row, col] = t if sgn == 1 else fld.neg(t)
-            mat = ident + Mat(fld, x)
-            nil = mat - ident
-            require((nil @ nil) == Mat.zeros(fld, spec.dim, spec.dim),
-                    f"root {label} is not square-zero")
-            require(group_membership(mat, spec),
-                    f"root element {label} (t={t}) fails membership in {spec.label}")
-            require(_trivial_on_flag(mat, spec.w_size),
-                    f"root {label} does not act trivially on W and V/W")
-            out.append(RootElement(label=label, t=t, matrix=mat))
-    return out
+    F_p-basis scalar t of F_q.  They are built and checked as one stack: each
+    must be square-zero unipotent, a group member, and trivial on W and V/W."""
+    fld, d = spec.field, spec.dim
+    scalars = fld.p ** np.arange(fld.r, dtype=np.int64)  # encodings of 1, x, x^2, ...
+    signed = {1: scalars, -1: neg(fld, scalars)}
+    roots = _root_positions(spec)
+    x = np.zeros((len(roots), fld.r, d, d), dtype=np.int64)
+    for i, (_, positions) in enumerate(roots):
+        for row, col, sgn in positions:
+            x[i, :, row, col] = signed[sgn]
+    ident = np.eye(d, dtype=np.int64)
+    mats = add(fld, x.reshape(-1, d, d), ident)
+    keys = [(label, int(t)) for label, _ in roots for t in scalars]
+    nil = add(fld, mats, neg(fld, ident))
+    _require_each(~matmul(fld, nil, nil).any(axis=(-2, -1)), keys, "is not square-zero")
+    _require_each(group_membership(mats, spec), keys, f"fails membership in {spec.label}")
+    _require_each(_trivial_on_flag(mats, spec.w_size), keys,
+                  "does not act trivially on W and V/W")
+    return [RootElement(label=label, t=t, matrix=Mat._of(fld, m))
+            for (label, t), m in zip(keys, mats)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +225,6 @@ def closed_form_dim(family: str, m: int) -> int:
     return m * (m - 1) // 2
 
 
-def _phi_vector(mat: Mat, w: int) -> np.ndarray:
-    """Row-major flattening of the upper-right block, matching the constraint
-    system's unknown order."""
-    return mat.a[:w, w:].reshape(-1)
-
-
 def intersection_dim(spec: ClassicalSpec) -> IntersectionResult:
     """dim over F_q of {unipotent I + phi in the group trivial on W and V/W}.
 
@@ -241,7 +243,8 @@ def intersection_dim(spec: ClassicalSpec) -> IntersectionResult:
         cons = unipotent_constraints(spec.form, w)
         computed = cons.cols - cons.rank()
     roots = ug_generators(spec)
-    vecs = np.array([_phi_vector(r.matrix, w) for r in roots], dtype=np.int64)
+    # the upper-right blocks, row-major: the constraint system's unknown order
+    vecs = np.stack([r.matrix.a for r in roots])[:, :w, w:].reshape(len(roots), nunk)
     if cons.rows:
         residual = cons @ Mat(fld, vecs.T)
         require(residual == Mat.zeros(fld, cons.rows, vecs.shape[0]),

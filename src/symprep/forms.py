@@ -14,7 +14,7 @@ import numpy as np
 
 # mm_modp stays importable from here: the layer trace in perfbench/layers.py
 # wraps it by module
-from .linalg import Mat, add, matmul, mm_modp  # noqa: F401
+from .linalg import Mat, add, entries, matmul, mm_modp  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,17 @@ def quad_value(form: FormSpec, v) -> int:
     return int(_sandwich(form.gram.field, v, _quad_matrix(form), v.T)[0, 0])
 
 
-def preserves_form(m: Mat, form: FormSpec) -> bool:
-    if (m.T @ form.gram @ m) != form.gram:
-        return False
+def preserves_form(m, form: FormSpec):
+    """Does each matrix preserve the form?  `m` is one Mat or an encoded
+    stack of shape (..., d, d); the verdicts have shape (...)."""
+    f = form.gram.field
+    a = entries(m, f)
+    at = np.swapaxes(a, -1, -2)
+    ok = (_sandwich(f, at, form.gram.a, a) == form.gram.a).all(axis=(-2, -1))
     if form.kind == "quadratic_char2":
-        q = _sandwich(m.field, m.a.T, _quad_matrix(form), m.a)
-        return bool(np.array_equal(np.diag(q), form.quad_diag))
-    return True
+        q = np.diagonal(_sandwich(f, at, _quad_matrix(form), a), axis1=-2, axis2=-1)
+        ok &= (q == form.quad_diag).all(axis=-1)
+    return ok
 
 
 def is_isotropic(form: FormSpec, rows) -> bool:

@@ -2,14 +2,16 @@
 
 Matrices are numpy int64 arrays of canonical element encodings, and every
 field shares one vectorized path: the encoded-array operations `add`,
-`neg`, `mul`, `sub_mul` and `matmul`.  Over a prime field each is the plain
-mod-p expression, and `mm_modp` sends large products through float64 BLAS.
-Over GF(p^r), r > 1, an array is split into its r base-p digit planes;
-plane products run through `mm_modp` and the degrees r..2r-2 fold back with
-the field's reduction rows.  A GF(2) matrix may keep its rows bit-packed
-instead, 64 columns to a uint64 word: large GF(2) `Mat` products use the
-Four-Russians table product on the words, and sums, equality and
-elimination work on the words too.
+`neg`, `mul`, `inv`, `sub_mul`, `matmul` and `det`.  Each takes leading
+stack axes, so a batch of matrices is one array of shape (..., n, n) and one
+call.  Over a prime field each is the plain mod-p expression, and `mm_modp`
+sends large products through float64 BLAS.  Over GF(p^r), r > 1, an array
+is split into its r base-p digit planes; plane products run through the
+same mod-p product and the degrees r..2r-2 fold back with the field's
+reduction rows.  A GF(2) matrix may keep its rows bit-packed instead, 64
+columns to a uint64 word: large GF(2) `Mat` products use the Four-Russians
+table product on the words, and sums, equality and elimination work on the
+words too.
 
 All reduced row echelon forms are canonical: leading coefficient 1, pivot
 columns cleared, rows ordered by pivot.  Two subspaces are equal iff their
@@ -18,6 +20,8 @@ reproducible.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -45,17 +49,23 @@ def _as_array(a) -> np.ndarray:
 
 
 def mm_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact matmul of canonical mod-p arrays."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2, f"shape mismatch {a.shape} @ {b.shape}"
+    """Exact matmul of canonical mod-p arrays; leading axes are stacks,
+    broadcast as in np.matmul."""
+    k, m = a.shape[-1], b.shape[-1]
+    assert k == b.shape[-2], f"shape mismatch {a.shape} @ {b.shape}"
     if k == 0:
-        return np.zeros((n, m), dtype=np.int64)
+        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        return np.zeros(stack + (a.shape[-2], m), dtype=np.int64)
     require((p - 1) * (p - 1) * k < _FLOAT_EXACT, "mod-p product would leave exact float range")
-    if n * k * m >= _LARGE_MACS:
+    if a.size * m >= _LARGE_MACS:  # n·k·m, times the stack that a carries
         c = a.astype(np.float64) @ b.astype(np.float64)
         return np.rint(c).astype(np.int64) % p
     return (a @ b) % p
+
+
+# The layer trace in perfbench/layers.py wraps the name mm_modp and counts
+# its calls from 2-D shapes, so products of stacks go through this one.
+_mm_stacks = mm_modp
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +82,15 @@ def _planes(f: GF, a) -> np.ndarray:
 def _join(f: GF, planes: np.ndarray) -> np.ndarray:
     """Encoded array from coefficient planes of degree below 2r - 1."""
     low = planes[: f.r]
-    if planes.shape[0] > f.r:
+    high = planes[f.r:]
+    if high.shape[0]:
         fold = np.array(f._reduce_rows, dtype=np.int64).T  # x^(r+k) -> column k
-        low = low + np.tensordot(fold, planes[f.r:], 1)
-    return np.tensordot(f.p ** np.arange(f.r, dtype=np.int64), low % f.p, 1)
+        low = low + (fold @ high.reshape(high.shape[0], -1)).reshape(low.shape)
+    low = low % f.p
+    out = low[-1]
+    for plane in low[-2::-1]:  # Horner in x = p over the digits
+        out = out * f.p + plane
+    return out
 
 
 def add(f: GF, a, b) -> np.ndarray:
@@ -84,7 +99,8 @@ def add(f: GF, a, b) -> np.ndarray:
         return a ^ b
     if f.r == 1:
         return (a + b) % f.p
-    return _join(f, _planes(f, a) + _planes(f, b))
+    da, db = (_planes(f, x) for x in np.broadcast_arrays(a, b))
+    return _join(f, da + db)
 
 
 def neg(f: GF, a) -> np.ndarray:
@@ -107,6 +123,30 @@ def mul(f: GF, a, b) -> np.ndarray:
     return _join(f, prod)
 
 
+@functools.lru_cache(maxsize=None)
+def _inv_table(p: int) -> np.ndarray:
+    table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def inv(f: GF, a) -> np.ndarray:
+    """Entrywise inverse of an encoded array; a zero entry raises
+    ZeroDivisionError, as `GF.inv` does."""
+    a = np.asarray(a, dtype=np.int64)
+    if not a.all():
+        raise ZeroDivisionError(f"0 has no inverse in GF({f.q})")
+    if f.r == 1:
+        return _inv_table(f.p)[a]
+    out, e = np.ones_like(a), f.q - 2  # a^(q-2) = 1/a, by square-and-multiply
+    while e:
+        if e & 1:
+            out = mul(f, out, a)
+        a = mul(f, a, a)
+        e >>= 1
+    return out
+
+
 def sub_mul(f: GF, a, x, y) -> np.ndarray:
     """Entrywise a - x·y, with numpy broadcasting: one elimination step.
 
@@ -118,19 +158,56 @@ def sub_mul(f: GF, a, x, y) -> np.ndarray:
 
 
 def matmul(f: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of encoded 2-D arrays."""
+    """Matrix product of encoded arrays; leading axes are stacks, broadcast
+    as in np.matmul."""
+    mm = mm_modp if a.ndim == b.ndim == 2 else _mm_stacks
     if f.r == 1:
-        return mm_modp(a, b, f.p)
-    r, (n, k), m = f.r, a.shape, b.shape[1]
+        return mm(a, b, f.p)
+    r, (n, k), m = f.r, a.shape[-2:], b.shape[-1]
     # block (i, j) of [A_0; ..; A_r-1] @ [B_0 | .. | B_r-1] is A_i @ B_j,
     # the coefficient of x^(i+j)
-    blocks = mm_modp(_planes(f, a).reshape(r * n, k),
-                     _planes(f, b).transpose(1, 0, 2).reshape(k, r * m), f.p)
-    blocks = blocks.reshape(r, n, r, m)
-    prod = np.zeros((2 * r - 1, n, m), dtype=np.int64)
+    pa = np.moveaxis(_planes(f, a), 0, -3)
+    pb = np.moveaxis(_planes(f, b), 0, -2)
+    blocks = mm(pa.reshape(pa.shape[:-3] + (r * n, k)),
+                pb.reshape(pb.shape[:-3] + (k, r * m)), f.p)
+    blocks = blocks.reshape(blocks.shape[:-2] + (r, n, r, m))
+    prod = np.zeros((2 * r - 1,) + blocks.shape[:-4] + (n, m), dtype=np.int64)
     for i in range(r):
-        prod[i:i + r] += blocks[i].transpose(1, 0, 2)
+        prod[i:i + r] += np.moveaxis(blocks[..., i, :, :, :], -2, 0)
     return _join(f, prod)
+
+
+def det(f: GF, stack) -> np.ndarray:
+    """Determinants of square encoded matrices, shape (..., n, n) -> (...).
+
+    Gaussian elimination with first-nonzero pivoting, one column at a time
+    across the whole stack: the determinant is the product of the pivots,
+    negated once per row swap.  A matrix with no pivot in a column takes a
+    zero pivot there, so its product is 0.
+    """
+    a = np.asarray(stack, dtype=np.int64) % f.q  # a fresh array, eliminated in place
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.shape[-1]
+    shape = a.shape[:-2]
+    a = a.reshape((int(np.prod(shape)), n, n))
+    mats = np.arange(a.shape[0])
+    out = np.ones(a.shape[0], dtype=np.int64)
+    for c in range(n):
+        pr = c + np.argmax(a[:, c:, c] != 0, axis=1)
+        swap = pr != c
+        if swap.any():
+            top = a[:, c].copy()
+            a[:, c] = a[mats, pr]
+            a[mats, pr] = top
+            out = np.where(swap, neg(f, out), out)
+        piv = a[:, c, c]
+        out = mul(f, out, piv)
+        below = a[:, c + 1:, c]
+        if below.any():  # a zero pivot has only zeros below it
+            coef = mul(f, below, inv(f, np.where(piv == 0, 1, piv))[:, None])
+            a[:, c + 1:, c:] = sub_mul(f, a[:, c + 1:, c:], coef[:, :, None], a[:, None, c, c:])
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +301,8 @@ def _rref_packed(w: np.ndarray, cols: int):
 # generic elimination
 
 
-def _rref_generic(a: np.ndarray, f: GF, steps: list | None = None):
-    """RREF of an encoded array (copy); returns (array, pivot list).
-
-    Each pivot appends (rows swapped, pivot entry before scaling) to `steps`
-    if given: the determinant is the product of those entries, each negated
-    where rows were swapped.
-    """
+def _rref_generic(a: np.ndarray, f: GF):
+    """RREF of an encoded array (copy); returns (array, pivot list)."""
     a = a % f.q
     rows, cols = a.shape
     pivots = []
@@ -244,8 +316,6 @@ def _rref_generic(a: np.ndarray, f: GF, steps: list | None = None):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        if steps is not None:
-            steps.append((pr != r, int(a[r, c])))
         inv = f.inv(int(a[r, c]))
         if inv != 1:
             a[r] = mul(f, a[r], inv)
@@ -465,17 +535,7 @@ class Mat:
         return Mat._of(f, out[:, n:])
 
     def det(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        f = self.field
-        steps = []
-        _, piv = _rref_generic(self.a, f, steps)
-        if len(piv) < self.rows:
-            return 0
-        det = 1
-        for swapped, x in steps:
-            det = f.mul(det, f.neg(x) if swapped else x)
-        return det
+        return int(det(self.field, self.a))
 
     # -- protocol ----------------------------------------------------------
 
@@ -499,6 +559,16 @@ class Mat:
 
     def tolist(self):
         return [[int(x) for x in row] for row in self.a]
+
+
+def entries(m, field: GF | None = None) -> np.ndarray:
+    """The encoded entries of a Mat, checked to lie over `field` if given, or
+    an encoded array (a stack of matrices, say) as it is."""
+    if not isinstance(m, Mat):
+        return np.asarray(m, dtype=np.int64)
+    if field is not None and m.field != field:
+        raise ValueError(f"mismatched fields: {m.field} vs {field}")
+    return m.a
 
 
 # ---------------------------------------------------------------------------

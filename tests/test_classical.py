@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import symprep
+from symprep import classical
 from symprep.classical import (closed_form_dim, field_from_order,
                                grid_points, grid_rows, group_membership,
                                intersection_dim, make_classical, rp_reference,
@@ -160,3 +161,64 @@ def test_intersection_certification_survives_python_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["CheckFailed True"] * 5
+
+
+# One bad root planted among the real ones of each spec; each batched check
+# must name it, run under -O.
+_PLANTED_ROOT = """
+import sys
+from symprep import classical
+if not sys.flags.optimize:
+    sys.exit(3)
+real = classical._root_positions
+cases = [("SL", 4, 9, [(2, 0, 1)], "act trivially"),
+         ("Sp", 2, 9, [(0, 2, 1), (1, 3, -1)], "membership"),
+         ("SOodd", 3, 25, [(0, 0, 1)], "square-zero")]
+for family, m, q, positions, words in cases:
+    classical._root_positions = lambda spec: real(spec)[:1] + [("planted", positions)] + real(spec)[1:]
+    try:
+        classical.intersection_dim(classical.make_classical(family, m, q))
+    except AssertionError as exc:
+        print(type(exc).__name__, words in str(exc), "root element planted (t=1)" in str(exc))
+"""
+
+
+def test_planted_bad_root_is_named_under_python_O():
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _PLANTED_ROOT],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["CheckFailed True True"] * 3
+
+
+def test_stacked_verdicts_match_single_matrices():
+    """A stack gets one verdict per matrix, the verdict each matrix gets
+    alone; the swap v_1 <-> v_{-1} fails on det -1 or on the form in odd
+    characteristic, and is in SO_8(F_4)."""
+    rng = np.random.default_rng(3)
+    for family, m, q in (("SL", 4, 9), ("Sp", 2, 9), ("SOeven", 4, 4), ("SOodd", 2, 25)):
+        spec = make_classical(family, m, q)
+        f, d = spec.field, spec.dim
+        roots = np.stack([r.matrix.a for r in ug_generators(spec)])
+        swap = list(range(d))  # v_1 <-> v_{-1}: det -1, and form-preserving in SO
+        last = d - 1 if family == "SL" else 2 * m - 1
+        swap[0], swap[last] = last, 0
+        reflection = np.eye(d, dtype=np.int64)[swap]
+        stack = np.concatenate([roots, rng.integers(0, q, size=(4, d, d)),
+                                roots[:1].swapaxes(1, 2), reflection[None],
+                                np.eye(d, dtype=np.int64)[None]])
+        member = group_membership(stack, spec)
+        assert member.tolist() == [bool(group_membership(Mat(f, a), spec)) for a in stack]
+        assert member[:len(roots)].all() and member[-1]
+        assert member[-2] == (q % 2 == 0)
+        flag = classical._trivial_on_flag(stack, spec.w_size)
+        assert flag.tolist() == [bool(classical._trivial_on_flag(Mat(f, a), spec.w_size))
+                                 for a in stack]
+        assert flag[:len(roots)].all() and not flag[len(roots) + 4]
+
+
+@pytest.mark.parametrize("point", [("Sp", 3, 9), ("SOodd", 3, 9), ("SOeven", 4, 9),
+                                   ("SL", 5, 27), ("SOodd", 3, 25)], ids=str)
+def test_odd_extension_points_match(point):
+    res = intersection_dim(make_classical(*point))
+    assert res.match and res.span_dim == res.computed

@@ -10,8 +10,9 @@ import pytest
 
 import symprep
 from symprep.field import make_field
-from symprep.linalg import (Mat, Subspace, joint_fixed_space, kernel, mm_gf2, mm_modp,
-                            pack_rows, quotient_action, radical_of_form, rref, solve)
+from symprep.linalg import (Mat, Subspace, add, det, inv, joint_fixed_space, kernel, matmul,
+                            mm_gf2, mm_modp, mul, neg, pack_rows, quotient_action,
+                            radical_of_form, rref, solve)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -508,3 +509,71 @@ def test_extension_large_product_matches_scalar_reference(f):
     assert n * k * m >= SWITCH
     a, b = random_mat(f, n, k, rng), random_mat(f, k, m, rng)
     assert np.array_equal((a @ b).a, _ref_matmul(f, a.a, b.a))
+
+
+# ---------------------------------------------------------------------------
+# stacks: leading axes run the same path as one matrix
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 5, 61])
+def test_array_inverse_matches_scalar(q):
+    f = make_field(*{4: (2, 2), 8: (2, 3), 9: (3, 2), 25: (5, 2), 27: (3, 3)}.get(q, (q, 1)))
+    nonzero = np.arange(1, f.q).reshape(-1, 1)
+    assert inv(f, nonzero).ravel().tolist() == [f.inv(x) for x in range(1, f.q)]
+    with pytest.raises(ZeroDivisionError):
+        inv(f, np.array([1, 0]))
+
+
+def _det_stack(f, rng, n=4):
+    """Random matrices beside singular ones, ones whose first pivot needs a
+    row swap, and the identity."""
+    mats = [rng.integers(0, f.q, size=(n, n)) for _ in range(6)]
+    low = rng.integers(0, f.q, size=(n, n))
+    low[-1] = low[0]  # a repeated row
+    swap = rng.integers(0, f.q, size=(n, n))
+    swap[:2, 0] = 0  # the first two rows have no pivot in column 0
+    swap[2, 0] = 1
+    zero_col = rng.integers(0, f.q, size=(n, n))
+    zero_col[:, 1] = 0
+    return np.stack(mats + [low, swap, zero_col, np.eye(n, dtype=np.int64),
+                            np.zeros((n, n), dtype=np.int64)])
+
+
+@pytest.mark.parametrize("f", [GF2, GF5, GF4, GF9, make_field(3, 3)],
+                         ids=lambda f: f"GF{f.q}")
+def test_stacked_det_matches_reference(f):
+    rng = np.random.default_rng(70 + f.q)
+    for n in (3, 5):
+        stack = _det_stack(f, rng, n)
+        dets = det(f, stack)
+        assert dets.shape == (stack.shape[0],)
+        assert dets.tolist() == [_ref_det(f, m) for m in stack]
+        assert 0 in dets.tolist() and det(f, stack[-2]) == 1
+        assert np.array_equal(det(f, stack[:10].reshape(2, 5, n, n)), dets[:10].reshape(2, 5))
+    ones = rng.integers(0, f.q, size=(6, 1, 1))
+    assert det(f, ones).tolist() == ones.ravel().tolist()
+    assert det(f, np.zeros((2, 0, 0), dtype=np.int64)).tolist() == [1, 1]
+    assert Mat.zeros(f, 0, 0).det() == 1
+    for bad in (np.zeros((2, 3, 4), dtype=np.int64), np.zeros(3, dtype=np.int64)):
+        with pytest.raises(ValueError):
+            det(f, bad)
+
+
+@pytest.mark.parametrize("f", [GF2, GF5, GF4, GF9, make_field(3, 3)],
+                         ids=lambda f: f"GF{f.q}")
+def test_stacked_ops_match_per_slice(f):
+    """Stacked matmul, add, neg and mul equal their per-slice results, with a
+    plain matrix broadcast against the stack; a stack as long as the field's
+    degree must not be read as its digit planes."""
+    rng = np.random.default_rng(90 + f.q)
+    for size in (2, 3, 7):
+        a = rng.integers(0, f.q, size=(size, 4, 5))
+        b = rng.integers(0, f.q, size=(size, 5, 3))
+        c = rng.integers(0, f.q, size=(5, 3))
+        e = rng.integers(0, f.q, size=(4, 5))
+        assert np.array_equal(matmul(f, a, b), [matmul(f, x, y) for x, y in zip(a, b)])
+        assert np.array_equal(matmul(f, a, c), [matmul(f, x, c) for x in a])
+        assert np.array_equal(matmul(f, e, b), [matmul(f, e, y) for y in b])
+        assert np.array_equal(add(f, a, e), [add(f, x, e) for x in a])
+        assert np.array_equal(mul(f, a, e), [mul(f, x, e) for x in a])
+        assert np.array_equal(neg(f, a), [neg(f, x) for x in a])
