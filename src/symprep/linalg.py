@@ -444,6 +444,14 @@ class Mat:
             return Mat.from_words(self.field, self._w[idx], self.cols)
         return Mat._of(self.field, self._a[idx])
 
+    def take_cols(self, idx) -> "Mat":
+        """The columns at `idx`, in that order."""
+        idx = list(idx)
+        if self._a is None:
+            bits = _unpack_bits(self._w, self.cols)[:, idx]
+            return Mat.from_words(self.field, pack_rows(bits), len(idx))
+        return Mat._of(self.field, self._a[:, idx])
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -628,23 +636,6 @@ class Subspace:
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
 
-    def contains_space(self, other: "Subspace") -> bool:
-        if other.ambient != self.ambient:
-            raise ValueError(f"subspaces of dimensions {other.ambient} and {self.ambient}")
-        return all(self.contains(row) for row in other.basis)
-
-    def coefficients(self, v) -> np.ndarray:
-        """Coordinates of v in the canonical basis; raises if v is outside."""
-        v = np.asarray(v, dtype=np.int64) % self.field.q
-        if self.reduce(v).any():
-            raise ValueError("vector not in subspace")
-        return v[list(self.pivots)]
-
-    def complement_cols(self):
-        """Non-pivot columns in increasing order: coordinates of the quotient."""
-        pv = set(self.pivots)
-        return tuple(c for c in range(self.ambient) if c not in pv)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -705,51 +696,55 @@ def solve(m: Mat, b) -> np.ndarray | None:
     return x
 
 
-def joint_fixed_space(mats: list[Mat]) -> Subspace:
-    """Common fixed space of a list of square matrices over one field."""
+def _square_family(mats: list[Mat]):
+    """(field, n) of n x n matrices over one field; ValueError otherwise."""
+    f, n = mats[0].field, mats[0].rows
+    if any(g.field != f or g.shape != (n, n) for g in mats):
+        raise ValueError("matrices must be square, same size, same field")
+    return f, n
+
+
+def stacked_minus_identity(mats: list[Mat]) -> Mat:
+    """The matrices g - 1 stacked top to bottom, packed over GF(2): its
+    kernel is the common fixed space of the list."""
     if not mats:
         raise ValueError("need at least one matrix")
-    f = mats[0].field
-    n = mats[0].rows
-    for g in mats:
-        if g.field != f or g.shape != (n, n):
-            raise ValueError("matrices must be square, same size, same field")
+    f, n = _square_family(mats)
     if f.is_gf2:
         ident = _identity_words(n)
-        stacked = Mat.from_words(f, np.vstack([g.words ^ ident for g in mats]), n)
-    else:
-        ident = Mat.identity(f, n)
-        stacked = Mat._of(f, np.vstack([(g - ident).a for g in mats]))
-    return kernel(stacked)
+        return Mat.from_words(f, np.vstack([g.words ^ ident for g in mats]), n)
+    ident = Mat.identity(f, n)
+    return Mat._of(f, np.vstack([(g - ident).a for g in mats]))
 
 
-def quotient_action(mats: list[Mat], s: Subspace) -> list[Mat]:
-    """Induced action on V/S in the complement-coordinate basis.
+def joint_fixed_space(mats: list[Mat]) -> Subspace:
+    """Common fixed space of a list of square matrices over one field."""
+    return kernel(stacked_minus_identity(mats))
 
-    Every matrix must map S into itself (checked); the quotient basis is
-    the set of non-pivot columns of S in increasing order.  Since the basis
-    B is in RREF, a batch of columns X reduces mod S to X - Bᵀ·X[pivots], so
-    the checked image is g·Bᵀ = Bᵀ·(g·Bᵀ)[pivots], and the quotient matrix
-    is g[comp, comp] - B[:, comp]ᵀ·g[pivots, comp], all matrix products.
+
+def quotient_action(mats: list[Mat], x: Mat) -> list[Mat]:
+    """Induced action on V / ker x in the coordinates v -> R·v, R the nonzero
+    rows of the canonical RREF of x.
+
+    R is 1 on its pivot columns, so A_g·R = R·g forces A_g = (R·g)[:, pivots];
+    that equation is checked, and fails with a ValueError exactly when g does
+    not map ker x into itself.
     """
     if not mats:
         return []
-    f = mats[0].field
-    n = mats[0].rows
-    if s.field != f or s.ambient != n:
-        raise ValueError("subspace and matrices live on different spaces")
-    comp = list(s.complement_cols())
-    piv = list(s.pivots)
-    bt = Mat._of(f, s.basis.T)
-    bt_comp = Mat._of(f, s.basis[:, comp].T)
+    f, n = _square_family(mats)
+    if x.field != f or x.cols != n:
+        raise ValueError("map and matrices live on different spaces")
+    red, piv = x.rref()
+    if len(piv) == n:  # ker x = 0 and R = 1
+        return list(mats)
+    r = red.take_rows(slice(0, len(piv)))
     out = []
     for g in mats:
-        imgs = g @ bt
-        if imgs != bt @ imgs.take_rows(piv):
-            raise ValueError("subspace is not invariant under the given action")
-        ga = g.a
-        q = Mat._of(f, ga[np.ix_(comp, comp)])
-        out.append(q - bt_comp @ Mat._of(f, ga[np.ix_(piv, comp)]))
+        rg = r @ g
+        out.append(rg.take_cols(piv))
+        if out[-1] @ r != rg:
+            raise ValueError("kernel is not invariant under the given action")
     return out
 
 

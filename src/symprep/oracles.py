@@ -312,10 +312,7 @@ def validate_norm_rank(seed: int = 0) -> dict:
     cases.append(([mod.act(pm.transposition(3, 0, 1))], "D(2,1)|C_2"))
     results = []
     for mats, label in cases:
-        norm = Mat.identity(fld, mats[0].rows)
-        for m in mats:
-            norm = norm @ snmod._geometric_sum(m, 2)
-        via_norm = norm.rank()
+        via_norm = snmod.norm_operator(fld, mats[0].rows, mats).rank()
         via_search = decompose_small_module(mats, group_order=2 ** len(mats))
         results.append({"label": label, "dim": mats[0].rows,
                         "norm_rank": via_norm, "search_count": via_search,

@@ -22,10 +22,10 @@ import numpy as np
 from . import perm as pm
 from .checks import require
 from .field import GF, make_field
-# mm_modp and rref_array stay importable from here: the layer trace in
-# perfbench/layers.py wraps them by module
-from .linalg import (Mat, Subspace, joint_fixed_space, kernel, mm_modp,  # noqa: F401
-                     pack_rows, quotient_action, rref_array)
+# kernel, mm_modp and rref_array stay importable from here: the layer trace
+# in perfbench/layers.py wraps them by module
+from .linalg import (Mat, joint_fixed_space, kernel, mm_modp,  # noqa: F401
+                     pack_rows, quotient_action, rref_array, stacked_minus_identity)
 from .records import VerificationReport, make_report, run_jobs
 
 MAX_N = 12
@@ -354,20 +354,16 @@ def specht_gram(lam: tuple, p: int) -> Mat:
 
 @functools.lru_cache(maxsize=None)
 def irreducible_D(lam: tuple, p: int) -> GModule:
-    """Quotient of the Specht module by the radical of its bilinear form."""
+    """Quotient of the Specht module by the radical of its bilinear form, the
+    Gram kernel, in the coordinates of the Gram row space (`quotient_action`).
+    A nonsingular Gram matrix keeps the Specht basis and checked generators."""
     lam = check_partition(lam)
     if not is_p_regular(lam, p):
         raise ValueError(f"{lam} is not {p}-regular")
     s = specht_module(lam, p)
-    gram = specht_gram(lam, p)
-    rad = kernel(gram)
-    label = f"D{lam} mod {p}"
-    if rad.dim == 0:
-        return GModule(s.n, s.field, s.gen_actions, label=label, check=False)
-    mats = quotient_action(list(s.gen_actions), rad)
-    mod = GModule(s.n, s.field, tuple(mats), label=label)
-    require(mod.dim == gram.rank(), "quotient dimension disagrees with the Gram rank")
-    return mod
+    mats = quotient_action(list(s.gen_actions), specht_gram(lam, p))
+    return GModule(s.n, s.field, mats, label=f"D{lam} mod {p}",
+                   check=mats[0].rows < s.dim)
 
 
 def basic_spin_restriction(k: int) -> GModule:
@@ -391,15 +387,15 @@ class LoewySeries:
 
 
 def _layers_of_mats(mats: list[Mat]) -> tuple:
-    """Invariants-quotient filtration layer dimensions for commuting p-actions."""
+    """Invariants-quotient filtration layer dimensions for commuting p-actions:
+    each step quotients by the kernel of the stacked g - 1 and loses a layer."""
     layers = []
     while mats[0].rows > 0:
-        fixed = joint_fixed_space(mats)
-        require(fixed.dim > 0, "invariant space of a p-group vanished on a nonzero module")
-        layers.append(fixed.dim)
-        if fixed.dim == mats[0].rows:
-            break
-        mats = quotient_action(mats, fixed)
+        quo = quotient_action(mats, stacked_minus_identity(mats))
+        layer = mats[0].rows - quo[0].rows
+        require(layer > 0, "invariant space of a p-group vanished on a nonzero module")
+        layers.append(layer)
+        mats = quo
     return tuple(layers)
 
 
@@ -427,13 +423,28 @@ def loewy_length(mod: GModule, group: pm.GroupPresentation) -> LoewySeries:
     return series
 
 
-def _geometric_sum(a: Mat, p: int) -> Mat:
-    out = Mat.identity(a.field, a.rows)
-    power = a
-    for _ in range(p - 1):
-        out = out + power
-        power = power @ a
-    return out
+def _check_elementary_abelian(group: pm.GroupPresentation, p: int) -> int:
+    """Rank of an elementary abelian p-group listed by independent generators;
+    ValueError if the group is not one or the list is not independent."""
+    ok, rank = pm.is_elementary_abelian(list(group.generators), p)
+    if not ok:
+        raise ValueError("subgroup is not elementary abelian")
+    if rank != len(group.generators):
+        raise ValueError("listed generators must be independent")
+    return rank
+
+
+def norm_operator(field: GF, dim: int, mats: list[Mat]) -> Mat:
+    """Norm of an elementary abelian p-group on field^dim from the matrices of
+    independent generators: the product of their sums 1 + g + ... + g^(p-1)."""
+    norm = Mat.identity(field, dim)
+    for a in mats:
+        total, power = Mat.identity(field, dim), a
+        for _ in range(field.p - 1):
+            total = total + power
+            power = power @ a
+        norm = norm @ total
+    return norm
 
 
 def free_summand_count(mod: GModule, group: pm.GroupPresentation) -> int:
@@ -443,14 +454,8 @@ def free_summand_count(mod: GModule, group: pm.GroupPresentation) -> int:
     generators, so the norm factors as a product of generator geometric sums.
     """
     p = mod.field.p
-    ok, rank = pm.is_elementary_abelian(list(group.generators), p)
-    if not ok:
-        raise ValueError("subgroup is not elementary abelian")
-    if rank != len(group.generators):
-        raise ValueError("listed generators must be independent")
-    norm = Mat.identity(mod.field, mod.dim)
-    for g in group.generators:
-        norm = norm @ _geometric_sum(mod.act(g), p)
+    rank = _check_elementary_abelian(group, p)
+    norm = norm_operator(mod.field, mod.dim, [mod.act(g) for g in group.generators])
     count = norm.rank()
     require(count * p**rank <= mod.dim, "more free summands than the dimension allows")
     return count
@@ -528,25 +533,17 @@ def fingerprint_of_mats(mats: list[Mat], field: GF,
                         nxt.append(y)
             frontier = nxt
         require(len(seen) == p ** len(mats), "generator matrices are not independent")
-    norm = ident
-    for a in mats:
-        norm = norm @ _geometric_sum(a, p)
     return Fingerprint(
         dim=dim,
         layers=_layers_of_mats(list(mats)),
-        free_count=norm.rank(),
+        free_count=norm_operator(field, dim, mats).rank(),
         gen_fixed_dims=tuple(joint_fixed_space([a]).dim for a in mats),
     )
 
 
 def fingerprint(mod: GModule, group: pm.GroupPresentation) -> Fingerprint:
     """Fingerprint of the module restricted to an elementary abelian subgroup."""
-    p = mod.field.p
-    ok, rank = pm.is_elementary_abelian(list(group.generators), p)
-    if not ok:
-        raise ValueError("subgroup is not elementary abelian")
-    if rank != len(group.generators):
-        raise ValueError("listed generators must be independent")
+    _check_elementary_abelian(group, mod.field.p)
     if mod.dim == 0:
         return Fingerprint(0, (), 0, ())
     mats = [mod.act(g) for g in group.generators]

@@ -291,3 +291,26 @@ def test_cli_table_rp_and_dump_grid_same_bytes(fmt, capsys):
     table = capsys.readouterr().out
     assert cli.main(["dump", "grid", "--format", fmt]) == 0
     assert capsys.readouterr().out == table
+
+
+_LAYER_TRACE = """
+import layers
+from symprep.snmod import verify_appendix
+trace = layers.Trace()
+layers.install(trace)
+reports = verify_appendix("char2", [8], 2)
+_, calls = trace.totals()
+print(len(reports), [r.status for r in reports], calls["linalg.quotient"] > 0)
+"""
+
+
+def test_layer_trace_installs_and_sees_the_quotient():
+    """perfbench/layers.py still finds every name it wraps, and a traced
+    quadratic sweep passes with its Loewy steps inside linalg.quotient."""
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    bench = os.path.join(os.path.dirname(src), "perfbench")
+    proc = subprocess.run([sys.executable, "-c", _LAYER_TRACE],
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, bench])),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "['pass']", "True"]
