@@ -9,18 +9,8 @@ from .classical import (grid_points, grid_rows, intersection_dim,
 from .dickson import (check_invariance, diagonal_rep, dickson_form,
                       lagrangian_pair, parabolic_trivial_subgroup, perm_irrep,
                       siegel_unipotent_dim)
-from .field import GF, FieldElement, make_field
-from .linalg import (
-    GF2,
-    Mat,
-    Subspace,
-    joint_fixed_space,
-    kernel,
-    quotient_action,
-    radical_of_form,
-    rref,
-    solve,
-)
+from .field import GF, make_field
+from .linalg import GF2, Mat, Subspace, joint_fixed_space, kernel, quotient_action
 from .records import SuiteConfig, VerificationReport, make_report
 from .snmod import (GModule, LoewySeries, basic_spin_restriction,
                     cyclic_profile, fingerprint, free_summand_count,
@@ -33,16 +23,12 @@ __version__ = "0.1.0"
 __all__ = [
     "GF",
     "GF2",
-    "FieldElement",
     "make_field",
     "Mat",
     "Subspace",
-    "rref",
     "kernel",
-    "solve",
     "joint_fixed_space",
     "quotient_action",
-    "radical_of_form",
     "perm_irrep",
     "dickson_form",
     "check_invariance",

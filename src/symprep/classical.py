@@ -47,7 +47,6 @@ class ClassicalSpec:
     dim: int
     form: Optional[FormSpec]
     w_size: int
-    nonstandard: bool
     label: str
 
 
@@ -55,30 +54,28 @@ def _flip(m: int) -> np.ndarray:
     return np.eye(m, dtype=np.int64)[::-1].copy()
 
 
-def make_classical(family: str, m: int, q: int, allow_nonstandard: bool = False) -> ClassicalSpec:
+def make_classical(family: str, m: int, q: int) -> ClassicalSpec:
     """Standard representation of SL_m, Sp_2m, SO_2m or SO_{2m+1} over F_q.
 
-    SOeven below rank 4 (and SOodd/Sp below rank 2) fall outside the range
-    the closed-form dimension statements are made for; such specs are only
-    built when allow_nonstandard is set and carry nonstandard=True.
+    Only the range the closed-form dimension statements are made for is
+    built: rank at least 2, and at least 4 for SOeven.  Any other rank, an
+    unknown family, a q that is not a prime power and SOodd in
+    characteristic 2 raise ValueError.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     fld = field_from_order(q)
     p = fld.p
-    nonstandard = m < (4 if family == "SOeven" else 2)
     if m < 2:
         raise ValueError("rank parameter must be at least 2")
-    if nonstandard and not allow_nonstandard:
-        raise ValueError(f"{family} with m={m} is outside the standard range; "
-                         "pass allow_nonstandard=True to build it anyway")
+    if family == "SOeven" and m < 4:
+        raise ValueError(f"{family} with m={m} is outside the standard range")
     if family == "SOodd" and p == 2:
         raise ValueError("odd orthogonal groups in characteristic 2 are defective; "
                          "use Sp with the same rank instead")
 
     if family == "SL":
-        return ClassicalSpec(family, m, q, fld, m, None, m // 2, nonstandard,
-                             f"SL_{m}(F_{q})")
+        return ClassicalSpec(family, m, q, fld, m, None, m // 2, f"SL_{m}(F_{q})")
 
     j = _flip(m)
     if family == "Sp":
@@ -86,8 +83,7 @@ def make_classical(family: str, m: int, q: int, allow_nonstandard: bool = False)
         gram[:m, m:] = j
         gram[m:, :m] = (-j) % p
         form = FormSpec(kind="symplectic", gram=Mat(fld, gram))
-        return ClassicalSpec(family, m, q, fld, 2 * m, form, m, nonstandard,
-                             f"Sp_{2*m}(F_{q})")
+        return ClassicalSpec(family, m, q, fld, 2 * m, form, m, f"Sp_{2*m}(F_{q})")
     if family == "SOeven":
         gram = np.zeros((2 * m, 2 * m), dtype=np.int64)
         gram[:m, m:] = j
@@ -97,8 +93,7 @@ def make_classical(family: str, m: int, q: int, allow_nonstandard: bool = False)
                             quad_diag=(0,) * (2 * m))
         else:
             form = FormSpec(kind="symmetric", gram=Mat(fld, gram))
-        return ClassicalSpec(family, m, q, fld, 2 * m, form, m, nonstandard,
-                             f"SO_{2*m}(F_{q})")
+        return ClassicalSpec(family, m, q, fld, 2 * m, form, m, f"SO_{2*m}(F_{q})")
     # SOodd: hyperbolic pairs plus one anisotropic line pairing with itself
     n = 2 * m + 1
     gram = np.zeros((n, n), dtype=np.int64)
@@ -106,8 +101,7 @@ def make_classical(family: str, m: int, q: int, allow_nonstandard: bool = False)
     gram[m:2 * m, :m] = j
     gram[n - 1, n - 1] = 1
     form = FormSpec(kind="symmetric", gram=Mat(fld, gram))
-    return ClassicalSpec(family, m, q, fld, n, form, m, nonstandard,
-                         f"SO_{n}(F_{q})")
+    return ClassicalSpec(family, m, q, fld, n, form, m, f"SO_{n}(F_{q})")
 
 
 def group_membership(mats, spec: ClassicalSpec):

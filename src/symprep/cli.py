@@ -13,7 +13,7 @@ import sys
 
 from . import classical, dickson, oracles, snmod
 from .checks import CheckFailed
-from .records import SuiteConfig, canonical_json, render, render_rows
+from .records import REPORT_FORMATS, SuiteConfig, canonical_json, render, render_rows
 from .suites import SUITE_NAMES, run_suite
 
 
@@ -32,7 +32,7 @@ def _parse_partition(text: str) -> tuple:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--max-n", type=int, default=12, dest="max_n",
                    help="largest symmetric-group degree to sweep")
-    p.add_argument("--format", choices=("text", "json", "csv", "md"), default="text")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     p.add_argument("--timings", action="store_true",
                    help="include runtimes in reports (breaks byte-stability)")
@@ -55,8 +55,10 @@ def _grid_table_rows():
 
 
 def _parabolic_table_rows(max_n: int):
+    if max_n > snmod.MAX_N:
+        raise ValueError(f"max_n {max_n} is above the largest supported degree {snmod.MAX_N}")
     rows = []
-    for n in range(5, min(max_n, 12) + 1):
+    for n in range(5, max_n + 1):
         for kind in ("sym", "alt"):
             res = dickson.standard_parabolic(n, kind)
             rows.append({"n": n, "kind": kind, "rank": res.rank,

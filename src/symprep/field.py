@@ -11,7 +11,6 @@ encodings reproducible across runs and machines.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 MAX_PRIME = 61
 MAX_DEGREE = 4
@@ -180,9 +179,6 @@ class GF:
             v = v * self.p + d % self.p
         return v
 
-    def elements(self):
-        return range(self.q)
-
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -227,9 +223,6 @@ class GF:
             return pow(a, self.p - 2, self.p)
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -258,54 +251,3 @@ def make_field(p: int, r: int = 1) -> GF:
     """Construct (and cache) GF(p^r); identical parameters share one object."""
     return GF(p, r)
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element tagged with its field, for operator-style scalar work.
-
-    Internal matrix code works on raw integer encodings for speed; this
-    wrapper is the convenience surface that also enforces that operands
-    belong to the same field.
-    """
-
-    field: GF
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(f"{self.value} is not an element of {self.field}")
-
-    def _check(self, other) -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            other = FieldElement(self.field, other % self.field.p if self.field.r == 1 else other)
-        if other.field != self.field:
-            raise ValueError(f"mismatched fields: {self.field} vs {other.field}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __repr__(self):
-        return f"{self.field}:{self.value}"

@@ -72,14 +72,6 @@ def bilinear(form: FormSpec, u, v) -> int:
     return int(_sandwich(form.gram.field, u, form.gram.a, v)[0, 0])
 
 
-def quad_value(form: FormSpec, v) -> int:
-    """Q(v) for a quadratic_char2 form, from basis values plus polar form."""
-    if form.kind != "quadratic_char2":
-        raise ValueError(f"Q(v) needs a quadratic_char2 form, got {form.kind!r}")
-    v = np.asarray(v, dtype=np.int64).reshape(1, -1)
-    return int(_sandwich(form.gram.field, v, _quad_matrix(form), v.T)[0, 0])
-
-
 def preserves_form(m, form: FormSpec):
     """Does each matrix preserve the form?  `m` is one Mat or an encoded
     stack of shape (..., d, d); the verdicts have shape (...)."""

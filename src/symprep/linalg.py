@@ -328,10 +328,10 @@ def _rref_generic(a: np.ndarray, f: GF):
     return a, pivots
 
 
-def rref_array(a: np.ndarray, f: GF, force_generic: bool = False):
+def rref_array(a: np.ndarray, f: GF):
     """Canonical RREF of an encoded array; returns (array, pivot tuple)."""
     a = _as_array(a)
-    if f.is_gf2 and not force_generic:
+    if f.is_gf2:
         w = pack_rows(a % 2)
         piv = _rref_packed(w, a.shape[1])
         return unpack_rows(w, a.shape[1]), tuple(piv)
@@ -481,9 +481,6 @@ class Mat:
             return Mat.from_words(f, mm_gf2(self.words, k, other.words), m)
         return Mat._of(f, matmul(f, self.a, other.a))
 
-    def scale(self, c: int) -> "Mat":
-        return Mat._of(self.field, mul(self.field, self.a, c))
-
     @property
     def T(self) -> "Mat":
         if self._a is None:
@@ -513,12 +510,12 @@ class Mat:
 
     # -- elimination-based -------------------------------------------------
 
-    def rref(self, force_generic: bool = False):
-        if self.field.is_gf2 and not force_generic:
+    def rref(self):
+        if self.field.is_gf2:
             w = self.words.copy()
             piv = _rref_packed(w, self.cols)
             return Mat.from_words(self.field, w, self.cols), tuple(piv)
-        out, piv = rref_array(self.a, self.field, force_generic=force_generic)
+        out, piv = rref_array(self.a, self.field)
         return Mat._of(self.field, out), piv
 
     def rank(self) -> int:
@@ -541,9 +538,6 @@ class Mat:
         if tuple(piv) != tuple(range(n)):
             raise ValueError("matrix is singular")
         return Mat._of(f, out[:, n:])
-
-    def det(self) -> int:
-        return int(det(self.field, self.a))
 
     # -- protocol ----------------------------------------------------------
 
@@ -614,10 +608,6 @@ class Subspace:
     def zero(cls, field: GF, ambient: int) -> "Subspace":
         return cls(field, ambient, np.zeros((0, ambient), dtype=np.int64), ())
 
-    @classmethod
-    def full(cls, field: GF, ambient: int) -> "Subspace":
-        return cls(field, ambient, np.eye(ambient, dtype=np.int64), tuple(range(ambient)))
-
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -656,15 +646,9 @@ class Subspace:
 # the operations
 
 
-def rref(m: Mat, force_generic: bool = False):
-    """(canonical RREF, rank, pivot columns)."""
-    red, piv = m.rref(force_generic=force_generic)
-    return red, len(piv), piv
-
-
-def kernel(m: Mat, force_generic: bool = False) -> Subspace:
+def kernel(m: Mat) -> Subspace:
     """Right null space {v : Mv = 0} as a canonical subspace."""
-    red, piv = m.rref(force_generic=force_generic)
+    red, piv = m.rref()
     f = m.field
     cols = m.cols
     is_free = np.ones(cols, dtype=bool)
@@ -678,22 +662,6 @@ def kernel(m: Mat, force_generic: bool = False) -> Subspace:
     if piv:
         basis[:, list(piv)] = neg(f, red.take_rows(slice(0, len(piv))).a[:, free].T)
     return Subspace.from_rows(f, basis)
-
-
-def solve(m: Mat, b) -> np.ndarray | None:
-    """One solution of Mx = b with free coordinates zeroed, or None."""
-    f = m.field
-    bvec = np.asarray(b, dtype=np.int64).reshape(-1)
-    if bvec.shape[0] != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = np.hstack([m.a, bvec.reshape(-1, 1)])
-    red, piv = rref_array(aug, f)
-    if piv and piv[-1] == m.cols:
-        return None
-    x = np.zeros(m.cols, dtype=np.int64)
-    for i, pc in enumerate(piv):
-        x[pc] = red[i, m.cols]
-    return x
 
 
 def _square_family(mats: list[Mat]):
@@ -746,13 +714,6 @@ def quotient_action(mats: list[Mat], x: Mat) -> list[Mat]:
         if out[-1] @ r != rg:
             raise ValueError("kernel is not invariant under the given action")
     return out
-
-
-def radical_of_form(gram: Mat) -> Subspace:
-    """Radical {v : B(v, w) = 0 for all w} of a bilinear form's Gram matrix."""
-    if gram.rows != gram.cols:
-        raise ValueError("Gram matrix must be square")
-    return kernel(gram)
 
 
 # convenience: GF(2) field singleton used throughout the package

@@ -159,7 +159,7 @@ def _restrict_to(mats: list[Mat], space: frozenset, fld: GF) -> list[Mat]:
     return out
 
 
-def decompose_small_module(mats: list[Mat], group_order: int | None = None) -> int:
+def decompose_small_module(mats: list[Mat], group_order: int) -> int:
     """Number of free summands over the group generated by the matrices.
 
     Pure search: a free summand is the orbit span of a single vector whose
@@ -168,9 +168,11 @@ def decompose_small_module(mats: list[Mat], group_order: int | None = None) -> i
     in the dimension; capped at dimension 8 over GF(2), and the complement
     search can get slow near the cap when many subspaces are invariant.
 
-    group_order is the order of the abstract group the matrices represent;
-    it defaults to the closure size (correct only for faithful actions) and
-    must be threaded through once restriction makes the action unfaithful.
+    group_order is the order of the abstract group the matrices represent,
+    so a free summand has dimension group_order.  It is not read off the
+    matrices: an unfaithful action, such as the restriction to a complement
+    in the recursion, generates a smaller matrix group.  That group's order
+    must divide group_order, or ValueError.
     """
     fld = mats[0].field
     if fld.q != 2:
@@ -195,8 +197,6 @@ def decompose_small_module(mats: list[Mat], group_order: int | None = None) -> i
                     nxt.append(y)
         frontier = nxt
     group = list(elems.values())
-    if group_order is None:
-        group_order = len(group)
     if group_order % len(group):
         raise ValueError(f"group order {group_order} is not a multiple of "
                          f"{len(group)}, the order of the matrix group")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, asdict
 from typing import Optional
 
 STATUSES = ("pass", "fail", "recorded")
+REPORT_FORMATS = ("text", "json", "csv", "md")
 
 
 @dataclass
@@ -71,9 +72,14 @@ def run_jobs(jobs) -> list[VerificationReport]:
 class SuiteConfig:
     max_n: int = 12
     grid: Optional[tuple] = None  # None = the standard (family, m, q) grid
-    format: str = "text"  # text | json | csv | md
+    format: str = "text"  # one of REPORT_FORMATS
     out: Optional[str] = None
     timings: bool = False
+
+    def __post_init__(self):
+        if self.format not in REPORT_FORMATS:
+            raise ValueError(f"unknown report format {self.format!r}; "
+                             f"choose from {REPORT_FORMATS}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

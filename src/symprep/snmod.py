@@ -159,17 +159,15 @@ def _code_positions(codes: np.ndarray, index: Optional[np.ndarray], query: np.nd
 
 
 def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray,
-                       index: Optional[np.ndarray] = None):
+                       index: Optional[np.ndarray]):
     """(tabloid indices, signs) of the standard polytabloid terms.
 
     The polytabloid of t is the signed sum of {σt} over its column group;
     the term for σ puts the entry in row a of column j into row σ_j(a).
     Row r of the (tableau x term) int32 index array is the polytabloid of
     tableaux[r], and term k carries signs[k] in every row.  index is
-    _code_index of codes, built here when not given.
+    _code_index of codes.
     """
-    if index is None:
-        index = _code_index(codes, len(lam), sum(lam))
     conj = conjugate(lam)
     per_col = [list(itertools.permutations(range(c))) for c in conj]
     row_of_cell, signs = [], []
@@ -185,15 +183,12 @@ def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray,
 
 
 def _tabloid_perm(words: np.ndarray, codes: np.ndarray, base: int, g: pm.Perm,
-                  index: Optional[np.ndarray] = None) -> np.ndarray:
+                  index: Optional[np.ndarray]) -> np.ndarray:
     """Index map m with (g . x) = x[m] for coefficient vectors x over tabloids.
 
     g moves the entry x of a tabloid to g(x), so the row word of g.T is the
-    word of T read at g^-1.  index is _code_index of codes, built here when
-    not given.
+    word of T read at g^-1.  index is _code_index of codes.
     """
-    if index is None:
-        index = _code_index(codes, base, len(g))
     moved = words[:, list(pm.inverse(g))] @ base ** np.arange(len(g), dtype=np.int64)
     at = _code_positions(codes, index, moved, "moved code is not a tabloid code")
     out = np.empty(len(codes), dtype=np.int32)

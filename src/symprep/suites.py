@@ -127,7 +127,7 @@ def _doubled_job(n: int):
 
 
 def dickson_suite(config: SuiteConfig) -> list:
-    top = min(config.max_n, 12)
+    top = config.max_n
     if top < 5:
         return []
     jobs = []
@@ -263,7 +263,7 @@ def _cross_construction_job(n: int):
 
 
 def appendix_suite(config: SuiteConfig) -> list:
-    top = min(config.max_n, 12)
+    top = config.max_n
     if top < 4:
         return []
     odd = [("charnot2", 3), ("charnot2_alt", 3)]
@@ -296,6 +296,9 @@ def run_suite(name: str, config: SuiteConfig | None = None):
     config = config if config is not None else SuiteConfig()
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if config.max_n > snmod.MAX_N:
+        raise ValueError(f"max_n {config.max_n} is above the largest supported "
+                         f"degree {snmod.MAX_N}")
     builders = {"dickson": dickson_suite, "lietype": lietype_suite,
                 "appendix": appendix_suite}
     if name == "all":

@@ -41,7 +41,6 @@ def test_construction_errors():
         make_classical("SL", 1, 2)
     with pytest.raises(ValueError):
         make_classical("SOeven", 3, 3)  # below standard range
-    assert make_classical("SOeven", 3, 3, allow_nonstandard=True).nonstandard
     with pytest.raises(ValueError):
         make_classical("SOodd", 3, 4)  # defective in characteristic 2
 

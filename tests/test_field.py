@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symprep.field import FieldElement, make_field
+from symprep.field import make_field
 
 
 def prime_powers(limit):
@@ -103,13 +103,3 @@ def test_field_object_identity_and_errors():
         make_field(3, 2).add(0, 11)  # out of range for GF(9)
     with pytest.raises(ZeroDivisionError):
         make_field(5).inv(0)
-
-
-def test_field_element_wrapper():
-    f = make_field(3, 2)
-    a = FieldElement(f, 5)
-    b = FieldElement(f, 7)
-    assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert a**0 == FieldElement(f, 1)
-    assert (-a) + a == FieldElement(f, 0)

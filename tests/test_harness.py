@@ -113,6 +113,11 @@ def test_render_formats():
     assert "pass" in out and "demo/thing/n5" in out
 
 
+def test_suite_config_rejects_unknown_format():
+    with pytest.raises(ValueError, match="yaml"):
+        SuiteConfig(format="yaml")
+
+
 def test_empty_suite_contract():
     reports, code = run_suite("all", SuiteConfig(max_n=0, grid=()))
     assert reports == [] and code == 0
@@ -249,7 +254,9 @@ def test_cli_bad_args_exit_2():
     for argv in (("oracle", "tableau_count", "--partition", "a,b"),
                  ("oracle", "enum_parabolic", "--n", "6"),
                  ("dump", "module"),
-                 ("oracle", "decompose_small_module", "--demo", "bogus")):
+                 ("oracle", "decompose_small_module", "--demo", "bogus"),
+                 ("verify", "dickson", "--max-n", "13"),
+                 ("table", "parabolic", "--max-n", "13")):
         code, _, err = _cli(*argv)
         assert code == 2, argv
         line = next(x for x in err.splitlines() if "error: " in x)

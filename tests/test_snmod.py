@@ -397,10 +397,12 @@ def test_tabloid_perm_rejects_non_tabloid_code():
     from symprep import snmod
 
     words, codes = snmod._tabloid_words((5, 2))
-    m = snmod._tabloid_perm(words, codes, 2, pm.transposition(7, 0, 3))
+    m = snmod._tabloid_perm(words, codes, 2, pm.transposition(7, 0, 3),
+                            snmod._code_index(codes, 2, 7))
     assert np.array_equal(m[m], np.arange(len(codes)))
     with pytest.raises(CheckFailed, match="not a tabloid code"):
-        snmod._tabloid_perm(words[:-1], codes[:-1], 2, pm.transposition(7, 0, 6))
+        snmod._tabloid_perm(words[:-1], codes[:-1], 2, pm.transposition(7, 0, 6),
+                            snmod._code_index(codes[:-1], 2, 7))
 
 
 @pytest.mark.parametrize("lam", [lam for n in range(2, 10) for lam in p_regular_partitions(n, 2)]
@@ -410,12 +412,14 @@ def test_polytabloid_terms_lookup_matches_binary_search(monkeypatch, lam):
 
     _, codes = snmod._tabloid_words(lam)
     tableaux = standard_tableaux(lam)
-    assert snmod._code_index(codes, len(lam), sum(lam)) is not None
-    terms, signs = snmod._polytabloid_terms(lam, tableaux, codes)
+    index = snmod._code_index(codes, len(lam), sum(lam))
+    assert index is not None
+    terms, signs = snmod._polytabloid_terms(lam, tableaux, codes, index)
     # no table fits in zero slots, so this lookup goes through searchsorted
     monkeypatch.setattr(snmod, "_INDEX_SLOTS", 0)
-    assert snmod._code_index(codes, len(lam), sum(lam)) is None
-    ref_terms, ref_signs = snmod._polytabloid_terms(lam, tableaux, codes)
+    index = snmod._code_index(codes, len(lam), sum(lam))
+    assert index is None
+    ref_terms, ref_signs = snmod._polytabloid_terms(lam, tableaux, codes, index)
     assert terms.dtype == ref_terms.dtype == np.int32
     assert np.array_equal(terms, ref_terms) and np.array_equal(signs, ref_signs)
 
@@ -427,12 +431,13 @@ def test_polytabloid_term_aliasing_a_tabloid_in_the_low_digits_fails(monkeypatch
     if slots is not None:
         monkeypatch.setattr(snmod, "_INDEX_SLOTS", slots)
     _, codes = snmod._tabloid_words((2, 2))
+    index = snmod._code_index(codes, 2, 4)
     # the filling puts entry 1 in both cells of row 1, so its first term has
     # row word (0, 0, 1, 0), code 4: not a (2, 2) tabloid, but its low three
     # digits are those of the tabloid (0, 0, 1, 1), code 12
     assert 4 not in codes and 12 in codes and 4 % 2**3 == 12 % 2**3
     with pytest.raises(CheckFailed, match="polytabloid term is not a tabloid"):
-        snmod._polytabloid_terms((2, 2), [((0, 2), (1, 1))], codes)
+        snmod._polytabloid_terms((2, 2), [((0, 2), (1, 1))], codes, index)
 
 
 @pytest.mark.parametrize("n", [8, 9])
