@@ -216,17 +216,6 @@ def lagrangian_pair(d: int):
 # trivial-action subgroup of a parabolic
 
 
-def _acts_trivially(m: Mat, w: Subspace) -> bool:
-    """Does m fix w pointwise and act as the identity on V/w?"""
-    f = m.field
-    for row in w.basis:
-        img = mm_modp(m.a, row.reshape(-1, 1), f.p)[:, 0]
-        if not np.array_equal(img, row):
-            return False
-    shifted = (m - Mat.identity(f, m.rows)).a
-    return all(w.contains(shifted[:, c]) for c in range(m.cols))
-
-
 @dataclass(frozen=True)
 class ParabolicResult:
     rank: int
@@ -299,17 +288,6 @@ def _sweep_survivors_gf2(n: int, big: int, e: np.ndarray, w: Subspace, parity: O
     return sorted(survivors)
 
 
-def _independent_witness(elements, degree: int):
-    """Greedy increasing independent generating subset of an elementary abelian 2-group."""
-    chosen = []
-    span = {pm.identity(degree)}
-    for g in sorted(elements):
-        if g not in span:
-            chosen.append(g)
-            span |= {pm.compose(s, g) for s in span}
-    return tuple(chosen), len(span)
-
-
 def parabolic_trivial_subgroup(n: int, kind: str, w: Subspace) -> ParabolicResult:
     """Subgroup of S_n (kind "sym") or A_n ("alt") acting trivially on w and V/w.
 
@@ -317,8 +295,9 @@ def parabolic_trivial_subgroup(n: int, kind: str, w: Subspace) -> ParabolicResul
     subspace of it.  Every such element is found by the point-by-point
     backtrack of _sweep_survivors_gf2, which cuts each branch at its first
     failed check and so never lists the n! permutations.  The survivors are
-    certified to form an elementary abelian group spanned by the witness,
-    and the witness is checked once more through the matrices of perm_irrep.
+    certified to be the elementary abelian group their greedy witness spans:
+    the span has 2^rank rows and equals the sorted survivors.  The witness is
+    checked once more through the matrices of perm_irrep.
     """
     if kind not in ("sym", "alt"):
         raise ValueError(f"kind must be sym or alt, got {kind!r}")
@@ -327,12 +306,12 @@ def parabolic_trivial_subgroup(n: int, kind: str, w: Subspace) -> ParabolicResul
         raise ValueError(f"w must be a subspace of GF(2)^{rep.dim}")
     big, _, e = _irrep_tables(n, 2)
     survivors = _sweep_survivors_gf2(n, big, e, w, 1 if kind == "alt" else None)
-    ok, rank = pm.is_elementary_abelian(
-        [g for g in survivors if g != pm.identity(n)], 2
-    )
-    require(ok, "trivial-action subgroup is not elementary abelian")
-    witness, span_size = _independent_witness(survivors, n)
-    require(span_size == len(survivors) == 2**rank,
+    rows = np.array(survivors)
+    certified = pm.elementary_abelian_span(rows, 2)
+    require(certified is not None, "trivial-action subgroup is not elementary abelian")
+    witness, span = certified
+    rank = len(witness)
+    require(len(span) == 2**rank and np.array_equal(span, rows),
             "witness span, survivor count and 2^rank disagree")
     require(gl_parabolic_check(rep, w, pm.GroupPresentation("perm", n, witness)),
             "witness does not act trivially through the representation matrices")
@@ -350,10 +329,23 @@ def standard_parabolic(n: int, kind: str) -> ParabolicResult:
 
 
 def gl_parabolic_check(rep: Representation, w: Subspace, group: pm.GroupPresentation) -> bool:
-    """Do all generators of the given subgroup act trivially on w and V/w?"""
+    """Do all generators of the given subgroup act trivially on w and V/w?
+
+    With D = g - 1 over one batch of generator images and B the RREF basis
+    of w, g fixes w pointwise iff D·B^T = 0, and acts as the identity on V/w
+    iff R·D = 0, where R v = v - B^T v[pivots] is the residue of v modulo w.
+    Each condition is one product over the whole batch, the D stacked top to
+    bottom for the first and side by side for the second.
+    """
     if group.degree != rep.group.degree:
         raise ValueError("subgroup degree does not match the represented group")
-    return all(_acts_trivially(rep.act(g), w) for g in group.generators)
+    p, dim, basis = rep.field.p, rep.dim, w.basis
+    ident = np.eye(dim, dtype=np.int64)
+    diff = (irrep_images(group.generator_rows(), p) - ident) % p
+    residue = (ident - basis.T @ ident[list(w.pivots)]) % p
+    fixes_w = mm_modp(diff.reshape(-1, dim), basis.T, p)
+    on_quotient = mm_modp(residue, diff.transpose(1, 0, 2).reshape(dim, -1), p)
+    return not fixes_w.any() and not on_quotient.any()
 
 
 # ---------------------------------------------------------------------------

@@ -612,20 +612,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v after clearing its pivot coordinates (v mod this space).
-
-        The basis is in RREF, so the residue is v - v[pivots]·B.
-        """
-        f = self.field
-        v = np.asarray(v, dtype=np.int64) % f.q
-        if v.shape != (self.ambient,):
-            raise ValueError(f"vector of shape {v.shape} in a space of dimension {self.ambient}")
-        return add(f, v, neg(f, matmul(f, v[None, list(self.pivots)], self.basis)[0]))
-
-    def contains(self, v) -> bool:
-        return not np.any(self.reduce(v))
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

@@ -38,8 +38,9 @@ def enum_parabolic(n: int, kind: str) -> dict:
     (irrep_images).  One batched product per chunk tests D = g - I two ways:
     B D^T = 0, where the rows of B span W (g fixes W pointwise), and R D = 0,
     where R v is the residue of v after clearing W's pivots (g is the
-    identity on V/W).  Only the survivors become permutation tuples.  No
-    packed-word tricks anywhere.  Returns {n, kind, rank, order}.
+    identity on V/W).  The survivors, still sorted, must be exactly the span
+    that elementary_abelian_span certifies.  No packed-word tricks anywhere.
+    Returns {n, kind, rank, order}.
     """
     from .dickson import half_dim, irrep_images, lagrangian_pair
 
@@ -60,10 +61,12 @@ def enum_parabolic(n: int, kind: str) -> dict:
         diff = (irrep_images(block, 2) - ident) % 2
         prod = np.matmul(left, np.concatenate([diff, diff.transpose(0, 2, 1)], axis=2)) % 2
         keep = ~prod[:, :dim, :dim].any(axis=(1, 2)) & ~prod[:, dim:, dim:].any(axis=(1, 2))
-        survivors.extend(map(tuple, block[keep].tolist()))
-    ok, rank = pm.is_elementary_abelian(survivors, 2)
-    require(ok, "trivially-acting elements should form an elementary abelian group")
-    return {"n": n, "kind": kind, "rank": rank, "order": len(survivors)}
+        survivors.append(block[keep])
+    survivors = np.concatenate(survivors)
+    certified = pm.elementary_abelian_span(survivors, 2)
+    require(certified is not None and np.array_equal(certified[1], survivors),
+            "trivially-acting elements should form an elementary abelian group")
+    return {"n": n, "kind": kind, "rank": len(certified[0]), "order": len(survivors)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,16 @@
 
 Permutations are tuples of 0-based images; text I/O uses 1-based cycle
 notation like "(1 2)(3 4)".  compose(a, b) applies b first, then a, matching
-left action on points.
+left action on points.  Arrays hold one permutation per row, and there
+compose(a, b) is the gather a[b].
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 
 import numpy as np
-
-from .checks import require
 
 Perm = tuple
 
@@ -34,38 +32,6 @@ def inverse(a: Perm) -> Perm:
     return tuple(out)
 
 
-def sign(a: Perm) -> int:
-    """+1 for even permutations, -1 for odd."""
-    seen = [False] * len(a)
-    s = 1
-    for i in range(len(a)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            clen += 1
-        if clen % 2 == 0:
-            s = -s
-    return s
-
-
-def order(a: Perm) -> int:
-    seen = [False] * len(a)
-    o = 1
-    for i in range(len(a)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            clen += 1
-        o = lcm(o, clen)
-    return o
-
-
 def cycles_of(a: Perm):
     seen = [False] * len(a)
     out = []
@@ -81,6 +47,15 @@ def cycles_of(a: Perm):
             j = a[j]
         out.append(tuple(cyc))
     return out
+
+
+def sign(a: Perm) -> int:
+    """+1 for even permutations, -1 for odd: a k-cycle is k - 1 swaps."""
+    return -1 if sum(len(c) - 1 for c in cycles_of(a)) % 2 else 1
+
+
+def order(a: Perm) -> int:
+    return lcm(*map(len, cycles_of(a)))
 
 
 def to_cycles(a: Perm) -> str:
@@ -173,6 +148,10 @@ class GroupPresentation:
         if any(len(g) != self.degree for g in self.generators):
             raise ValueError(f"generators must all have degree {self.degree}")
 
+    def generator_rows(self) -> np.ndarray:
+        """The generators as a (count, degree) array, one per row."""
+        return np.array(self.generators, dtype=np.intp).reshape(-1, self.degree)
+
 
 def standard_gens(kind: str, n: int) -> GroupPresentation:
     """S_n = <(1 2), (1 2 .. n)>; A_n = <(1 2 3), n-cycle or (n-1)-cycle>."""
@@ -205,7 +184,9 @@ def closure(group, cap: int = 10**7) -> np.ndarray:
     generator as one gather and dedupes the products by their base-degree
     integer codes, so the degree is limited to 15 for the codes to fit in
     int64.  Raises ValueError as soon as a round takes the group past cap
-    elements, so at most cap times the generator count rows are held.
+    elements, so at most cap times the generator count rows are held.  It
+    enumerates whole groups for the parabolic oracle and the rank search;
+    certification goes through elementary_abelian_span, at any degree.
     """
     if isinstance(group, GroupPresentation):
         gens, degree = list(group.generators), group.degree
@@ -231,29 +212,38 @@ def closure(group, cap: int = 10**7) -> np.ndarray:
     return seen[:, None] // weights % degree
 
 
-def is_elementary_abelian(group, p: int):
-    """(is elementary abelian p-group, rank).  Accepts a presentation or gens."""
-    if isinstance(group, GroupPresentation):
-        gens = list(group.generators)
-        degree = group.degree
-    else:
-        gens = list(group)
-        degree = len(gens[0]) if gens else 1
-    gens = [g for g in gens if g != identity(degree)]
-    if not gens:
-        return True, 0
-    for g in gens:
-        if order(g) != p:
-            return False, 0
-    for a, b in itertools.combinations(gens, 2):
-        if compose(a, b) != compose(b, a):
-            return False, 0
-    size = len(closure(GroupPresentation("perm", degree, tuple(gens))))
-    rank = 0
-    while p**rank < size:
-        rank += 1
-    require(p**rank == size, "commuting order-p generators must span p^k elements")
-    return True, rank
+def elementary_abelian_span(elements: np.ndarray, p: int):
+    """(witness, span) of the elementary abelian p-group the rows generate,
+    or None when they generate no such group.
+
+    elements is a (k, degree) integer array, one permutation per row in
+    one-line form, and p is a prime.  The rows are walked in order.  A row g
+    outside the span so far joins the witness once gathers show g^p = 1 and
+    that g commutes with the witness so far; the span then grows by its
+    cosets span·g^j for j = 1 .. p - 1, one gather each.  So the witness is
+    the greedy independent generating list of the rows in their order (an
+    identity or repeated row is skipped), and span holds the p^len(witness)
+    elements of the group, sorted lexicographically as closure sorts them.
+    Nothing is encoded, so any degree works.
+    """
+    elements = np.asarray(elements, dtype=np.intp)
+    ident = np.arange(elements.shape[1])
+    witness = np.empty((0, len(ident)), dtype=np.intp)
+    span = ident[None, :]
+    members = {tuple(ident.tolist())}
+    for g in elements:
+        if tuple(g.tolist()) in members:
+            continue
+        powers = [g]
+        for _ in range(p - 1):
+            powers.append(g[powers[-1]])
+        if not np.array_equal(powers[-1], ident) or not np.array_equal(g[witness], witness[:, g]):
+            return None
+        cosets = [span[:, gj] for gj in powers[:-1]]
+        members.update(map(tuple, np.concatenate(cosets).tolist()))
+        span = np.concatenate([span] + cosets)
+        witness = np.vstack([witness, g])
+    return tuple(map(tuple, witness.tolist())), span[np.lexsort(span.T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +313,27 @@ def elem_abelian_rank_search(elements: np.ndarray, p: int, budget: int = 5_000_0
     the element array that closure returns.
 
     Depth-first search over canonically increasing chains of commuting
-    order-p elements.  Every subgroup of rank k contains an increasing
-    independent generating chain (greedy argument), so the search is
-    exhaustive whenever the node budget is not exceeded; `exact` reports
-    which case happened.  Commutation is precomputed as bitsets, which is
-    what makes S_8 practical.
+    order-p elements, p prime.  Every subgroup of rank k contains an
+    increasing independent generating chain (greedy argument), so the search
+    is exhaustive whenever the node budget is not exceeded; `exact` reports
+    which case happened.  The order-p rows and the commutation bitsets come
+    from gathers on the element array: with Q the order-p rows, Q[:, Q][i, j]
+    is q_i o q_j, which is what makes S_8 practical.
     """
-    pelems = [g for g in map(tuple, elements.tolist()) if order(g) == p]
-    m = len(pelems)
+    ident = np.arange(elements.shape[1])
+    power = elements
+    for _ in range(p - 1):
+        power = np.take_along_axis(elements, power, axis=1)
+    rows = elements[(power == ident).all(axis=1) & (elements != ident).any(axis=1)]
+    m = len(rows)
     if m == 0:
         return SearchResult(0, (), True)
-    adj = [0] * m
-    for i in range(m):
-        gi = pelems[i]
-        for j in range(i + 1, m):
-            gj = pelems[j]
-            if compose(gi, gj) == compose(gj, gi):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    products = rows[:, rows]
+    commute = (products == products.transpose(1, 0, 2)).all(axis=2)
+    np.fill_diagonal(commute, False)
+    adj = [int.from_bytes(bits.tobytes(), "little")
+           for bits in np.packbits(commute, axis=1, bitorder="little")]
+    pelems = list(map(tuple, rows.tolist()))
     all_mask = (1 << m) - 1
     higher = [(all_mask >> (i + 1)) << (i + 1) for i in range(m)]
 
@@ -348,13 +341,12 @@ def elem_abelian_rank_search(elements: np.ndarray, p: int, budget: int = 5_000_0
     best_wit: tuple = ()
     nodes = 0
     exact = True
-    deg = len(pelems[0])
-    ident = identity(deg)
+    one = identity(len(ident))
 
     # stack entries: (chosen index list, subgroup element set, candidate bitmask)
     stack = []
     for i in range(m - 1, -1, -1):
-        sub = {ident}
+        sub = {one}
         y = pelems[i]
         acc = y
         for _ in range(p - 1):

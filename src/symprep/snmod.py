@@ -70,27 +70,6 @@ def conjugate(lam) -> tuple:
     return tuple(sum(1 for a in lam if a > j) for j in range(lam[0]))
 
 
-def standard_tableaux(lam) -> list[tuple]:
-    """All row-and-column increasing fillings with 0..n-1, rows as tuples."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    rows = [[] for _ in lam]
-    out = []
-
-    def place(v):
-        if v == n:
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        for i, r in enumerate(rows):
-            if len(r) < lam[i] and (i == 0 or len(rows[i - 1]) > len(r)):
-                r.append(v)
-                place(v + 1)
-                r.pop()
-
-    place(0)
-    return out
-
-
 def hook_length_dim(lam) -> int:
     lam = check_partition(lam)
     conj = conjugate(lam)
@@ -119,7 +98,11 @@ _INDEX_SLOTS = 1 << 24
 
 
 def _tabloid_words(lam: tuple):
-    """(row words, codes) of every tabloid of shape lam, in increasing code order."""
+    """(row words, codes) of every tabloid of shape lam, in increasing code order.
+
+    Each step appends the row of the next entry, the new most significant
+    digit, and stacks the words by that row, so they come out in code order.
+    """
     n = sum(lam)
     words = np.zeros((1, 0), dtype=np.int64)
     for _ in range(n):
@@ -128,9 +111,29 @@ def _tabloid_words(lam: tuple):
             w = words[(words == i).sum(axis=1) < size]
             parts.append(np.hstack([w, np.full((len(w), 1), i, dtype=np.int64)]))
         words = np.vstack(parts)
-    codes = words @ len(lam) ** np.arange(n, dtype=np.int64)
-    order = np.argsort(codes)
-    return words[order], codes[order]
+    return words, words @ len(lam) ** np.arange(n, dtype=np.int64)
+
+
+def standard_tableaux(words: np.ndarray, rows: int) -> np.ndarray:
+    """The row words that are standard tableaux, in the basis order.
+
+    Row i of a word's filling holds the entries x with word[x] = i in
+    increasing order; its columns increase iff every prefix of the word
+    fills each row at most as often as the row above.  The basis order is
+    lexicographic in the word, with the row of the first entry as the major key.
+    """
+    # counts[t * width + i + 1] counts row i in the prefix of word t; the
+    # slot before row 0 never binds.  A word drops out at its first breach.
+    width = rows + 1
+    counts = np.zeros(len(words) * width, dtype=np.int64)
+    counts[::width] = words.shape[1]
+    alive = np.arange(len(words))
+    for x in range(words.shape[1]):
+        above = alive * width + words[alive, x]
+        counts[above + 1] += 1
+        alive = alive[counts[above] >= counts[above + 1]]
+    standard = words[alive]
+    return standard[np.lexsort(standard.T[::-1])]
 
 
 def _code_index(codes: np.ndarray, base: int, n: int) -> Optional[np.ndarray]:
@@ -165,8 +168,8 @@ def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray,
     The polytabloid of t is the signed sum of {σt} over its column group;
     the term for σ puts the entry in row a of column j into row σ_j(a).
     Row r of the (tableau x term) int32 index array is the polytabloid of
-    tableaux[r], and term k carries signs[k] in every row.  index is
-    _code_index of codes.
+    the row word tableaux[r], and term k carries signs[k] in every row.
+    index is _code_index of codes.
     """
     conj = conjugate(lam)
     per_col = [list(itertools.permutations(range(c))) for c in conj]
@@ -175,8 +178,11 @@ def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray,
         row_of_cell.append([a for sig in choice for a in sig])
         signs.append(math.prod(pm.sign(sig) for sig in choice))
     row_of_cell = np.array(row_of_cell, dtype=np.int64)
-    points = np.array([[t[a][j] for j, c in enumerate(conj) for a in range(c)]
-                       for t in tableaux], dtype=np.int64)
+    # a stable argsort lists each filling row by row, left to right, so cell
+    # (a, j) sits at position start[a] + j; points reads the cells column by column
+    start = np.cumsum((0,) + lam[:-1])
+    cells = [start[a] + j for j, c in enumerate(conj) for a in range(c)]
+    points = np.argsort(tableaux, axis=1, kind="stable")[:, cells]
     term_codes = (len(lam) ** points) @ row_of_cell.T
     terms = _code_positions(codes, index, term_codes, "polytabloid term is not a tabloid")
     return terms, np.array(signs, dtype=np.int64)
@@ -301,7 +307,7 @@ def _specht_core(lam: tuple, p: int):
     fld = make_field(p)
     words, codes = _tabloid_words(lam)
     index = _code_index(codes, len(lam), n)
-    st = standard_tableaux(lam)
+    st = standard_tableaux(words, len(lam))
     dim = len(st)
     require(dim == hook_length_dim(lam), "tableau count disagrees with hook lengths")
     terms, signs = _polytabloid_terms(lam, st, codes, index)
@@ -421,12 +427,12 @@ def loewy_length(mod: GModule, group: pm.GroupPresentation) -> LoewySeries:
 def _check_elementary_abelian(group: pm.GroupPresentation, p: int) -> int:
     """Rank of an elementary abelian p-group listed by independent generators;
     ValueError if the group is not one or the list is not independent."""
-    ok, rank = pm.is_elementary_abelian(list(group.generators), p)
-    if not ok:
+    certified = pm.elementary_abelian_span(group.generator_rows(), p)
+    if certified is None:
         raise ValueError("subgroup is not elementary abelian")
-    if rank != len(group.generators):
+    if len(certified[0]) != len(group.generators):
         raise ValueError("listed generators must be independent")
-    return rank
+    return len(group.generators)
 
 
 def norm_operator(field: GF, dim: int, mats: list[Mat]) -> Mat:
@@ -610,15 +616,14 @@ def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool
     ident = np.arange(len(codes))
     maps = {}
     for sub in subs:
+        require(pm.elementary_abelian_span(sub.generator_rows(), 2) is not None,
+                "subgroup generators must be commuting involutions")
         for g in sub.generators:
-            require(pm.compose(g, g) == pm.identity(n), "subgroup generator is not an involution")
-            require(all(pm.compose(g, h) == pm.compose(h, g) for h in sub.generators),
-                    "subgroup generators must commute")
             if g not in maps:
                 maps[g] = _tabloid_perm(words, codes, len(lam), g, index)
                 require(np.array_equal(maps[g][maps[g]], ident),
                         "tabloid map of an involution is not an involution")
-    tableaux = standard_tableaux(lam)
+    tableaux = standard_tableaux(words, len(lam))
     terms, _ = _polytabloid_terms(lam, tableaux, codes, index)
     v = np.random.default_rng(5077).integers(0, 2**64, size=len(tableaux), dtype=np.uint64)
     u = np.zeros(len(codes), dtype=np.uint64)

@@ -1,6 +1,8 @@
 """Report records, suite execution, output formats, determinism guarantees,
 and the command line entry point."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -148,15 +150,25 @@ def test_lietype_restricted_grid():
 
 
 def _cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "symprep.cli", *args],
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout, proc.stderr
+    """(exit code, stdout, stderr) of cli.main run in this process; an
+    argparse error arrives as SystemExit(2)."""
+    from symprep import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_cli_verify_json():
-    code, out, _ = _cli("verify", "lietype", "--max-n", "0", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
+    # the entry point as installed, in a fresh interpreter
+    proc = subprocess.run([sys.executable, "-m", "symprep.cli", "verify", "lietype",
+                           "--max-n", "0", "--format", "json"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
     assert doc["suite"] == "lietype"
     assert doc["summary"]["fail"] == 0
 

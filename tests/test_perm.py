@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from symprep import perm as pm
@@ -92,20 +93,36 @@ def test_bad_arguments_raise_value_error():
             pm.special_subgroups(n, kind, m=m)
 
 
-def test_is_elementary_abelian():
-    h = pm.special_subgroups(8, "H")
-    ok, rank = pm.is_elementary_abelian(h, 2)
-    assert ok and rank == 4
-    ht = pm.special_subgroups(8, "Htilde")
-    ok, rank = pm.is_elementary_abelian(ht, 2)
-    assert ok and rank == 3
-    k = pm.special_subgroups(8, "K")
-    ok, rank = pm.is_elementary_abelian(k, 2)
-    assert ok and rank == 2
-    # a 3-cycle is not an involution group
-    bad = pm.GroupPresentation("perm", 4, (pm.from_cycles("(1 2 3)", 4),))
-    ok, _ = pm.is_elementary_abelian(bad, 2)
-    assert not ok
+def _span_rank(group, p=2):
+    certified = pm.elementary_abelian_span(group.generator_rows(), p)
+    return None if certified is None else len(certified[0])
+
+
+def test_elementary_abelian_span():
+    assert _span_rank(pm.special_subgroups(8, "H")) == 4
+    assert _span_rank(pm.special_subgroups(8, "Htilde")) == 3
+    assert _span_rank(pm.special_subgroups(8, "K")) == 2
+    # a 3-cycle is not an involution
+    assert _span_rank(pm.GroupPresentation("perm", 4, (pm.from_cycles("(1 2 3)", 4),))) is None
+    # past the degree cap of closure: 2^10 rows, each a product of the witness
+    h20 = pm.special_subgroups(20, "H")
+    witness, span = pm.elementary_abelian_span(h20.generator_rows(), 2)
+    assert witness == h20.generators and span.shape == (1024, 20)
+    assert len(set(map(tuple, span.tolist()))) == 1024
+    assert span.tolist() == sorted(span.tolist())
+    # odd p: <(1 2 3), (4 5 6)> has 9 elements
+    c3 = np.array([pm.from_cycles("(1 2 3)", 6), pm.from_cycles("(4 5 6)", 6)])
+    witness, span = pm.elementary_abelian_span(c3, 3)
+    assert len(witness) == 2 and len(span) == 9
+    assert set(map(tuple, span.tolist())) == set(map(tuple, pm.closure(c3).tolist()))
+    # (1 2) and (2 3) are involutions that do not commute
+    assert pm.elementary_abelian_span(np.array([pm.transposition(4, 0, 1),
+                                                pm.transposition(4, 1, 2)]), 2) is None
+    # an identity and a repeated or dependent row join neither witness nor span
+    a, b = pm.transposition(6, 0, 1), pm.transposition(6, 2, 3)
+    witness, span = pm.elementary_abelian_span(
+        np.array([pm.identity(6), a, a, b, pm.compose(a, b)]), 2)
+    assert witness == (a, b) and len(span) == 4
 
 
 def test_special_subgroup_chain_labels_and_ranks():
@@ -113,11 +130,9 @@ def test_special_subgroup_chain_labels_and_ranks():
     assert kxh.label == "KxH_4" and len(kxh.generators) == 4
     k2 = pm.special_subgroups(8, "KmH", m=2)
     assert k2.label == "K^2xH_0" and len(k2.generators) == 4
-    ok, rank = pm.is_elementary_abelian(k2, 2)
-    assert ok and rank == 4
+    assert _span_rank(k2) == 4
     kxht = pm.special_subgroups(9, "KmHtilde", m=1)
-    ok, rank = pm.is_elementary_abelian(kxht, 2)
-    assert ok and rank == 2 + (5 // 2 - 1)
+    assert _span_rank(kxht) == 2 + (5 // 2 - 1)
 
 
 def test_h_pair_count_parameter():

@@ -2,6 +2,7 @@
 tabloid combinatorics, quotients by the form radical, and the structural
 invariants of restrictions to 2-subgroups and p-cycles."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -56,8 +57,11 @@ def test_regularity_and_conjugate():
 
 
 def test_tableaux_vs_hook():
+    from symprep import snmod
+
     for lam in ((3,), (2, 1), (3, 2), (5, 2), (2, 2, 1), (4, 3, 1)):
-        assert len(standard_tableaux(lam)) == hook_length_dim(lam)
+        words, _ = snmod._tabloid_words(lam)
+        assert len(standard_tableaux(words, len(lam))) == hook_length_dim(lam)
     assert hook_length_dim((5, 2)) == 14
     assert hook_length_dim((2, 1)) == 2
     assert hook_length_dim((3, 3, 2)) == 42
@@ -393,6 +397,27 @@ def test_planted_quadratic_hit_at_n11_fails(monkeypatch):
     assert ["9-2", "H_11"] in report.computed
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_standard_tableaux_are_the_increasing_fillings_in_word_order(n):
+    """Against the definition: every filling of the cells, row by row, that
+    increases along rows and down columns, listed by its row word."""
+    from symprep import snmod
+
+    for lam in snmod.partitions(n):
+        cells = [(i, j) for i, size in enumerate(lam) for j in range(size)]
+        want = []
+        for filling in itertools.permutations(range(n)):
+            at = dict(zip(cells, filling))
+            if all(at[i, j] < at.get((i, j + 1), n) and at[i, j] < at.get((i + 1, j), n)
+                   for i, j in cells):
+                word = [0] * n
+                for (i, _), x in at.items():
+                    word[x] = i
+                want.append(word)
+        words, _ = snmod._tabloid_words(lam)
+        assert standard_tableaux(words, len(lam)).tolist() == sorted(want), lam
+
+
 def test_tabloid_perm_rejects_non_tabloid_code():
     from symprep import snmod
 
@@ -410,8 +435,8 @@ def test_tabloid_perm_rejects_non_tabloid_code():
 def test_polytabloid_terms_lookup_matches_binary_search(monkeypatch, lam):
     from symprep import snmod
 
-    _, codes = snmod._tabloid_words(lam)
-    tableaux = standard_tableaux(lam)
+    words, codes = snmod._tabloid_words(lam)
+    tableaux = standard_tableaux(words, len(lam))
     index = snmod._code_index(codes, len(lam), sum(lam))
     assert index is not None
     terms, signs = snmod._polytabloid_terms(lam, tableaux, codes, index)
@@ -432,12 +457,12 @@ def test_polytabloid_term_aliasing_a_tabloid_in_the_low_digits_fails(monkeypatch
         monkeypatch.setattr(snmod, "_INDEX_SLOTS", slots)
     _, codes = snmod._tabloid_words((2, 2))
     index = snmod._code_index(codes, 2, 4)
-    # the filling puts entry 1 in both cells of row 1, so its first term has
-    # row word (0, 0, 1, 0), code 4: not a (2, 2) tabloid, but its low three
-    # digits are those of the tabloid (0, 0, 1, 1), code 12
+    # a (3, 1) tableau looked up among the (2, 2) tabloids: its first term
+    # has row word (0, 0, 1, 0), code 4, not a (2, 2) tabloid, but its low
+    # three digits are those of the tabloid (0, 0, 1, 1), code 12
     assert 4 not in codes and 12 in codes and 4 % 2**3 == 12 % 2**3
     with pytest.raises(CheckFailed, match="polytabloid term is not a tabloid"):
-        snmod._polytabloid_terms((2, 2), [((0, 2), (1, 1))], codes, index)
+        snmod._polytabloid_terms((3, 1), np.array([[0, 0, 1, 0]]), codes, index)
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -448,6 +473,15 @@ def test_witness_table_matches_each_chain_on_its_own(n):
         for alt in (False, True):
             subs = snmod._mixed_subgroups(n, alt)
             assert snmod._quadratic_witnesses(lam, subs) == snmod._decide_witnesses(lam, subs)
+
+
+def test_witnesses_need_commuting_involutions():
+    from symprep import snmod
+
+    s1, s2 = pm.transposition(5, 0, 1), pm.transposition(5, 1, 2)
+    for gens in ((s1, s2), (pm.from_cycles("(1 2 3)", 5),)):
+        with pytest.raises(CheckFailed, match="commuting involutions"):
+            snmod._decide_witnesses((3, 2), [pm.GroupPresentation("perm", 5, gens)])
 
 
 def test_quadratic_twins_build_one_witness_table_per_partition():
