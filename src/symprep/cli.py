@@ -39,8 +39,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _cmd_verify(args) -> int:
-    config = SuiteConfig(max_n=args.max_n, format=args.format, out=args.out,
-                         timings=args.timings)
+    config = SuiteConfig(max_n=args.max_n, format=args.format, timings=args.timings)
     reports, code = run_suite(args.suite, config)
     _emit(render(args.suite, config, reports), args.out)
     return code

@@ -8,10 +8,10 @@ call.  Over a prime field each is the plain mod-p expression, and `mm_modp`
 sends large products through float64 BLAS.  Over GF(p^r), r > 1, an array
 is split into its r base-p digit planes; plane products run through the
 same mod-p product and the degrees r..2r-2 fold back with the field's
-reduction rows.  A GF(2) matrix may keep its rows bit-packed instead, 64
-columns to a uint64 word: large GF(2) `Mat` products use the Four-Russians
-table product on the words, and sums, equality and elimination work on the
-words too.
+reduction rows.  Bit-packing of GF(2) rows, 64 columns to a uint64 word,
+lives in two kernels: `mm_gf2`, the Four-Russians table product that large
+GF(2) `Mat` products use, and `rref_array`, which packs every GF(2)
+elimination.
 
 All reduced row echelon forms are canonical: leading coefficient 1, pivot
 columns cleared, rows ordered by pivot.  Two subspaces are equal iff their
@@ -222,20 +222,9 @@ def pack_rows(a: np.ndarray) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _unpack_bits(w: np.ndarray, cols: int) -> np.ndarray:
-    """0/1 uint8 entries of packed rows."""
-    return np.unpackbits(w.view(np.uint8), axis=1, count=cols, bitorder="little")
-
-
 def unpack_rows(w: np.ndarray, cols: int) -> np.ndarray:
-    return _unpack_bits(w, cols).astype(np.int64)
-
-
-def _identity_words(n: int) -> np.ndarray:
-    w = np.zeros((n, max(1, -(-n // 64))), dtype=np.uint64)
-    i = np.arange(n)
-    w[i, i >> 6] = np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
-    return w
+    bits = np.unpackbits(w.view(np.uint8), axis=1, count=cols, bitorder="little")
+    return bits.astype(np.int64)
 
 
 def mm_gf2(aw: np.ndarray, k: int, bw: np.ndarray) -> np.ndarray:
@@ -346,10 +335,12 @@ def rref_array(a: np.ndarray, f: GF):
 class Mat:
     """Immutable matrix over a fixed field, entries canonically encoded.
 
-    A GF(2) matrix built with `from_words`, or made by a large product, keeps
-    its rows bit-packed (`words`); `.a`, the read-only int64 entries, is then
-    unpacked on first use.  Either form is derived from the other on demand
-    and kept, so equality, hashing and keys do not depend on the form.
+    `.a` holds the read-only int64 entries, and every operation reads them
+    but the two that meet packed rows.  A large GF(2) product runs `mm_gf2`
+    on the bit-packed rows (`words`, packed on first use and kept) of its
+    operands, and its result holds only words until `.a` unpacks them on
+    first use; equality compares words when either side has no entries yet.
+    Eliminations pack inside `rref_array`.
     """
 
     __slots__ = ("field", "shape", "_a", "_w")
@@ -438,30 +429,13 @@ class Mat:
         if self.field != other.field:
             raise ValueError(f"mismatched fields: {self.field} vs {other.field}")
 
-    def take_rows(self, idx) -> "Mat":
-        """The rows at `idx`, in that order."""
-        if self._a is None:
-            return Mat.from_words(self.field, self._w[idx], self.cols)
-        return Mat._of(self.field, self._a[idx])
-
-    def take_cols(self, idx) -> "Mat":
-        """The columns at `idx`, in that order."""
-        idx = list(idx)
-        if self._a is None:
-            bits = _unpack_bits(self._w, self.cols)[:, idx]
-            return Mat.from_words(self.field, pack_rows(bits), len(idx))
-        return Mat._of(self.field, self._a[:, idx])
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        f = self.field
-        if f.is_gf2 and (self._a is None or other._a is None):
-            return Mat.from_words(f, self.words ^ other.words, self.cols)
-        return Mat._of(f, add(f, self.a, other.a))
+        return Mat._of(self.field, add(self.field, self.a, other.a))
 
     def __neg__(self) -> "Mat":
         if self.field.p == 2:
@@ -483,9 +457,6 @@ class Mat:
 
     @property
     def T(self) -> "Mat":
-        if self._a is None:
-            bits = _unpack_bits(self._w, self.cols)
-            return Mat.from_words(self.field, pack_rows(bits.T), self.rows)
         return Mat._of(self.field, self.a.T)
 
     def kron(self, other: "Mat") -> "Mat":
@@ -511,10 +482,6 @@ class Mat:
     # -- elimination-based -------------------------------------------------
 
     def rref(self):
-        if self.field.is_gf2:
-            w = self.words.copy()
-            piv = _rref_packed(w, self.cols)
-            return Mat.from_words(self.field, w, self.cols), tuple(piv)
         out, piv = rref_array(self.a, self.field)
         return Mat._of(self.field, out), piv
 
@@ -525,19 +492,11 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
         n = self.rows
-        f = self.field
-        if f.is_gf2:
-            wa = self.words.shape[1]
-            aug = np.hstack([self.words, _identity_words(n)])
-            piv = _rref_packed(aug, 64 * wa + n)
-            if tuple(piv) != tuple(range(n)):
-                raise ValueError("matrix is singular")
-            return Mat.from_words(f, aug[:, wa:], n)
         aug = np.hstack([self.a, np.eye(n, dtype=np.int64)])
-        out, piv = rref_array(aug, f)
+        out, piv = rref_array(aug, self.field)
         if tuple(piv) != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Mat._of(f, out[:, n:])
+        return Mat._of(self.field, out[:, n:])
 
     # -- protocol ----------------------------------------------------------
 
@@ -646,7 +605,7 @@ def kernel(m: Mat) -> Subspace:
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     if piv:
-        basis[:, list(piv)] = neg(f, red.take_rows(slice(0, len(piv))).a[:, free].T)
+        basis[:, list(piv)] = neg(f, red.a[: len(piv)][:, free].T)
     return Subspace.from_rows(f, basis)
 
 
@@ -659,14 +618,11 @@ def _square_family(mats: list[Mat]):
 
 
 def stacked_minus_identity(mats: list[Mat]) -> Mat:
-    """The matrices g - 1 stacked top to bottom, packed over GF(2): its
-    kernel is the common fixed space of the list."""
+    """The matrices g - 1 stacked top to bottom: its kernel is the common
+    fixed space of the list."""
     if not mats:
         raise ValueError("need at least one matrix")
     f, n = _square_family(mats)
-    if f.is_gf2:
-        ident = _identity_words(n)
-        return Mat.from_words(f, np.vstack([g.words ^ ident for g in mats]), n)
     ident = Mat.identity(f, n)
     return Mat._of(f, np.vstack([(g - ident).a for g in mats]))
 
@@ -692,11 +648,12 @@ def quotient_action(mats: list[Mat], x: Mat) -> list[Mat]:
     red, piv = x.rref()
     if len(piv) == n:  # ker x = 0 and R = 1
         return list(mats)
-    r = red.take_rows(slice(0, len(piv)))
+    r = Mat._of(f, red.a[: len(piv)])
+    cols = list(piv)
     out = []
     for g in mats:
         rg = r @ g
-        out.append(rg.take_cols(piv))
+        out.append(Mat._of(f, rg.a[:, cols]))
         if out[-1] @ r != rg:
             raise ValueError("kernel is not invariant under the given action")
     return out

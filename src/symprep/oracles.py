@@ -254,13 +254,9 @@ def _random_commuting_pair(rng, fld: GF, dim: int):
     for _ in range(40):
         a = _random_involution(rng, fld, dim)
         n = (a - ident).a % 2
-        cols = []
-        for i in range(dim):
-            for j in range(dim):
-                e = np.zeros((dim, dim), dtype=np.int64)
-                e[i, j] = 1
-                cols.append(((e @ n - n @ e) % 2).reshape(-1))
-        centralizer = kernel(Mat(fld, np.stack(cols, axis=1)))
+        # X -> XN - NX on row-major vec(X), column (i, j) the image of e_ij
+        eye = np.eye(dim, dtype=np.int64)
+        centralizer = kernel(Mat(fld, (np.kron(eye, n.T) - np.kron(n, eye)) % 2))
         for _ in range(60):
             coeffs = rng.integers(0, 2, size=centralizer.dim).astype(np.int64)
             x = (coeffs @ centralizer.basis % 2).reshape(dim, dim)

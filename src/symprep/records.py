@@ -73,7 +73,6 @@ class SuiteConfig:
     max_n: int = 12
     grid: Optional[tuple] = None  # None = the standard (family, m, q) grid
     format: str = "text"  # one of REPORT_FORMATS
-    out: Optional[str] = None
     timings: bool = False
 
     def __post_init__(self):
@@ -83,7 +82,6 @@ class SuiteConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d.pop("out")  # output path must not affect report bytes
         if d["grid"] is not None:
             d["grid"] = [list(pt) for pt in d["grid"]]
         return d

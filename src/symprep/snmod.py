@@ -25,7 +25,7 @@ from .field import GF, make_field
 # kernel, mm_modp and rref_array stay importable from here: the layer trace
 # in perfbench/layers.py wraps them by module
 from .linalg import (Mat, joint_fixed_space, kernel, mm_modp,  # noqa: F401
-                     pack_rows, quotient_action, rref_array, stacked_minus_identity)
+                     quotient_action, rref_array, stacked_minus_identity)
 from .records import VerificationReport, make_report, run_jobs
 
 MAX_N = 12
@@ -192,14 +192,12 @@ def _tabloid_perm(words: np.ndarray, codes: np.ndarray, base: int, g: pm.Perm,
                   index: Optional[np.ndarray]) -> np.ndarray:
     """Index map m with (g . x) = x[m] for coefficient vectors x over tabloids.
 
-    g moves the entry x of a tabloid to g(x), so the row word of g.T is the
-    word of T read at g^-1.  index is _code_index of codes.
+    g moves the entry x of a tabloid to g(x), so (g . x)[T] = x[g^-1 . T],
+    and the row word of g^-1 . T is the word of T read at g.  index is
+    _code_index of codes.
     """
-    moved = words[:, list(pm.inverse(g))] @ base ** np.arange(len(g), dtype=np.int64)
-    at = _code_positions(codes, index, moved, "moved code is not a tabloid code")
-    out = np.empty(len(codes), dtype=np.int32)
-    out[at] = np.arange(len(codes), dtype=np.int32)
-    return out
+    moved = words[:, list(g)] @ base ** np.arange(len(g), dtype=np.int64)
+    return _code_positions(codes, index, moved, "moved code is not a tabloid code")
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +210,9 @@ class GModule:
     gen_actions[i] is the matrix of the adjacent swap (i, i+1), 0-based, in
     column convention.  Unless `check` is False, generator relations
     (involution, braid, distant commutation) are checked at construction:
-    full matrix identities up to dimension 400, then against a 64-column
-    random block, which any violation survives with probability at most
-    p^-64.
+    as matrix identities up to dimension 400, above it applied to a
+    64-column random block, which any violation survives with probability at
+    most p^-64.
     """
 
     def __init__(self, n: int, field: GF, gen_actions, label: str = "",
@@ -239,27 +237,25 @@ class GModule:
         gens = self.gen_actions
         f = self.field
         if full:
-            ident = Mat.identity(f, self.dim)
-            for a in gens:
-                require(a @ a == ident, "generator is not an involution")
-            for i in range(len(gens) - 1):
-                a, b = gens[i], gens[i + 1]
-                require(a @ (b @ a) == b @ (a @ b), "braid relation fails")
-            for i in range(len(gens)):
-                for j in range(i + 2, len(gens)):
-                    require(gens[i] @ gens[j] == gens[j] @ gens[i],
-                            "distant generators must commute")
-            return
-        rng = np.random.default_rng(77003)
-        v = Mat(f, rng.integers(0, f.q, size=(self.dim, 64)))
+            block, one = None, Mat.identity(f, self.dim)
+        else:
+            block = Mat(f, np.random.default_rng(77003).integers(0, f.q, size=(self.dim, 64)))
+            one = block
+
+        def word(*mats):
+            """The product of mats, applied to the block if there is one."""
+            out = block
+            for m in reversed(mats):
+                out = m if out is None else m @ out
+            return out
+
         for a in gens:
-            require(a @ (a @ v) == v, "generator is not an involution")
-        for i in range(len(gens) - 1):
-            a, b = gens[i], gens[i + 1]
-            require(a @ (b @ (a @ v)) == b @ (a @ (b @ v)), "braid relation fails")
+            require(word(a, a) == one, "generator is not an involution")
+        for a, b in zip(gens, gens[1:]):
+            require(word(a, b, a) == word(b, a, b), "braid relation fails")
         for i in range(len(gens)):
             for j in range(i + 2, len(gens)):
-                require(gens[i] @ (gens[j] @ v) == gens[j] @ (gens[i] @ v),
+                require(word(gens[i], gens[j]) == word(gens[j], gens[i]),
                         "distant generators must commute")
 
     def act(self, g: pm.Perm) -> Mat:
@@ -296,9 +292,11 @@ def _specht_core(lam: tuple, p: int):
     """(n, dim, generator matrices, Gram matrix) for the standard-polytabloid basis.
 
     The basis b has one row per standard polytabloid and one column per
-    tabloid; at p = 2 it is built and kept bit-packed.  The action of s_k on
-    b permutes its columns, and straightening solves for the coefficients on
-    the pivot columns of b, then checks coef·b = s_k·b.
+    tabloid, as int64 entries for every p; over GF(2), `rref_array` and the
+    large products pack its rows themselves.  The action of s_k on b
+    permutes its columns, and straightening solves for the coefficients on
+    the pivot columns of b, then checks coef·b = s_k·b: exactly up to
+    dimension 200, and above it after a random 64-row projection.
     """
     lam = check_partition(lam)
     n = sum(lam)
@@ -311,15 +309,9 @@ def _specht_core(lam: tuple, p: int):
     dim = len(st)
     require(dim == hook_length_dim(lam), "tableau count disagrees with hook lengths")
     terms, signs = _polytabloid_terms(lam, st, codes, index)
-    rows = np.arange(dim)[:, None]
-    if p == 2:
-        entries = np.zeros((dim, len(codes)), dtype=np.uint8)
-        entries[rows, terms] = 1
-        b = Mat.from_words(fld, pack_rows(entries), len(codes))
-    else:
-        entries = np.zeros((dim, len(codes)), dtype=np.int64)
-        entries[rows, terms] = signs % p
-        b = Mat(fld, entries)
+    entries = np.zeros((dim, len(codes)), dtype=np.int64)
+    entries[np.arange(dim)[:, None], terms] = signs % p
+    b = Mat(fld, entries)
     _, piv = b.rref()
     require(len(piv) == dim, "standard polytabloids must stay independent mod p")
     piv = list(piv)

@@ -1,5 +1,6 @@
-"""No dead helpers: every module-level function and class of the package has
-a caller in the library, the demos or the benchmark."""
+"""No dead helpers: every module-level function and class of the package, and
+every method but the dunders, has a caller in the library, the demos or the
+benchmark."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,9 @@ def test_every_module_level_definition_has_a_caller():
                 continue  # an export is not a use
             definitions += [(path, node) for node in tree.body
                             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+            definitions += [(path, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                            for node in cls.body if isinstance(node, ast.FunctionDef)
+                            and not (node.name.startswith("__") and node.name.endswith("__"))]
         for name, line in _referenced_names(tree):
             references.setdefault(name, []).append((path, line))
     assert len(definitions) > 100  # the scan found the package

@@ -165,7 +165,7 @@ def test_quotient_action_commutes_with_projection():
             if rank in (0, 6):
                 continue
             q = quotient_action([m], x)[0]
-            r = red.take_rows(slice(0, rank))
+            r = Mat(f, red.a[:rank])
             assert q.shape == (rank, rank)
             for _ in range(5):
                 v = rng.integers(0, f.q, size=6)
@@ -321,7 +321,7 @@ def test_packed_arithmetic_and_elimination():
     assert np.array_equal((pa + pb).a, (a.a + b.a) % 2)
     assert pa - pb == pa + pb
     assert np.array_equal(pa.T.a, a.a.T)
-    assert np.array_equal(pa.take_rows([4, 0, 149]).a, a.a[[4, 0, 149]])
+    assert np.array_equal(pa.a[[4, 0, 149]], a.a[[4, 0, 149]])
     red_p, piv_p = pa.rref()
     red_g, piv_g = _rref_generic(a.a, GF2)
     assert piv_p == tuple(piv_g) and np.array_equal(red_p.a, red_g)
@@ -378,7 +378,6 @@ def test_quotient_action_large_gf2():
     red, piv = _rref_generic(x.a, GF2)
     r = red[: len(piv)]
     for g, q in zip(perm_mats, quotient_action(perm_mats, x)):
-        assert q._a is None  # R·g took the packed product
         assert np.array_equal(q.a, (r @ g.a % 2)[:, list(piv)])
 
 

@@ -134,6 +134,35 @@ def test_relation_check_survives_python_O():
     assert proc.stdout.splitlines() == ["generator is not an involution"]
 
 
+# S(5,3,2) mod 2 has dimension 450: its straightening is checked after a
+# 64-row projection (dim > 200), its relations on a 64-column block (dim > 400)
+_SAMPLED = (5, 3, 2)
+
+
+def test_sampled_checks_pass_above_dimension_400():
+    mod = specht_module(_SAMPLED, 2)
+    assert mod.dim == 450 and len(mod.gen_actions) == 9
+
+
+def test_sampled_relation_check_rejects_a_broken_braid():
+    mod = specht_module(_SAMPLED, 2)
+    gens = list(mod.gen_actions)
+    gens[4] = Mat.identity(mod.field, mod.dim)
+    with pytest.raises(CheckFailed, match="braid relation fails"):
+        GModule(mod.n, mod.field, gens)
+
+
+def test_projected_straightening_rejects_a_rolled_tabloid_map(monkeypatch):
+    from symprep import snmod
+
+    real = snmod._tabloid_perm
+    snmod._specht_core.cache_clear()
+    snmod.specht_module.cache_clear()
+    monkeypatch.setattr(snmod, "_tabloid_perm", lambda *args: np.roll(real(*args), 1))
+    with pytest.raises(CheckFailed, match="straightening failed"):
+        specht_module(_SAMPLED, 2)
+
+
 def test_act_is_multiplicative():
     mod = irreducible_D((4, 2), 3)
     rng = np.random.default_rng(11)
