@@ -25,13 +25,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[x] for x in b)
 
 
-def inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
-
-
 def cycles_of(a: Perm):
     seen = [False] * len(a)
     out = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -172,11 +173,11 @@ def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray,
     index is _code_index of codes.
     """
     conj = conjugate(lam)
-    per_col = [list(itertools.permutations(range(c))) for c in conj]
+    per_col = [[(sig, pm.sign(sig)) for sig in itertools.permutations(range(c))] for c in conj]
     row_of_cell, signs = [], []
     for choice in itertools.product(*per_col):
-        row_of_cell.append([a for sig in choice for a in sig])
-        signs.append(math.prod(pm.sign(sig) for sig in choice))
+        row_of_cell.append([a for sig, _ in choice for a in sig])
+        signs.append(math.prod(s for _, s in choice))
     row_of_cell = np.array(row_of_cell, dtype=np.int64)
     # a stable argsort lists each filling row by row, left to right, so cell
     # (a, j) sits at position start[a] + j; points reads the cells column by column
@@ -295,7 +296,8 @@ def _specht_core(lam: tuple, p: int):
     tabloid, as int64 entries for every p; over GF(2), `rref_array` and the
     large products pack its rows themselves.  The action of s_k on b
     permutes its columns, and straightening solves for the coefficients on
-    the pivot columns of b, then checks coef·b = s_k·b: exactly up to
+    the pivot columns of b, with the inverse there read off the one
+    elimination of [b | I], then checks coef·b = s_k·b: exactly up to
     dimension 200, and above it after a random 64-row projection.
     """
     lam = check_partition(lam)
@@ -312,11 +314,12 @@ def _specht_core(lam: tuple, p: int):
     entries = np.zeros((dim, len(codes)), dtype=np.int64)
     entries[np.arange(dim)[:, None], terms] = signs % p
     b = Mat(fld, entries)
-    _, piv = b.rref()
-    require(len(piv) == dim, "standard polytabloids must stay independent mod p")
+    # [b | I] reduces to [rref(b) | E] with E b[:, piv] = I, so E inverts b on its pivots
+    red, piv = rref_array(np.hstack([entries, np.eye(dim, dtype=np.int64)]), fld)
+    require(piv[-1] < len(codes), "standard polytabloids must stay independent mod p")
     piv = list(piv)
-    binv = Mat(fld, entries[:, piv]).inverse()
-    rng = np.random.default_rng(409 + 97 * n + p)
+    binv = Mat._of(fld, red[:, len(codes):])
+    rng = np.random.default_rng(409 + 97 * n + p) if dim > 200 else None
     gen_mats = []
     for k in range(n - 1):
         shuffle = _tabloid_perm(words, codes, len(lam), pm.transposition(n, k, k + 1), index)
@@ -589,6 +592,14 @@ def _mixed_subgroups(n: int, even_part: bool) -> list[pm.GroupPresentation]:
     return subs
 
 
+@functools.lru_cache(maxsize=None)
+def _generates_2_elementary(gens: tuple, degree: int) -> bool:
+    """Whether the permutations gens generate an elementary abelian 2-group;
+    each generator list is certified once per process."""
+    rows = np.array(gens, dtype=np.intp).reshape(len(gens), degree)
+    return pm.elementary_abelian_span(rows, 2) is not None
+
+
 def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool]:
     """Per subgroup, whether the tabloid module proves D(lam) has Loewy length >= 3 on it.
 
@@ -597,10 +608,11 @@ def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool
     D = S / (S meet S^perp), with S the row span of the polytabloid matrix b,
     and the tabloid permutations P_i are symmetric, so x_i x_j D = 0 iff
     b (P_i - 1)(P_j - 1) b^T = 0.  That product is applied to one fixed
-    64-column block V over GF(2), one uint64 word per standard tableau; a
-    nonzero word is an exact witness.  False means only that no witness turned
-    up, and the caller decides that subgroup on D(lam) itself.  A pair
-    (g_i, g_j) shared by two subgroups is decided once.
+    64-column block V over GF(2), one uint64 word per standard tableau drawn
+    from random.Random(5077); a nonzero word is an exact witness.  False means
+    only that no witness turned up, and the caller decides that subgroup on
+    D(lam) itself.  A pair (g_i, g_j) shared by two subgroups is decided once,
+    and each subgroup's generators are certified once per process.
     """
     n = sum(lam)
     words, codes = _tabloid_words(lam)
@@ -608,7 +620,7 @@ def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool
     ident = np.arange(len(codes))
     maps = {}
     for sub in subs:
-        require(pm.elementary_abelian_span(sub.generator_rows(), 2) is not None,
+        require(_generates_2_elementary(sub.generators, sub.degree),
                 "subgroup generators must be commuting involutions")
         for g in sub.generators:
             if g not in maps:
@@ -617,7 +629,7 @@ def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool
                         "tabloid map of an involution is not an involution")
     tableaux = standard_tableaux(words, len(lam))
     terms, _ = _polytabloid_terms(lam, tableaux, codes, index)
-    v = np.random.default_rng(5077).integers(0, 2**64, size=len(tableaux), dtype=np.uint64)
+    v = np.frombuffer(random.Random(5077).randbytes(8 * len(tableaux)), dtype=np.uint64)
     u = np.zeros(len(codes), dtype=np.uint64)
     np.bitwise_xor.at(u, terms, v[:, None])
     xu = {g: u ^ u[m] for g, m in maps.items()}

@@ -11,19 +11,51 @@ PACKAGE = Path(symprep.__file__).resolve().parent
 ROOT = PACKAGE.parent.parent
 
 
+def _import_paths(tree: ast.AST) -> dict:
+    """{local name: dotted import path} of every import in the file; a
+    relative import resolves inside the package."""
+    paths = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root = alias.name.split(".")[0]
+                paths[alias.asname or root] = alias.name if alias.asname else root
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, (PACKAGE.name if node.level else "", node.module)))
+            for alias in node.names:
+                paths[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return paths
+
+
+def _import_path_of(node: ast.AST, paths: dict):
+    """The dotted import path an expression reads, or None if it reads no import."""
+    if isinstance(node, ast.Name):
+        return paths.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _import_path_of(node.value, paths)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
 def _referenced_names(tree: ast.AST):
-    """(name, line) of every name, attribute and string constant; a string
-    counts because perfbench/layers.py patches functions by their names."""
+    """(name, line, owner) of every name, attribute and string constant; a
+    string counts because perfbench/layers.py patches functions by their
+    names.  owner is "" for a bare name or a string, and for an attribute the
+    import path of what it is read from (None if that is no import)."""
+    paths = _import_paths(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, ""
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, _import_path_of(node.value, paths)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, ""
 
 
 def test_every_module_level_definition_has_a_caller():
+    """A method counts as used by any reference to its name; a module-level
+    definition only by a bare name, a string, or an attribute read from its
+    own module, so `Mat.inverse()` is no use of a function `perm.inverse`."""
     definitions = []
     references = {}
     for path in sorted(p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")):
@@ -31,19 +63,21 @@ def test_every_module_level_definition_has_a_caller():
         if path.parent == PACKAGE:
             if path.name == "__init__.py":
                 continue  # an export is not a use
-            definitions += [(path, node) for node in tree.body
+            definitions += [(path, node, True) for node in tree.body
                             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-            definitions += [(path, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            definitions += [(path, node, False) for cls in tree.body if isinstance(cls, ast.ClassDef)
                             for node in cls.body if isinstance(node, ast.FunctionDef)
                             and not (node.name.startswith("__") and node.name.endswith("__"))]
-        for name, line in _referenced_names(tree):
-            references.setdefault(name, []).append((path, line))
+        for name, line, owner in _referenced_names(tree):
+            references.setdefault(name, []).append((path, line, owner))
     assert len(definitions) > 100  # the scan found the package
 
-    def used(path, node):
+    def used(path, node, module_level):
+        owners = ("", f"{PACKAGE.name}.{path.stem}")
         return any(not (where == path and node.lineno <= line <= node.end_lineno)
-                   for where, line in references.get(node.name, ()))
+                   and (owner in owners or not module_level)
+                   for where, line, owner in references.get(node.name, ()))
 
-    dead = [f"{path.name}:{node.lineno} {node.name}" for path, node in definitions
-            if not used(path, node)]
+    dead = [f"{path.name}:{node.lineno} {node.name}" for path, node, module_level in definitions
+            if not used(path, node, module_level)]
     assert dead == []

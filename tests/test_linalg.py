@@ -222,22 +222,35 @@ def test_argument_check_survives_python_O():
     assert proc.stdout.splitlines() == ["raised ValueError"] * 3
 
 
-_SWEEPS_WITHOUT_NUMPY_MA = """
+_SWEEP_IMPORTS = """
 import sys
 from symprep.snmod import verify_appendix
 verify_appendix("char2", [8], 2)
 verify_appendix("charnot2", [5], 3)
-print("numpy.ma" in sys.modules)
+for name in sys.argv[1:]:
+    print(name, name in sys.modules)
 """
+
+
+@functools.lru_cache(maxsize=None)
+def _imported_by_sweeps() -> dict:
+    """{module: imported?} in a fresh interpreter after a mod-2 and a mod-3 sweep."""
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_IMPORTS, "numpy.ma", "numpy.random"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {name: seen == "True" for name, seen in map(str.split, proc.stdout.splitlines())}
 
 
 def test_sweeps_do_not_import_numpy_ma():
     """kernel finds its free columns without np.unique, which imports numpy.ma."""
-    src = os.path.dirname(os.path.dirname(symprep.__file__))
-    proc = subprocess.run([sys.executable, "-c", _SWEEPS_WITHOUT_NUMPY_MA],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False"]
+    assert _imported_by_sweeps()["numpy.ma"] is False
+
+
+def test_sweeps_do_not_import_numpy_random():
+    """The witness block comes from the stdlib random module, and the Specht
+    core seeds numpy's generator only for its sampled check above dimension 200."""
+    assert _imported_by_sweeps()["numpy.random"] is False
 
 
 def test_quotient_action_functorial():

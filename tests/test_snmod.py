@@ -478,6 +478,34 @@ def test_polytabloid_terms_lookup_matches_binary_search(monkeypatch, lam):
     assert np.array_equal(terms, ref_terms) and np.array_equal(signs, ref_signs)
 
 
+def test_polytabloid_terms_match_the_definition():
+    """Every term and sign against the definition: term sigma of tableau t
+    moves the entry in cell (a, j) to row sigma_j(a), and its sign is that of
+    sigma as one permutation of the cells, by pm.sign."""
+    from symprep import snmod
+
+    for lam in (lam for n in range(2, 9) for lam in partitions(n)):
+        n, conj = sum(lam), conjugate(lam)
+        words, codes = snmod._tabloid_words(lam)
+        tableaux = standard_tableaux(words, len(lam))
+        terms, signs = snmod._polytabloid_terms(lam, tableaux, codes,
+                                                snmod._code_index(codes, len(lam), n))
+        choices = list(itertools.product(*(itertools.permutations(range(c)) for c in conj)))
+        # cell (a, j) is number offset[j] + a, column by column
+        offset = list(itertools.accumulate(conj, initial=0))
+        want_signs = [pm.sign(tuple(offset[j] + a for j, sig in enumerate(choice) for a in sig))
+                      for choice in choices]
+        assert signs.tolist() == want_signs, lam
+        # a term's code sums, over the cells, its new row times base^(the entry there)
+        weight = [[len(lam) ** [x for x in range(n) if t[x] == a][j]
+                   for j, c in enumerate(conj) for a in range(c)] for t in tableaux.tolist()]
+        new_row = [[a for sig in choice for a in sig] for choice in choices]
+        term_codes = np.array(weight, dtype=np.int64) @ np.array(new_row, dtype=np.int64).T
+        want_terms = np.searchsorted(codes, term_codes)
+        assert np.array_equal(codes[want_terms], term_codes), lam
+        assert np.array_equal(terms, want_terms), lam
+
+
 @pytest.mark.parametrize("slots", [None, 0])
 def test_polytabloid_term_aliasing_a_tabloid_in_the_low_digits_fails(monkeypatch, slots):
     from symprep import snmod
@@ -511,6 +539,35 @@ def test_witnesses_need_commuting_involutions():
     for gens in ((s1, s2), (pm.from_cycles("(1 2 3)", 5),)):
         with pytest.raises(CheckFailed, match="commuting involutions"):
             snmod._decide_witnesses((3, 2), [pm.GroupPresentation("perm", 5, gens)])
+
+
+def test_quadratic_twins_certify_each_subgroup_once(monkeypatch):
+    from symprep import snmod
+
+    spans = []
+    real = pm.elementary_abelian_span
+    monkeypatch.setattr(pm, "elementary_abelian_span",
+                        lambda rows, p: spans.append(rows.tolist()) or real(rows, p))
+    snmod._witness_table.cache_clear()
+    snmod._generates_2_elementary.cache_clear()
+    reports = verify_appendix("char2", [9], 2) + verify_appendix("char2_alt", [9], 2)
+    assert [r.status for r in reports] == ["pass", "pass"]
+    # the chains share K^2 at n = 9: six subgroups, five generator lists
+    distinct = {sub.generators for alt in (False, True) for sub in snmod._mixed_subgroups(9, alt)}
+    assert len(spans) == len(distinct) == 5
+    assert sorted(map(str, spans)) == sorted(str([list(g) for g in gens]) for gens in distinct)
+
+
+def test_cached_certification_still_rejects_non_commuting_generators():
+    from symprep import snmod
+
+    sub = pm.GroupPresentation("perm", 6, (pm.transposition(6, 0, 1), pm.transposition(6, 1, 2)))
+    snmod._generates_2_elementary.cache_clear()
+    for lam in ((4, 2), (3, 2, 1)):
+        with pytest.raises(CheckFailed, match="commuting involutions"):
+            snmod._decide_witnesses(lam, [sub])
+    info = snmod._generates_2_elementary.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_quadratic_twins_build_one_witness_table_per_partition():
