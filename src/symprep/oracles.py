@@ -29,28 +29,23 @@ from .linalg import Mat, Subspace, kernel, mm_modp
 _FILTER_CHUNK = 512
 
 
-def enum_parabolic(n: int, kind: str) -> dict:
-    """Brute-force rank/order of the subgroup acting trivially on W and V/W.
+@functools.lru_cache(maxsize=None)
+def _trivial_rows(n: int) -> np.ndarray:
+    """The elements of S_n acting trivially on W and V/W, as read-only rows.
 
-    Enumerates the whole permutation group as the sorted element array of
-    pm.closure (so only sensible for n <= 8) and maps each chunk of at most
-    _FILTER_CHUNK rows through the mod-2 representation with one gather
-    (irrep_images).  One batched product per chunk tests D = g - I two ways:
-    B D^T = 0, where the rows of B span W (g fixes W pointwise), and R D = 0,
-    where R v is the residue of v after clearing W's pivots (g is the
-    identity on V/W).  The survivors, still sorted, must be exactly the span
-    that elementary_abelian_span certifies.  No packed-word tricks anywhere.
-    Returns {n, kind, rank, order}.
+    Enumerates S_n as the sorted element array of pm.closure and maps each
+    chunk of at most _FILTER_CHUNK rows through the mod-2 representation
+    with one gather (irrep_images).  One batched product per chunk tests
+    D = g - I two ways: B D^T = 0, where the rows of B span W (g fixes W
+    pointwise), and R D = 0, where R v is the residue of v after clearing
+    W's pivots (g is the identity on V/W).  The survivors stay sorted.  No
+    packed-word tricks anywhere.
     """
     from .dickson import half_dim, irrep_images, lagrangian_pair
 
-    if not 4 <= n <= 8:
-        raise ValueError(f"exhaustive oracle needs 4 <= n <= 8, got {n}")
-    if kind not in ("sym", "alt"):
-        raise ValueError(f"kind must be sym or alt, got {kind!r}")
     w, _, _ = lagrangian_pair(half_dim(n))
     dim = w.ambient
-    elements = pm.closure(pm.standard_gens(kind, n))
+    elements = pm.closure(pm.standard_gens("sym", n))
     ident = np.eye(dim, dtype=np.int64)
     basis = w.basis
     residue = (ident + basis.T @ ident[list(w.pivots)]) % 2
@@ -63,6 +58,29 @@ def enum_parabolic(n: int, kind: str) -> dict:
         keep = ~prod[:, :dim, :dim].any(axis=(1, 2)) & ~prod[:, dim:, dim:].any(axis=(1, 2))
         survivors.append(block[keep])
     survivors = np.concatenate(survivors)
+    survivors.flags.writeable = False
+    return survivors
+
+
+def enum_parabolic(n: int, kind: str) -> dict:
+    """Brute-force rank/order of the subgroup acting trivially on W and V/W.
+
+    One exhaustive S_n sweep per degree (_trivial_rows, cached by n, so only
+    sensible for n <= 8) decides both kinds: the A_n elements that act
+    trivially are exactly the even S_n elements that do, so "alt" keeps the
+    survivors of sign +1.  The kept rows, still sorted, must be exactly the
+    span that elementary_abelian_span certifies; that check runs on every
+    call.  Needs 5 <= n <= 8: at n = 4 the Klein four-group acts trivially on
+    all of V, and the subgroup is dihedral of order 8, not elementary abelian.
+    Returns {n, kind, rank, order}.
+    """
+    if not 5 <= n <= 8:
+        raise ValueError(f"exhaustive oracle needs 5 <= n <= 8, got {n}")
+    if kind not in ("sym", "alt"):
+        raise ValueError(f"kind must be sym or alt, got {kind!r}")
+    survivors = _trivial_rows(n)
+    if kind == "alt":
+        survivors = survivors[np.array([pm.sign(g) == 1 for g in survivors.tolist()])]
     certified = pm.elementary_abelian_span(survivors, 2)
     require(certified is not None and np.array_equal(certified[1], survivors),
             "trivially-acting elements should form an elementary abelian group")

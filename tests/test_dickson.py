@@ -181,7 +181,8 @@ from symprep.dickson import standard_parabolic
 if not sys.flags.optimize:
     sys.exit(3)
 pm.elementary_abelian_span = lambda elements, p: None
-for check in (lambda: standard_parabolic(6, "sym"), lambda: oracles.enum_parabolic(6, "sym")):
+for check in (lambda: standard_parabolic(6, "sym"), lambda: oracles.enum_parabolic(6, "sym"),
+              lambda: oracles.enum_parabolic(6, "alt")):
     try:
         check()
     except AssertionError as exc:
@@ -195,7 +196,7 @@ def test_parabolic_certification_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CHECK], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["raised CheckFailed"] * 2
+    assert proc.stdout.splitlines() == ["raised CheckFailed"] * 3
 
 
 def test_gl_parabolic_check():

@@ -265,6 +265,7 @@ def test_cli_bad_args_exit_2():
     assert code == 2
     for argv in (("oracle", "tableau_count", "--partition", "a,b"),
                  ("oracle", "enum_parabolic", "--n", "6"),
+                 ("oracle", "enum_parabolic", "--n", "4", "--group", "sym"),
                  ("dump", "module"),
                  ("oracle", "decompose_small_module", "--demo", "bogus"),
                  ("verify", "dickson", "--max-n", "13"),

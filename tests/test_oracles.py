@@ -6,6 +6,8 @@ import math
 import pytest
 
 from symprep import oracles
+from symprep import perm as pm
+from symprep.checks import CheckFailed
 from symprep.dickson import (half_dim, lagrangian_pair,
                              parabolic_trivial_subgroup)
 from symprep.field import make_field
@@ -24,23 +26,48 @@ def test_enum_parabolic_reference_point():
 def test_enum_parabolic_chunks_not_dividing_group_order(monkeypatch):
     # the default chunk leaves a partial last chunk at n = 7, 8, which
     # criterion 02 in test_acceptance covers; 11 is a prime above 8, so it
-    # never divides |S_n| or |A_n|, and 1 is the smallest chunk
+    # never divides |S_n| or |A_n|, and 1 is the smallest chunk.  The sweep
+    # is cached by degree, so the cache is cleared for each patched chunk
+    # and every degree must be swept again with it.
     assert all(math.factorial(n) % oracles._FILTER_CHUNK for n in (7, 8))
     for chunk in (11, 1):
         monkeypatch.setattr(oracles, "_FILTER_CHUNK", chunk)
+        oracles._trivial_rows.cache_clear()
         for n in (5, 6, 7) if chunk > 1 else (5, 6):
+            misses = oracles._trivial_rows.cache_info().misses
             for kind in ("sym", "alt"):
                 r = n // 2 - (1 if kind == "alt" else 0)
                 res = enum_parabolic(n, kind)
                 assert (res["rank"], res["order"]) == (r, 2**r), (n, kind, chunk)
+            assert oracles._trivial_rows.cache_info().misses == misses + 1, (n, chunk)
 
 
 def test_enum_parabolic_agrees_with_main_path():
     for n in (5, 6, 7):
         w, _, _ = lagrangian_pair(half_dim(n))
-        main = parabolic_trivial_subgroup(n, "sym", w)
-        oracle = enum_parabolic(n, "sym")
-        assert (main.rank, main.order) == (oracle["rank"], oracle["order"])
+        for kind in ("sym", "alt"):
+            main = parabolic_trivial_subgroup(n, kind, w)
+            oracle = enum_parabolic(n, kind)
+            assert (main.rank, main.order) == (oracle["rank"], oracle["order"]), (n, kind)
+        # the alt oracle keeps the even S_n survivors: each must lie in the
+        # group that the A_n generators close to
+        alt = {tuple(g) for g in pm.closure(pm.standard_gens("alt", n)).tolist()}
+        even = [tuple(g) for g in oracles._trivial_rows(n).tolist() if pm.sign(g) == 1]
+        assert len(even) == main.order and set(even) <= alt, n
+
+
+def test_enum_parabolic_sweeps_once_per_degree_and_certifies_every_call(monkeypatch):
+    oracles._trivial_rows.cache_clear()
+    enum_parabolic(6, "sym")
+    enum_parabolic(6, "alt")
+    info = oracles._trivial_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert not oracles._trivial_rows(6).flags.writeable
+    monkeypatch.setattr(pm, "elementary_abelian_span", lambda elements, p: None)
+    for kind in ("sym", "alt"):
+        with pytest.raises(CheckFailed):
+            enum_parabolic(6, kind)
+    assert oracles._trivial_rows.cache_info().misses == 1
 
 
 def test_enum_parabolic_cap():
@@ -48,6 +75,11 @@ def test_enum_parabolic_cap():
         enum_parabolic(9, "sym")
     with pytest.raises(ValueError):
         enum_parabolic(3, "sym")
+    # at n = 4 the trivially-acting subgroup is dihedral, so n = 4 is bad
+    # input, not a failed check
+    for kind in ("sym", "alt"):
+        with pytest.raises(ValueError):
+            enum_parabolic(4, kind)
     with pytest.raises(ValueError):
         enum_parabolic(6, "perm")
 
