@@ -22,6 +22,7 @@ reproducible.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -291,27 +292,36 @@ def _rref_packed(w: np.ndarray, cols: int):
 
 
 def _rref_generic(a: np.ndarray, f: GF):
-    """RREF of an encoded array (copy); returns (array, pivot list)."""
+    """RREF of an encoded array (copy); returns (array, pivot list).
+
+    One scan per column, as in `_rref_packed`: its nonzero rows give the
+    pivot row, the first at or below r, and the rows to clear, from column c
+    on, since rows at and below r are zero left of it.  The pivot inverse
+    comes from `_inv_table` over a prime field, from `GF.inv` over GF(p^r).
+    """
     a = a % f.q
     rows, cols = a.shape
+    table = _inv_table(f.p) if f.r == 1 else None
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        hits = a[:, c].nonzero()[0]
+        k = hits.searchsorted(r)
+        if k == hits.size:
             continue
-        pr = r + int(nz[0])
+        pr = hits[k]
+        lead = int(a[pr, c])
+        if lead == 1:
+            row = a[pr, c:].copy()
+        else:
+            row = mul(f, a[pr, c:], int(table[lead]) if table is not None else f.inv(lead))
+        if hits.size > 1:  # a lone hit is the pivot row, overwritten below
+            a[hits, c:] = sub_mul(f, a[hits, c:], a[hits, c, None], row)
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = f.inv(int(a[r, c]))
-        if inv != 1:
-            a[r] = mul(f, a[r], inv)
-        sel = np.flatnonzero(a[:, c])
-        sel = sel[sel != r]
-        if sel.size:
-            a[sel] = sub_mul(f, a[sel], a[sel, c, None], a[r])
+            a[pr] = a[r]
+        a[r, c:] = row
         pivots.append(c)
         r += 1
     return a, pivots
@@ -522,6 +532,39 @@ class Mat:
         return [[int(x) for x in row] for row in self.a]
 
 
+def left_multiply(a: Mat, bs: list[Mat]) -> list[Mat]:
+    """[a @ b for b in bs] as one product of a with the bs side by side.
+
+    A large GF(2) product runs `mm_gf2` on the bs' packed rows laid word by
+    word side by side; each b's rows end in zero padding, so each product
+    block keeps its own words."""
+    f = a.field
+    if any(b.field != f or b.rows != a.cols for b in bs):
+        raise ValueError(f"cannot multiply {a!r} by {bs!r}")
+    widths = [b.cols for b in bs]
+    if f.is_gf2 and a.rows * a.cols * sum(widths) >= _LARGE_MACS:
+        out = mm_gf2(a.words, a.cols, np.hstack([b.words for b in bs]))
+        spans = [b.words.shape[1] for b in bs]
+        return [Mat.from_words(f, out[:, e - s:e], m)
+                for e, s, m in zip(itertools.accumulate(spans), spans, widths)]
+    out = matmul(f, a.a, np.hstack([b.a for b in bs]))
+    return [Mat._of(f, out[:, e - m:e]) for e, m in zip(itertools.accumulate(widths), widths)]
+
+
+def right_multiply(mats: list[Mat], b: Mat) -> list[Mat]:
+    """[a @ b for a in mats] as one product of the mats stacked top to bottom with b."""
+    f = b.field
+    if any(a.field != f or a.cols != b.rows for a in mats):
+        raise ValueError(f"cannot multiply {mats!r} by {b!r}")
+    heights = [a.rows for a in mats]
+    if f.is_gf2 and sum(heights) * b.rows * b.cols >= _LARGE_MACS:
+        out = mm_gf2(np.vstack([a.words for a in mats]), b.rows, b.words)
+        return [Mat.from_words(f, out[e - n:e], b.cols)
+                for e, n in zip(itertools.accumulate(heights), heights)]
+    out = matmul(f, np.vstack([a.a for a in mats]), b.a)
+    return [Mat._of(f, out[e - n:e]) for e, n in zip(itertools.accumulate(heights), heights)]
+
+
 def entries(m, field: GF | None = None) -> np.ndarray:
     """The encoded entries of a Mat, checked to lie over `field` if given, or
     an encoded array (a stack of matrices, say) as it is."""
@@ -637,8 +680,9 @@ def quotient_action(mats: list[Mat], x: Mat) -> list[Mat]:
     rows of the canonical RREF of x.
 
     R is 1 on its pivot columns, so A_g·R = R·g forces A_g = (R·g)[:, pivots];
-    that equation is checked, and fails with a ValueError exactly when g does
-    not map ker x into itself.
+    that equation is checked, and fails with a ValueError exactly when some g
+    does not map ker x into itself.  R·g for every g is one product, and A_g·R
+    for every g another.
     """
     if not mats:
         return []
@@ -650,12 +694,10 @@ def quotient_action(mats: list[Mat], x: Mat) -> list[Mat]:
         return list(mats)
     r = Mat._of(f, red.a[: len(piv)])
     cols = list(piv)
-    out = []
-    for g in mats:
-        rg = r @ g
-        out.append(Mat._of(f, rg.a[:, cols]))
-        if out[-1] @ r != rg:
-            raise ValueError("kernel is not invariant under the given action")
+    rg = left_multiply(r, mats)
+    out = [Mat._of(f, x.a[:, cols]) for x in rg]
+    if right_multiply(out, r) != rg:
+        raise ValueError("kernel is not invariant under the given action")
     return out
 
 

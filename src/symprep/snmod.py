@@ -25,8 +25,8 @@ from .checks import require
 from .field import GF, make_field
 # kernel, mm_modp and rref_array stay importable from here: the layer trace
 # in perfbench/layers.py wraps them by module
-from .linalg import (Mat, joint_fixed_space, kernel, mm_modp,  # noqa: F401
-                     quotient_action, rref_array, stacked_minus_identity)
+from .linalg import (Mat, joint_fixed_space, kernel, left_multiply, mm_modp,  # noqa: F401
+                     quotient_action, right_multiply, rref_array, stacked_minus_identity)
 from .records import VerificationReport, make_report, run_jobs
 
 MAX_N = 12
@@ -235,29 +235,37 @@ class GModule:
             self._check_relations(full=self.dim <= 400)
 
     def _check_relations(self, full: bool):
-        gens = self.gen_actions
-        f = self.field
+        """Check the Coxeter relations of s_0, .., s_k exactly on v: the
+        identity if full, else a fixed random 64-column block.
+
+        With m_j = s_j·v, s_i takes two products: s_(i+1), .., s_k stacked
+        on m_i give s_j·s_i·v for j > i, and s_i times m_i, .., m_k,
+        s_(i+1)·s_i·v and s_(i-1)·s_i·v side by side gives s_i·s_j·v for
+        j >= i and one side of each braid at s_i.  The first failing family
+        in the order involution, braid, distant names the error.
+        """
+        gens, f = self.gen_actions, self.field
         if full:
-            block, one = None, Mat.identity(f, self.dim)
+            v, moved = Mat.identity(f, self.dim), list(gens)
         else:
-            block = Mat(f, np.random.default_rng(77003).integers(0, f.q, size=(self.dim, 64)))
-            one = block
-
-        def word(*mats):
-            """The product of mats, applied to the block if there is one."""
-            out = block
-            for m in reversed(mats):
-                out = m if out is None else m @ out
-            return out
-
-        for a in gens:
-            require(word(a, a) == one, "generator is not an involution")
-        for a, b in zip(gens, gens[1:]):
-            require(word(a, b, a) == word(b, a, b), "braid relation fails")
-        for i in range(len(gens)):
-            for j in range(i + 2, len(gens)):
-                require(word(gens[i], gens[j]) == word(gens[j], gens[i]),
-                        "distant generators must commute")
+            v = Mat(f, np.random.default_rng(77003).integers(0, f.q, size=(self.dim, 64)))
+            moved = right_multiply(gens, v)
+        involution = braid = distant = True
+        back = braid_left = None  # s_(i-1)·s_i·v and s_(i-1)·s_i·s_(i-1)·v
+        for i, s in enumerate(gens):
+            last = i + 1 == len(gens)
+            after = [] if last else right_multiply(gens[i + 1:], moved[i])
+            extra = after[:1] + ([] if back is None else [back])
+            left = left_multiply(s, moved[i:] + extra)
+            involution &= left[0] == v
+            distant &= left[2:len(gens) - i] == after[1:]
+            if back is not None:
+                braid &= braid_left == left[-1]
+            if not last:
+                back, braid_left = left[1], left[len(gens) - i]
+        require(involution, "generator is not an involution")
+        require(braid, "braid relation fails")
+        require(distant, "distant generators must commute")
 
     def act(self, g: pm.Perm) -> Mat:
         """Image of an arbitrary permutation via its adjacent-swap factorization."""
@@ -690,20 +698,34 @@ def _sweep_quadratic(n: int, even_part: bool):
     return hits, rows
 
 
+@functools.lru_cache(maxsize=None)
+def _odd_cyclic_series(lam: tuple, p: int):
+    """(dim D(lam), its Loewy series on the p-cycle, or None where dim <= 1).
+
+    An odd p-cycle is an even permutation, so the sym and the alt twin of the
+    odd-cyclic claims ask for the same series; both read it from here, as the
+    quadratic twins read `_witness_table`.  A computation that raises is not
+    kept, so the other twin computes it again and fails too.
+    """
+    mod = irreducible_D(lam, p)
+    if mod.dim <= 1:
+        return mod.dim, None
+    return mod.dim, loewy_length(mod, _cyclic_group(sum(lam), p))
+
+
 def _odd_depth_job(n: int, lam: tuple, p: int, alt: bool):
     claim_id = f"appendix/odd-cyclic-depth{'-alt' if alt else ''}/p{p}/n{n}/{_lam_id(lam)}"
 
     def job():
-        mod = irreducible_D(lam, p)
-        if mod.dim <= 1:
+        dim, series = _odd_cyclic_series(lam, p)
+        if series is None:
             return None
-        series = loewy_length(mod, _cyclic_group(n, p))
         return make_report(
             claim_id=claim_id,
             statement="restriction of a non-character mod-p irreducible to the "
                       "cyclic group on the first p points has Loewy length at least 3"
                       + (" (cycle taken inside the even subgroup)" if alt else ""),
-            inputs={"partition": list(lam), "p": p, "n": n, "dim": mod.dim,
+            inputs={"partition": list(lam), "p": p, "n": n, "dim": dim,
                     "layers": list(series.layer_dims)},
             expected=True,
             computed=series.length >= 3,

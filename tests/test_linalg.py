@@ -11,8 +11,9 @@ import pytest
 import symprep
 from symprep.field import make_field
 from symprep.linalg import (Mat, Subspace, _rref_generic, add, det, inv, joint_fixed_space,
-                            kernel, matmul, mm_gf2, mm_modp, mul, neg, pack_rows,
-                            quotient_action, stacked_minus_identity)
+                            kernel, left_multiply, matmul, mm_gf2, mm_modp, mul, neg,
+                            pack_rows, quotient_action, right_multiply,
+                            stacked_minus_identity)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -179,6 +180,43 @@ def test_quotient_action_rejects_non_invariant():
     bad = Mat(GF2, [[1, 0]])  # kernel spanned by e2, and e2 -> e1 + e2
     with pytest.raises(ValueError):
         quotient_action([m], bad)
+
+
+@pytest.mark.parametrize("f,n", [(GF3, 4), (GF2, 70)], ids=["GF3", "GF2-packed"])
+def test_quotient_action_rejects_the_one_generator_that_leaves_the_kernel(f, n):
+    """ker x = span(e_n); the first two generators keep it, the last sends
+    e_n to e_1 + e_n.  At n = 70 over GF(2) the products take the packed path."""
+    rng = np.random.default_rng(n)
+    x = Mat(f, np.diag([1] * (n - 1) + [0]))
+    keep = []
+    for _ in range(2):
+        g = rng.integers(0, f.q, size=(n, n))
+        g[:-1, -1] = 0
+        keep.append(Mat(f, g))
+    assert all((x @ g).rank() <= n - 1 for g in keep)
+    quotient_action(keep, x)
+    leave = keep[0].a.copy()
+    leave[0, -1] = 1
+    with pytest.raises(ValueError, match="not invariant"):
+        quotient_action(keep + [Mat(f, leave)], x)
+
+
+@pytest.mark.parametrize("f,n", [(GF2, 3), (GF2, 70), (GF3, 5), (GF4, 4)],
+                         ids=["GF2", "GF2-packed", "GF3", "GF4"])
+def test_batched_products_match_one_product_per_block(f, n):
+    rng = np.random.default_rng(7 * n + f.q)
+    a = random_mat(f, n, n, rng)
+    bs = [random_mat(f, n, m, rng) for m in (n, 1, 2 * n + 5, 130)]
+    assert left_multiply(a, bs) == [a @ b for b in bs]
+    stack = [random_mat(f, m, n, rng) for m in (n, 1, 2 * n + 5)]
+    assert right_multiply(stack, a) == [c @ a for c in stack]
+    with pytest.raises(ValueError):
+        left_multiply(a, [random_mat(f, n + 1, 2, rng)])
+    with pytest.raises(ValueError):
+        right_multiply([random_mat(f, 2, n + 1, rng)], a)
+    other = GF5 if f != GF5 else GF3
+    with pytest.raises(ValueError):
+        left_multiply(a, [Mat.identity(other, n)])
 
 
 # public entry points given arguments from different spaces
@@ -519,6 +557,29 @@ def test_extension_array_path_matches_scalar_reference(f):
             u, w = rng.integers(0, f.q, size=(2, 4))
             ref = _ref_matmul(f, _ref_matmul(f, u.reshape(1, -1), gram.a), w.reshape(-1, 1))
             assert bilinear(form, u, w) == int(ref[0, 0])
+
+
+def _rref_cases(f, rng):
+    """1 x n, n x 1, wide and tall matrices, each also with zero columns and repeated rows."""
+    for rows, cols in ((1, 6), (6, 1), (3, 8), (8, 3), (5, 5)):
+        for _ in range(4):
+            a = rng.integers(0, f.q, size=(rows, cols))
+            yield a
+            a = a.copy()
+            a[:, rng.integers(0, cols, size=max(1, cols // 2))] = 0
+            a[rows // 2:] = a[: rows - rows // 2]
+            yield a
+    yield np.zeros((3, 4), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_prime_field_rref_matches_scalar_reference(p):
+    f = make_field(p)
+    rng = np.random.default_rng(100 + p)
+    for a in _rref_cases(f, rng):
+        red, piv = Mat(f, a).rref()
+        ref_red, ref_piv = _ref_rref(f, a)
+        assert piv == ref_piv and np.array_equal(red.a, ref_red), a
 
 
 @pytest.mark.parametrize("f", [make_field(3, 2), make_field(2, 2)], ids=["GF9", "GF4"])

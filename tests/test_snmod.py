@@ -144,12 +144,105 @@ def test_sampled_checks_pass_above_dimension_400():
     assert mod.dim == 450 and len(mod.gen_actions) == 9
 
 
-def test_sampled_relation_check_rejects_a_broken_braid():
-    mod = specht_module(_SAMPLED, 2)
-    gens = list(mod.gen_actions)
-    gens[4] = Mat.identity(mod.field, mod.dim)
-    with pytest.raises(CheckFailed, match="braid relation fails"):
-        GModule(mod.n, mod.field, gens)
+def _planted(family: str, mod) -> list:
+    """The generators of mod with one defect that breaks only that relation family."""
+    gens, f, n = list(mod.gen_actions), mod.field, mod.n
+    if family == "involution":
+        a = gens[1].a.copy()
+        a[0, 0] = (a[0, 0] + 1) % f.p
+        gens[1] = Mat(f, a)
+    elif family == "braid":  # the identity commutes with all and braids with none
+        gens[4] = Mat.identity(f, mod.dim)
+    else:  # (n-2 n) for (n-1 n) braids with (n-2 n-1) but moves a point of (n-3 n-2)
+        gens[-1] = mod.act(pm.transposition(n, n - 3, n - 1))
+    return gens
+
+
+_RELATION_MESSAGES = {"involution": "generator is not an involution",
+                      "braid": "braid relation fails",
+                      "distant": "distant generators must commute"}
+
+
+@pytest.mark.parametrize("family", sorted(_RELATION_MESSAGES))
+@pytest.mark.parametrize("lam,p", [((3, 2, 1), 3), (_SAMPLED, 2)], ids=["exact", "sampled"])
+def test_relation_check_names_a_single_planted_defect(lam, p, family):
+    mod = specht_module(lam, p)
+    assert (mod.dim > 400) == (lam == _SAMPLED)
+    with pytest.raises(CheckFailed) as exc:
+        GModule(mod.n, mod.field, _planted(family, mod))
+    assert str(exc.value) == _RELATION_MESSAGES[family]
+
+
+def test_permutation_matrices_of_a_triangle_fail_only_distant_commutation():
+    f = make_field(3)
+    gens = [Mat(f, np.eye(3, dtype=np.int64)[list(g)]) for g in ((1, 0, 2), (0, 2, 1), (2, 1, 0))]
+    with pytest.raises(CheckFailed) as exc:
+        GModule(4, f, gens)
+    assert str(exc.value) == "distant generators must commute"
+
+
+def _word_by_word(gens, f, dim):
+    """The relation check with one product per word, the reference for
+    GModule's batched check: the first failing message, or None."""
+    if dim <= 400:
+        block, one = None, Mat.identity(f, dim)
+    else:
+        block = Mat(f, np.random.default_rng(77003).integers(0, f.q, size=(dim, 64)))
+        one = block
+
+    def word(*mats):
+        out = block
+        for m in reversed(mats):
+            out = m if out is None else m @ out
+        return out
+
+    if any(word(a, a) != one for a in gens):
+        return "generator is not an involution"
+    if any(word(a, b, a) != word(b, a, b) for a, b in zip(gens, gens[1:])):
+        return "braid relation fails"
+    if any(word(gens[i], gens[j]) != word(gens[j], gens[i])
+           for i in range(len(gens)) for j in range(i + 2, len(gens))):
+        return "distant generators must commute"
+    return None
+
+
+def _batched(n, f, gens):
+    try:
+        GModule(n, f, gens)
+    except CheckFailed as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_batched_relation_verdicts_match_word_by_word(p):
+    """Single defects on every S(lam) with n <= 7: each entry of each generator
+    where dim <= 4, eight seeded entries per generator above, and each
+    generator swapped for the identity, for its neighbour, and the last one
+    for a transposition that breaks only distant commutation."""
+    rng = np.random.default_rng(p)
+    seen = set()
+    for n in range(2, 8):
+        for lam in partitions(n):
+            mod = specht_module(lam, p)
+            f, dim, gens = mod.field, mod.dim, list(mod.gen_actions)
+            cases = [gens]
+            for i, g in enumerate(gens):
+                cells = (np.ndindex(dim, dim) if dim <= 4
+                         else zip(*rng.integers(0, dim, size=(2, 8))))
+                for a, b in cells:
+                    bad = g.a.copy()
+                    bad[a, b] = (bad[a, b] + 1) % p
+                    cases.append(gens[:i] + [Mat(f, bad)] + gens[i + 1:])
+                cases.append(gens[:i] + [Mat.identity(f, dim)] + gens[i + 1:])
+                cases.append(gens[:i] + [gens[i - 1]] + gens[i + 1:])
+            if n >= 4:
+                cases.append(gens[:-1] + [mod.act(pm.transposition(n, n - 3, n - 1))])
+            for case in cases:
+                verdict = _word_by_word(case, f, dim)
+                assert _batched(n, f, case) == verdict, (lam, p)
+                seen.add(verdict)
+    assert seen == {None, *_RELATION_MESSAGES.values()}
 
 
 def test_projected_straightening_rejects_a_rolled_tabloid_map(monkeypatch):
@@ -334,6 +427,8 @@ def test_raising_appendix_claim_fails_alone(monkeypatch):
             raise RuntimeError("boom")
         return real(mod, group)
 
+    # an earlier sweep may hold the series in the twin cache, past the patch
+    snmod._odd_cyclic_series.cache_clear()
     monkeypatch.setattr(snmod, "loewy_length", flaky)
     reports = verify_appendix("charnot2", [5], 3)
     bad = [r for r in reports if r.status != "pass"]
@@ -344,6 +439,28 @@ def test_raising_appendix_claim_fails_alone(monkeypatch):
     assert sorted(good) == [[2, 2, 1], [4, 1]]
     assert all(r.claim_id.endswith("/" + "-".join(map(str, r.inputs["partition"])))
                for r in reports if r.status == "pass")
+
+
+def test_odd_cyclic_twins_share_one_loewy_series(monkeypatch):
+    from symprep import snmod
+
+    real = snmod.loewy_length
+    calls = []
+
+    def counted(mod, group):
+        calls.append(mod.label)
+        return real(mod, group)
+
+    snmod._odd_cyclic_series.cache_clear()
+    monkeypatch.setattr(snmod, "loewy_length", counted)
+    sym = verify_appendix("charnot2", [7], 5)
+    alt = verify_appendix("charnot2_alt", [7], 5)
+    wide = [lam for lam in p_regular_partitions(7, 5) if irreducible_D(lam, 5).dim > 1]
+    assert sorted(calls) == sorted(f"D{lam} mod 5" for lam in wide)
+    assert len(sym) == len(alt) == len(wide)
+    for s, a in zip(sym, alt):
+        assert a.claim_id == s.claim_id.replace("odd-cyclic-depth/", "odd-cyclic-depth-alt/")
+        assert a.inputs == s.inputs and a.status == s.status == "pass"
 
 
 def test_verify_appendix_quadratic_n8():
