@@ -85,16 +85,11 @@ def hook_length_dim(lam) -> int:
 
 # ---------------------------------------------------------------------------
 # tabloids and polytabloids
-#
-# A tabloid of shape lam is its row word: entry x is the row that holds x.
-# Its code is the row word read in base len(lam), sum of row(x) * base^x, so
-# sorted codes index the tabloids.  The row sizes fix the row of the last
-# entry, so the low n - 1 digits of a code already name its tabloid, and a
-# dense table over them turns a code into its index in one gather.
 
-# cap on the slots of that table, 64 MiB of int32.  Every 2-regular shape to
-# n = 13 fits (4^12 slots at most); a shape with many rows, such as (2, 1^8)
-# with 9^9 slots, looks its codes up by binary search instead.
+# cap on the slots of a shape's dense code index, 64 MiB of int32 (see
+# _Tabloids).  Every 2-regular shape to n = 13 fits (4^12 slots at most); a
+# shape with many rows, such as (2, 1^8) with 9^9 slots, looks its codes up
+# by binary search instead.
 _INDEX_SLOTS = 1 << 24
 
 
@@ -103,14 +98,16 @@ def _tabloid_words(lam: tuple):
 
     Each step appends the row of the next entry, the new most significant
     digit, and stacks the words by that row, so they come out in code order.
+    The words are int8, as a row index is below n <= MAX_N; _tabloids keeps
+    them, 1 byte per entry where int64 took 8.
     """
     n = sum(lam)
-    words = np.zeros((1, 0), dtype=np.int64)
+    words = np.zeros((1, 0), dtype=np.int8)
     for _ in range(n):
         parts = []
         for i, size in enumerate(lam):
             w = words[(words == i).sum(axis=1) < size]
-            parts.append(np.hstack([w, np.full((len(w), 1), i, dtype=np.int64)]))
+            parts.append(np.hstack([w, np.full((len(w), 1), i, dtype=np.int8)]))
         words = np.vstack(parts)
     return words, words @ len(lam) ** np.arange(n, dtype=np.int64)
 
@@ -137,40 +134,13 @@ def standard_tableaux(words: np.ndarray, rows: int) -> np.ndarray:
     return standard[np.lexsort(standard.T[::-1])]
 
 
-def _code_index(codes: np.ndarray, base: int, n: int) -> Optional[np.ndarray]:
-    """Index of each code in codes, at the slot of its low n - 1 digits.
-
-    Slots no tabloid fills hold 0, so a lookup must compare the code it finds.
-    None where the table would pass _INDEX_SLOTS.
-    """
-    slots = base ** (n - 1)
-    if slots > _INDEX_SLOTS:
-        return None
-    index = np.zeros(slots, dtype=np.int32)
-    index[codes % slots] = np.arange(len(codes), dtype=np.int32)
-    return index
-
-
-def _code_positions(codes: np.ndarray, index: Optional[np.ndarray], query: np.ndarray,
-                    message: str) -> np.ndarray:
-    """int32 positions of the query codes in codes; CheckFailed(message) if one is not there."""
-    if index is None:
-        at = np.minimum(np.searchsorted(codes, query), len(codes) - 1).astype(np.int32)
-    else:
-        at = index[query % len(index)]
-    require(np.array_equal(codes[at], query), message)
-    return at
-
-
-def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray,
-                       index: Optional[np.ndarray]):
-    """(tabloid indices, signs) of the standard polytabloid terms.
+def _polytabloid_terms(lam: tuple, tableaux: np.ndarray):
+    """(term codes, signs) of the standard polytabloids of the row words tableaux.
 
     The polytabloid of t is the signed sum of {σt} over its column group;
     the term for σ puts the entry in row a of column j into row σ_j(a).
-    Row r of the (tableau x term) int32 index array is the polytabloid of
-    the row word tableaux[r], and term k carries signs[k] in every row.
-    index is _code_index of codes.
+    Row r of the (tableau x term) int64 code array is the polytabloid of
+    tableaux[r], and term k carries signs[k] in every row.
     """
     conj = conjugate(lam)
     per_col = [[(sig, pm.sign(sig)) for sig in itertools.permutations(range(c))] for c in conj]
@@ -184,21 +154,62 @@ def _polytabloid_terms(lam: tuple, tableaux: list, codes: np.ndarray,
     start = np.cumsum((0,) + lam[:-1])
     cells = [start[a] + j for j, c in enumerate(conj) for a in range(c)]
     points = np.argsort(tableaux, axis=1, kind="stable")[:, cells]
-    term_codes = (len(lam) ** points) @ row_of_cell.T
-    terms = _code_positions(codes, index, term_codes, "polytabloid term is not a tabloid")
-    return terms, np.array(signs, dtype=np.int64)
+    return (len(lam) ** points) @ row_of_cell.T, np.array(signs, dtype=np.int64)
 
 
-def _tabloid_perm(words: np.ndarray, codes: np.ndarray, base: int, g: pm.Perm,
-                  index: Optional[np.ndarray]) -> np.ndarray:
-    """Index map m with (g . x) = x[m] for coefficient vectors x over tabloids.
+class _Tabloids:
+    """The tabloids of one shape lam and its standard polytabloids.
 
-    g moves the entry x of a tabloid to g(x), so (g . x)[T] = x[g^-1 . T],
-    and the row word of g^-1 . T is the word of T read at g.  index is
-    _code_index of codes.
+    A tabloid of shape lam is its row word: entry x is the row that holds x.
+    Its code is the row word read in base len(lam), sum of row(x) * base^x,
+    so sorted codes index the tabloids.  The row sizes fix the row of the
+    last entry, so the low n - 1 digits of a code already name its tabloid,
+    and a dense table over them turns a code into its index in one gather.
+
+    words and codes list the tabloids in code order, tableaux the standard
+    ones in the basis order, and row r of the (tableau x term) int32 array
+    terms holds the tabloid indices of the polytabloid of tableaux[r], term k
+    with sign signs[k].
     """
-    moved = words[:, list(g)] @ base ** np.arange(len(g), dtype=np.int64)
-    return _code_positions(codes, index, moved, "moved code is not a tabloid code")
+
+    def __init__(self, lam: tuple):
+        n = sum(lam)
+        self.lam = lam
+        self.words, self.codes = _tabloid_words(lam)
+        # slots no tabloid fills hold 0, so a lookup compares the code it finds
+        slots = len(lam) ** (n - 1)
+        self.index = None
+        if slots <= _INDEX_SLOTS:
+            self.index = np.zeros(slots, dtype=np.int32)
+            self.index[self.codes % slots] = np.arange(len(self.codes), dtype=np.int32)
+        self.tableaux = standard_tableaux(self.words, len(lam))
+        require(len(self.tableaux) == hook_length_dim(lam),
+                "tableau count disagrees with hook lengths")
+        term_codes, self.signs = _polytabloid_terms(lam, self.tableaux)
+        self.terms = self.positions(term_codes, "polytabloid term is not a tabloid")
+
+    def positions(self, query: np.ndarray, message: str) -> np.ndarray:
+        """int32 positions of the query codes in codes; CheckFailed(message) if one is not there."""
+        if self.index is None:
+            at = np.minimum(np.searchsorted(self.codes, query), len(self.codes) - 1).astype(np.int32)
+        else:
+            at = self.index[query % len(self.index)]
+        require(np.array_equal(self.codes[at], query), message)
+        return at
+
+    def perm(self, g: pm.Perm) -> np.ndarray:
+        """Index map m with (g . x) = x[m] for coefficient vectors x over tabloids.
+
+        g moves the entry x of a tabloid to g(x), so (g . x)[T] = x[g^-1 . T],
+        and the row word of g^-1 . T is the word of T read at g.
+        """
+        moved = self.words[:, list(g)] @ len(self.lam) ** np.arange(len(g), dtype=np.int64)
+        return self.positions(moved, "moved code is not a tabloid code")
+
+
+# One slot: the quadratic sweep reads a shape's tabloids for its witness
+# table and right after for D(lam), then moves on to the next shape.
+_tabloids = functools.lru_cache(maxsize=1)(_Tabloids)
 
 
 # ---------------------------------------------------------------------------
@@ -305,39 +316,30 @@ def _specht_core(lam: tuple, p: int):
     large products pack its rows themselves.  The action of s_k on b
     permutes its columns, and straightening solves for the coefficients on
     the pivot columns of b, with the inverse there read off the one
-    elimination of [b | I], then checks coef·b = s_k·b: exactly up to
-    dimension 200, and above it after a random 64-row projection.
+    elimination of [b | I], then checks coef·b = s_k·b exactly, as a matrix
+    identity, at every dimension.  The tabloid data is read from `_tabloids`,
+    the one build per shape that lam's witness table also reads.
     """
     lam = check_partition(lam)
     n = sum(lam)
     if not 2 <= n <= MAX_N:
         raise ValueError(f"degree {n} outside the supported range 2..{MAX_N}")
     fld = make_field(p)
-    words, codes = _tabloid_words(lam)
-    index = _code_index(codes, len(lam), n)
-    st = standard_tableaux(words, len(lam))
-    dim = len(st)
-    require(dim == hook_length_dim(lam), "tableau count disagrees with hook lengths")
-    terms, signs = _polytabloid_terms(lam, st, codes, index)
-    entries = np.zeros((dim, len(codes)), dtype=np.int64)
-    entries[np.arange(dim)[:, None], terms] = signs % p
+    tab = _tabloids(lam)
+    dim, tabloids = len(tab.tableaux), len(tab.codes)
+    entries = np.zeros((dim, tabloids), dtype=np.int64)
+    entries[np.arange(dim)[:, None], tab.terms] = tab.signs % p
     b = Mat(fld, entries)
     # [b | I] reduces to [rref(b) | E] with E b[:, piv] = I, so E inverts b on its pivots
     red, piv = rref_array(np.hstack([entries, np.eye(dim, dtype=np.int64)]), fld)
-    require(piv[-1] < len(codes), "standard polytabloids must stay independent mod p")
+    require(piv[-1] < tabloids, "standard polytabloids must stay independent mod p")
     piv = list(piv)
-    binv = Mat._of(fld, red[:, len(codes):])
-    rng = np.random.default_rng(409 + 97 * n + p) if dim > 200 else None
+    binv = Mat._of(fld, red[:, tabloids:])
     gen_mats = []
     for k in range(n - 1):
-        shuffle = _tabloid_perm(words, codes, len(lam), pm.transposition(n, k, k + 1), index)
-        coef = Mat(fld, entries[:, shuffle[piv]]) @ binv
-        if dim <= 200:
-            require(coef @ b == Mat(fld, entries[:, shuffle]), "straightening failed")
-        else:
-            proj = Mat(fld, rng.integers(0, p, size=(64, dim)))
-            rhs = Mat._of(fld, (proj @ b).a[:, shuffle])
-            require((proj @ coef) @ b == rhs, "straightening failed")
+        shuffle = tab.perm(pm.transposition(n, k, k + 1))
+        coef = Mat._of(fld, entries[:, shuffle[piv]]) @ binv
+        require(coef @ b == Mat._of(fld, entries[:, shuffle]), "straightening failed")
         gen_mats.append(coef.T)
     gram = b @ b.T
     return n, dim, tuple(gen_mats), gram
@@ -622,23 +624,20 @@ def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool
     D(lam) itself.  A pair (g_i, g_j) shared by two subgroups is decided once,
     and each subgroup's generators are certified once per process.
     """
-    n = sum(lam)
-    words, codes = _tabloid_words(lam)
-    index = _code_index(codes, len(lam), n)
-    ident = np.arange(len(codes))
+    tab = _tabloids(lam)
+    ident = np.arange(len(tab.codes))
     maps = {}
     for sub in subs:
         require(_generates_2_elementary(sub.generators, sub.degree),
                 "subgroup generators must be commuting involutions")
         for g in sub.generators:
             if g not in maps:
-                maps[g] = _tabloid_perm(words, codes, len(lam), g, index)
+                maps[g] = tab.perm(g)
                 require(np.array_equal(maps[g][maps[g]], ident),
                         "tabloid map of an involution is not an involution")
-    tableaux = standard_tableaux(words, len(lam))
-    terms, _ = _polytabloid_terms(lam, tableaux, codes, index)
-    v = np.frombuffer(random.Random(5077).randbytes(8 * len(tableaux)), dtype=np.uint64)
-    u = np.zeros(len(codes), dtype=np.uint64)
+    terms = tab.terms
+    v = np.frombuffer(random.Random(5077).randbytes(8 * len(terms)), dtype=np.uint64)
+    u = np.zeros(len(tab.codes), dtype=np.uint64)
     np.bitwise_xor.at(u, terms, v[:, None])
     xu = {g: u ^ u[m] for g, m in maps.items()}
     pairs = {}
@@ -669,12 +668,6 @@ def _witness_table(lam: tuple) -> dict:
     return {sub.generators: seen for sub, seen in zip(subs, _decide_witnesses(lam, subs))}
 
 
-def _quadratic_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool]:
-    """_decide_witnesses over subgroups of the sym or alt chain, read from _witness_table."""
-    table = _witness_table(lam)
-    return [table[sub.generators] for sub in subs]
-
-
 def _sweep_quadratic(n: int, even_part: bool):
     """(quadratic hits, (module, subgroup) rows) over the 2-regular modules x subgroups.
 
@@ -687,7 +680,8 @@ def _sweep_quadratic(n: int, even_part: bool):
     hits = []
     rows = []
     for lam in p_regular_partitions(n, 2):
-        witnessed = _quadratic_witnesses(lam, subs)
+        table = _witness_table(lam)
+        witnessed = [table[sub.generators] for sub in subs]
         mod = None if all(witnessed) else irreducible_D(lam, 2)
         if mod is not None and mod.dim <= 1:
             continue

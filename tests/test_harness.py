@@ -2,6 +2,7 @@
 and the command line entry point."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -181,6 +182,19 @@ def test_cli_verify_deterministic(tmp_path):
     assert code1 == code2 == 0
     # identical config: byte-identical files
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of `verify appendix --max-n 10 --format json`
+_APPENDIX_DIGEST = "a36a6b6a8cc22113d7e1e7761e61e783cad5c5e9c23c8a3934594a3d312f3105"
+
+
+def test_appendix_report_bytes_are_pinned():
+    """The appendix report at --max-n 10, byte for byte.  A change that adds
+    or changes an appendix claim updates this digest and says so in CHANGES.md;
+    any other change must leave it as it is."""
+    code, out, _ = _cli("verify", "appendix", "--max-n", "10", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _APPENDIX_DIGEST
 
 
 def test_cli_dickson_config_and_exact_claims(capsys):

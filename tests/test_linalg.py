@@ -287,7 +287,7 @@ def test_sweeps_do_not_import_numpy_ma():
 
 def test_sweeps_do_not_import_numpy_random():
     """The witness block comes from the stdlib random module, and the Specht
-    core seeds numpy's generator only for its sampled check above dimension 200."""
+    core checks straightening exactly, with no random projection."""
     assert _imported_by_sweeps()["numpy.random"] is False
 
 

@@ -2,6 +2,7 @@
 tabloid combinatorics, quotients by the form radical, and the structural
 invariants of restrictions to 2-subgroups and p-cycles."""
 
+import collections
 import itertools
 import os
 import subprocess
@@ -134,8 +135,8 @@ def test_relation_check_survives_python_O():
     assert proc.stdout.splitlines() == ["generator is not an involution"]
 
 
-# S(5,3,2) mod 2 has dimension 450: its straightening is checked after a
-# 64-row projection (dim > 200), its relations on a 64-column block (dim > 400)
+# S(5,3,2) mod 2 has dimension 450: its straightening is checked exactly, as
+# at every dimension, and its relations on a 64-column block (dim > 400)
 _SAMPLED = (5, 3, 2)
 
 
@@ -245,15 +246,40 @@ def test_batched_relation_verdicts_match_word_by_word(p):
     assert seen == {None, *_RELATION_MESSAGES.values()}
 
 
-def test_projected_straightening_rejects_a_rolled_tabloid_map(monkeypatch):
+def _clear_module_caches(snmod):
+    for cache in (snmod._tabloids, snmod._specht_core, snmod.specht_module, snmod.irreducible_D):
+        cache.cache_clear()
+
+
+def test_exact_straightening_rejects_a_rolled_tabloid_map(monkeypatch):
     from symprep import snmod
 
-    real = snmod._tabloid_perm
-    snmod._specht_core.cache_clear()
-    snmod.specht_module.cache_clear()
-    monkeypatch.setattr(snmod, "_tabloid_perm", lambda *args: np.roll(real(*args), 1))
+    real = snmod._Tabloids.perm
+    _clear_module_caches(snmod)
+    monkeypatch.setattr(snmod._Tabloids, "perm", lambda self, g: np.roll(real(self, g), 1))
     with pytest.raises(CheckFailed, match="straightening failed"):
         specht_module(_SAMPLED, 2)
+
+
+def test_exact_straightening_rejects_one_swap_between_dimensions_200_and_400(monkeypatch):
+    """S(8,4) mod 2 has dimension 275.  The map of s_5 on its tabloids, with
+    two entries swapped whose columns of b differ, must fail straightening."""
+    from symprep import snmod
+
+    lam, s5 = (8, 4), pm.transposition(12, 5, 6)
+    tab = snmod._Tabloids(lam)
+    assert len(tab.tableaux) == 275
+    b = np.zeros((len(tab.tableaux), len(tab.codes)), dtype=np.int64)
+    b[np.arange(len(b))[:, None], tab.terms] = tab.signs % 2
+    bad = tab.perm(s5)
+    j = next(j for j in range(1, len(bad)) if not np.array_equal(b[:, bad[0]], b[:, bad[j]]))
+    bad[[0, j]] = bad[[j, 0]]
+    real = snmod._Tabloids.perm
+    _clear_module_caches(snmod)
+    monkeypatch.setattr(snmod._Tabloids, "perm",
+                        lambda self, g: bad if g == s5 and self.lam == lam else real(self, g))
+    with pytest.raises(CheckFailed, match="straightening failed"):
+        specht_module(lam, 2)
 
 
 def test_act_is_multiplicative():
@@ -519,24 +545,24 @@ def test_quadratic_sweep_without_witnesses_gives_same_reports(monkeypatch):
                 for r in verify_appendix(th, [8, 9], 2)]
 
     found = sweep()
-    monkeypatch.setattr(snmod, "_quadratic_witnesses", lambda lam, subs: [False] * len(subs))
+    monkeypatch.setattr(snmod, "_witness_table", lambda lam: collections.defaultdict(bool))
     assert sweep() == found
 
 
 def test_planted_quadratic_hit_at_n11_fails(monkeypatch):
     from symprep import snmod
 
-    real_witnesses, real_loewy = snmod._quadratic_witnesses, snmod.loewy_length
+    real_witnesses, real_loewy = snmod._witness_table, snmod.loewy_length
 
-    def no_witness_for_9_2(lam, subs):
-        return [False] * len(subs) if lam == (9, 2) else real_witnesses(lam, subs)
+    def no_witness_for_9_2(lam):
+        return collections.defaultdict(bool) if lam == (9, 2) else real_witnesses(lam)
 
     def two_layers_on_9_2(mod, group):
         if mod.label == "D(9, 2) mod 2":
             return LoewySeries((mod.dim - 1, 1))
         return real_loewy(mod, group)
 
-    monkeypatch.setattr(snmod, "_quadratic_witnesses", no_witness_for_9_2)
+    monkeypatch.setattr(snmod, "_witness_table", no_witness_for_9_2)
     monkeypatch.setattr(snmod, "loewy_length", two_layers_on_9_2)
     (report,) = verify_appendix("char2", [11], 2)
     assert report.status == "fail"
@@ -564,16 +590,26 @@ def test_standard_tableaux_are_the_increasing_fillings_in_word_order(n):
         assert standard_tableaux(words, len(lam)).tolist() == sorted(want), lam
 
 
-def test_tabloid_perm_rejects_non_tabloid_code():
+def test_tabloid_perm_rejects_non_tabloid_code(monkeypatch):
     from symprep import snmod
 
-    words, codes = snmod._tabloid_words((5, 2))
-    m = snmod._tabloid_perm(words, codes, 2, pm.transposition(7, 0, 3),
-                            snmod._code_index(codes, 2, 7))
-    assert np.array_equal(m[m], np.arange(len(codes)))
+    tab = snmod._Tabloids((5, 2))
+    m = tab.perm(pm.transposition(7, 0, 3))
+    assert np.array_equal(m[m], np.arange(len(tab.codes)))
+    # the first tabloid, 0 and 1 in row 1, is no standard tableau; with its
+    # code kept and its word put wholly in row 1, no permutation moves that
+    # word to a tabloid code
+    real = snmod._tabloid_words
+
+    def first_word_in_row_1(lam):
+        words, codes = real(lam)
+        words = words.copy()
+        words[0] = 1
+        return words, codes
+
+    monkeypatch.setattr(snmod, "_tabloid_words", first_word_in_row_1)
     with pytest.raises(CheckFailed, match="not a tabloid code"):
-        snmod._tabloid_perm(words[:-1], codes[:-1], 2, pm.transposition(7, 0, 6),
-                            snmod._code_index(codes[:-1], 2, 7))
+        snmod._Tabloids((5, 2)).perm(pm.transposition(7, 0, 6))
 
 
 @pytest.mark.parametrize("lam", [lam for n in range(2, 10) for lam in p_regular_partitions(n, 2)]
@@ -581,18 +617,14 @@ def test_tabloid_perm_rejects_non_tabloid_code():
 def test_polytabloid_terms_lookup_matches_binary_search(monkeypatch, lam):
     from symprep import snmod
 
-    words, codes = snmod._tabloid_words(lam)
-    tableaux = standard_tableaux(words, len(lam))
-    index = snmod._code_index(codes, len(lam), sum(lam))
-    assert index is not None
-    terms, signs = snmod._polytabloid_terms(lam, tableaux, codes, index)
+    tab = snmod._Tabloids(lam)
+    assert tab.index is not None
     # no table fits in zero slots, so this lookup goes through searchsorted
     monkeypatch.setattr(snmod, "_INDEX_SLOTS", 0)
-    index = snmod._code_index(codes, len(lam), sum(lam))
-    assert index is None
-    ref_terms, ref_signs = snmod._polytabloid_terms(lam, tableaux, codes, index)
-    assert terms.dtype == ref_terms.dtype == np.int32
-    assert np.array_equal(terms, ref_terms) and np.array_equal(signs, ref_signs)
+    ref = snmod._Tabloids(lam)
+    assert ref.index is None
+    assert tab.terms.dtype == ref.terms.dtype == np.int32
+    assert np.array_equal(tab.terms, ref.terms) and np.array_equal(tab.signs, ref.signs)
 
 
 def test_polytabloid_terms_match_the_definition():
@@ -603,10 +635,8 @@ def test_polytabloid_terms_match_the_definition():
 
     for lam in (lam for n in range(2, 9) for lam in partitions(n)):
         n, conj = sum(lam), conjugate(lam)
-        words, codes = snmod._tabloid_words(lam)
-        tableaux = standard_tableaux(words, len(lam))
-        terms, signs = snmod._polytabloid_terms(lam, tableaux, codes,
-                                                snmod._code_index(codes, len(lam), n))
+        tab = snmod._Tabloids(lam)
+        codes, tableaux, terms, signs = tab.codes, tab.tableaux, tab.terms, tab.signs
         choices = list(itertools.product(*(itertools.permutations(range(c)) for c in conj)))
         # cell (a, j) is number offset[j] + a, column by column
         offset = list(itertools.accumulate(conj, initial=0))
@@ -629,14 +659,16 @@ def test_polytabloid_term_aliasing_a_tabloid_in_the_low_digits_fails(monkeypatch
 
     if slots is not None:
         monkeypatch.setattr(snmod, "_INDEX_SLOTS", slots)
-    _, codes = snmod._tabloid_words((2, 2))
-    index = snmod._code_index(codes, 2, 4)
+    tab = snmod._Tabloids((2, 2))
+    assert (tab.index is None) == (slots == 0)
     # a (3, 1) tableau looked up among the (2, 2) tabloids: its first term
     # has row word (0, 0, 1, 0), code 4, not a (2, 2) tabloid, but its low
     # three digits are those of the tabloid (0, 0, 1, 1), code 12
-    assert 4 not in codes and 12 in codes and 4 % 2**3 == 12 % 2**3
+    term_codes, _ = snmod._polytabloid_terms((3, 1), np.array([[0, 0, 1, 0]]))
+    assert term_codes[0, 0] == 4
+    assert 4 not in tab.codes and 12 in tab.codes and 4 % 2**3 == 12 % 2**3
     with pytest.raises(CheckFailed, match="polytabloid term is not a tabloid"):
-        snmod._polytabloid_terms((3, 1), np.array([[0, 0, 1, 0]]), codes, index)
+        tab.positions(term_codes, "polytabloid term is not a tabloid")
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -646,7 +678,8 @@ def test_witness_table_matches_each_chain_on_its_own(n):
     for lam in p_regular_partitions(n, 2):
         for alt in (False, True):
             subs = snmod._mixed_subgroups(n, alt)
-            assert snmod._quadratic_witnesses(lam, subs) == snmod._decide_witnesses(lam, subs)
+            table = snmod._witness_table(lam)
+            assert [table[sub.generators] for sub in subs] == snmod._decide_witnesses(lam, subs)
 
 
 def test_witnesses_need_commuting_involutions():
@@ -697,19 +730,48 @@ def test_quadratic_twins_build_one_witness_table_per_partition():
     assert info.misses == len(p_regular_partitions(9, 2)) == info.hits
 
 
+def test_quadratic_twins_build_the_tabloids_of_each_partition_once(monkeypatch):
+    """The witness table of lam and D(lam) read one tabloid build of lam."""
+    from symprep import snmod
+
+    calls = []
+    real = snmod._tabloid_words
+    monkeypatch.setattr(snmod, "_tabloid_words", lambda lam: calls.append(lam) or real(lam))
+    snmod._witness_table.cache_clear()
+    _clear_module_caches(snmod)
+    verify_appendix("char2", [9], 2)
+    verify_appendix("char2_alt", [9], 2)
+    assert len(calls) == len(p_regular_partitions(9, 2)) == 8
+    assert sorted(calls) == sorted(p_regular_partitions(9, 2))
+    # (8, 1) has no witness on H_9, so its D is built from the same tabloids
+    assert snmod._specht_core.cache_info().misses >= 1
+
+
 _CORRUPT_TABLOID_MAPS = """
 import sys
 import numpy as np
 from symprep import snmod
 if not sys.flags.optimize:
     sys.exit(3)
-real_words, real_perm = snmod._tabloid_words, snmod._tabloid_perm
-# drop the last tabloid of every shape that has more than one
-snmod._tabloid_words = lambda lam: tuple(a[:-1] if len(lam) > 1 else a for a in real_words(lam))
+real_words, real_perm = snmod._tabloid_words, snmod._Tabloids.perm
+
+
+def first_word_in_the_last_row(lam):
+    # the first tabloid puts 0 in the last row, so it is no standard tableau
+    # (or the only tabloid of a one-row shape, where this changes nothing);
+    # its code stays, and its word wholly in the last row is no tabloid
+    words, codes = real_words(lam)
+    words = words.copy()
+    words[0] = len(lam) - 1
+    return words, codes
+
+
+snmod._tabloid_words = first_word_in_the_last_row
 (r,) = snmod.verify_appendix("char2", [8], 2)
 print(r.status, r.computed)
 snmod._tabloid_words = real_words
-snmod._tabloid_perm = lambda *args: np.roll(real_perm(*args), 1)
+snmod._tabloids.cache_clear()
+snmod._Tabloids.perm = lambda self, g: np.roll(real_perm(self, g), 1)
 (r,) = snmod.verify_appendix("char2_alt", [8], 2)
 print(r.status, r.computed)
 """
