@@ -92,24 +92,37 @@ def hook_length_dim(lam) -> int:
 # by binary search instead.
 _INDEX_SLOTS = 1 << 24
 
+# standard tableaux per block when the polytabloid terms are looked up and
+# when a witness is reduced over them.  The int64 term codes and a pair's
+# gathered words exist for one block at a time, which caps the peak memory
+# of the large shapes; at n = 10 the largest, (4, 3, 2, 1), takes three blocks.
+_BLOCK = 256
+
 
 def _tabloid_words(lam: tuple):
     """(row words, codes) of every tabloid of shape lam, in increasing code order.
 
-    Each step appends the row of the next entry, the new most significant
-    digit, and stacks the words by that row, so they come out in code order.
-    The words are int8, as a row index is below n <= MAX_N; _tabloids keeps
-    them, 1 byte per entry where int64 took 8.
+    The tabloids with row sizes s are, in code order, those with sizes
+    s - e_i followed by the entry in row i, the new most significant digit,
+    for i in increasing order.  So the words of each size vector s <= lam are
+    built once, from those one entry smaller.  The words are int8, as a row
+    index is below n <= MAX_N; _tabloids keeps them, 1 byte per entry where
+    int64 took 8.
     """
-    n = sum(lam)
-    words = np.zeros((1, 0), dtype=np.int8)
-    for _ in range(n):
-        parts = []
-        for i, size in enumerate(lam):
-            w = words[(words == i).sum(axis=1) < size]
-            parts.append(np.hstack([w, np.full((len(w), 1), i, dtype=np.int8)]))
-        words = np.vstack(parts)
-    return words, words @ len(lam) ** np.arange(n, dtype=np.int64)
+    rows = len(lam)
+    built = {(0,) * rows: np.zeros((1, 0), dtype=np.int8)}
+    for sizes in sorted(itertools.product(*(range(k + 1) for k in lam)), key=sum)[1:]:
+        parts = [(i, built[sizes[:i] + (sizes[i] - 1,) + sizes[i + 1:]])
+                 for i in range(rows) if sizes[i]]
+        m = sum(sizes) - 1
+        words = np.empty((sum(len(w) for _, w in parts), m + 1), dtype=np.int8)
+        at = 0
+        for i, w in parts:
+            words[at:at + len(w), :m], words[at:at + len(w), m] = w, i
+            at += len(w)
+        built[sizes] = words
+    words = built[lam]
+    return words, words @ rows ** np.arange(sum(lam), dtype=np.int64)
 
 
 def standard_tableaux(words: np.ndarray, rows: int) -> np.ndarray:
@@ -134,27 +147,40 @@ def standard_tableaux(words: np.ndarray, rows: int) -> np.ndarray:
     return standard[np.lexsort(standard.T[::-1])]
 
 
-def _polytabloid_terms(lam: tuple, tableaux: np.ndarray):
-    """(term codes, signs) of the standard polytabloids of the row words tableaux.
+def _column_group(lam: tuple):
+    """(column perms, signs) of the column group of lam, one term per element.
+
+    perms[j] is the (c_j! x c_j) int64 array of the permutations of column
+    j, of height c_j, in `itertools.permutations` order.  The terms are
+    their choices over the columns in `itertools.product` order, and term k
+    carries the sign signs[k] of that permutation of the cells.
+    """
+    perms = [np.array(list(itertools.permutations(range(c))), dtype=np.int64)
+             for c in conjugate(lam)]
+    signs = functools.reduce(np.multiply.outer, [[pm.sign(sig) for sig in col] for col in perms])
+    return perms, np.asarray(signs, dtype=np.int64).reshape(-1)
+
+
+def _polytabloid_terms(lam: tuple, tableaux: np.ndarray, perms: list) -> np.ndarray:
+    """int64 term codes of the standard polytabloids of the row words tableaux.
 
     The polytabloid of t is the signed sum of {σt} over its column group;
-    the term for σ puts the entry in row a of column j into row σ_j(a).
-    Row r of the (tableau x term) int64 code array is the polytabloid of
-    tableaux[r], and term k carries signs[k] in every row.
+    the term for σ puts the entry in row a of column j into row σ_j(a),
+    with the σ_j listed by `_column_group(lam)`.  A code is a sum over the
+    columns, so the (tableau x term) code array, row r the polytabloid of
+    tableaux[r], is an outer sum of one small product per column.
     """
-    conj = conjugate(lam)
-    per_col = [[(sig, pm.sign(sig)) for sig in itertools.permutations(range(c))] for c in conj]
-    row_of_cell, signs = [], []
-    for choice in itertools.product(*per_col):
-        row_of_cell.append([a for sig, _ in choice for a in sig])
-        signs.append(math.prod(s for _, s in choice))
-    row_of_cell = np.array(row_of_cell, dtype=np.int64)
     # a stable argsort lists each filling row by row, left to right, so cell
-    # (a, j) sits at position start[a] + j; points reads the cells column by column
+    # (a, j) sits at position start[a] + j; weight[:, a] is base^(its entry).
+    # A column of height 1 has one term and adds 0, as its entry stays in row 0.
     start = np.cumsum((0,) + lam[:-1])
-    cells = [start[a] + j for j, c in enumerate(conj) for a in range(c)]
-    points = np.argsort(tableaux, axis=1, kind="stable")[:, cells]
-    return (len(lam) ** points) @ row_of_cell.T, np.array(signs, dtype=np.int64)
+    order = np.argsort(tableaux, axis=1, kind="stable")
+    codes = np.zeros((len(tableaux), 1), dtype=np.int64)
+    for j, col in enumerate(perms):
+        if len(col) > 1:
+            weight = len(lam) ** order[:, start[:col.shape[1]] + j]
+            codes = (codes[:, :, None] + (weight @ col.T)[:, None, :]).reshape(len(tableaux), -1)
+    return codes
 
 
 class _Tabloids:
@@ -185,8 +211,14 @@ class _Tabloids:
         self.tableaux = standard_tableaux(self.words, len(lam))
         require(len(self.tableaux) == hook_length_dim(lam),
                 "tableau count disagrees with hook lengths")
-        term_codes, self.signs = _polytabloid_terms(lam, self.tableaux)
-        self.terms = self.positions(term_codes, "polytabloid term is not a tabloid")
+        # the term codes are looked up _BLOCK tableaux at a time, so only
+        # the int32 terms are held for the whole shape
+        perms, self.signs = _column_group(lam)
+        self.terms = np.empty((len(self.tableaux), len(self.signs)), dtype=np.int32)
+        for lo in range(0, len(self.tableaux), _BLOCK):
+            term_codes = _polytabloid_terms(lam, self.tableaux[lo:lo + _BLOCK], perms)
+            self.terms[lo:lo + _BLOCK] = self.positions(term_codes,
+                                                        "polytabloid term is not a tabloid")
 
     def positions(self, query: np.ndarray, message: str) -> np.ndarray:
         """int32 positions of the query codes in codes; CheckFailed(message) if one is not there."""
@@ -208,7 +240,7 @@ class _Tabloids:
 
 
 # One slot: the quadratic sweep reads a shape's tabloids for its witness
-# table and right after for D(lam), then moves on to the next shape.
+# table and right after for D(lam), then moves on; it clears the slot when it ends.
 _tabloids = functools.lru_cache(maxsize=1)(_Tabloids)
 
 
@@ -621,31 +653,40 @@ def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool
     64-column block V over GF(2), one uint64 word per standard tableau drawn
     from random.Random(5077); a nonzero word is an exact witness.  False means
     only that no witness turned up, and the caller decides that subgroup on
-    D(lam) itself.  A pair (g_i, g_j) shared by two subgroups is decided once,
-    and each subgroup's generators are certified once per process.
+    D(lam) itself.
+
+    Every subgroup's generators are certified up front, once per process.
+    The rest is done only as a verdict reads it: a subgroup stops at its
+    first witnessed pair, a pair (g_i, g_j) shared by two subgroups is
+    decided once, the tabloid map of a generator is formed, and checked to
+    be an involution, when a pair first reads it, and a pair's reduction
+    over the standard tableaux stops at its first nonzero block of _BLOCK.
     """
-    tab = _tabloids(lam)
-    ident = np.arange(len(tab.codes))
-    maps = {}
     for sub in subs:
         require(_generates_2_elementary(sub.generators, sub.degree),
                 "subgroup generators must be commuting involutions")
-        for g in sub.generators:
-            if g not in maps:
-                maps[g] = tab.perm(g)
-                require(np.array_equal(maps[g][maps[g]], ident),
-                        "tabloid map of an involution is not an involution")
+    tab = _tabloids(lam)
     terms = tab.terms
     v = np.frombuffer(random.Random(5077).randbytes(8 * len(terms)), dtype=np.uint64)
     u = np.zeros(len(tab.codes), dtype=np.uint64)
     np.bitwise_xor.at(u, terms, v[:, None])
-    xu = {g: u ^ u[m] for g, m in maps.items()}
-    pairs = {}
+    maps, pairs = {}, {}
+
+    def mapped(g):
+        """(m, (g - 1) u) for the tabloid map m of g."""
+        if g not in maps:
+            m = tab.perm(g)
+            require(np.array_equal(m[m], np.arange(len(m))),
+                    "tabloid map of an involution is not an involution")
+            maps[g] = m, u ^ u[m]
+        return maps[g]
 
     def witnessed(gi, gj):
         if (gi, gj) not in pairs:
-            y = xu[gj]
-            pairs[gi, gj] = bool(np.bitwise_xor.reduce((y ^ y[maps[gi]])[terms], axis=1).any())
+            (mi, _), (_, y) = mapped(gi), mapped(gj)
+            z = y ^ y[mi]
+            pairs[gi, gj] = any(np.bitwise_xor.reduce(z[terms[lo:lo + _BLOCK]], axis=1).any()
+                                for lo in range(0, len(terms), _BLOCK))
         return pairs[gi, gj]
 
     def decided(gens):
@@ -675,20 +716,26 @@ def _sweep_quadratic(n: int, even_part: bool):
     tabloid witness rules a pair out; every other pair, and so every hit, is
     decided by the socle series of D(lam).  A module counts when dim D > 1,
     which a witness implies, as it shows a Loewy length of at least 3.
+
+    The last shape's tabloids are freed when the sweep ends: the other twin
+    reads the kept witness tables and D(lam), not the tabloids.
     """
     subs = _mixed_subgroups(n, even_part)
     hits = []
     rows = []
-    for lam in p_regular_partitions(n, 2):
-        table = _witness_table(lam)
-        witnessed = [table[sub.generators] for sub in subs]
-        mod = None if all(witnessed) else irreducible_D(lam, 2)
-        if mod is not None and mod.dim <= 1:
-            continue
-        for sub, seen in zip(subs, witnessed):
-            rows.append((_lam_id(lam), sub.label))
-            if not seen and loewy_length(mod, sub).length <= 2:
-                hits.append([_lam_id(lam), sub.label])
+    try:
+        for lam in p_regular_partitions(n, 2):
+            table = _witness_table(lam)
+            witnessed = [table[sub.generators] for sub in subs]
+            mod = None if all(witnessed) else irreducible_D(lam, 2)
+            if mod is not None and mod.dim <= 1:
+                continue
+            for sub, seen in zip(subs, witnessed):
+                rows.append((_lam_id(lam), sub.label))
+                if not seen and loewy_length(mod, sub).length <= 2:
+                    hits.append([_lam_id(lam), sub.label])
+    finally:
+        _tabloids.cache_clear()
     return hits, rows
 
 

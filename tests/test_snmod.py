@@ -612,6 +612,24 @@ def test_tabloid_perm_rejects_non_tabloid_code(monkeypatch):
         snmod._Tabloids((5, 2)).perm(pm.transposition(7, 0, 6))
 
 
+def test_tabloid_words_match_the_definition():
+    """The tabloids of lam are the distinct rearrangements of its row word,
+    listed by code, the word read in base len(lam) with entry 0 lowest."""
+    from symprep import snmod
+
+    shapes = [lam for n in range(1, 9) for lam in partitions(n)]
+    assert (2, 2, 1, 1, 1) in shapes and (1,) * 6 in shapes
+    for lam in shapes:
+        base = len(lam)
+        row_word = [i for i, size in enumerate(lam) for _ in range(size)]
+        # code order is the order of the words read from the last entry
+        want = sorted(set(itertools.permutations(row_word)), key=lambda w: w[::-1])
+        words, codes = snmod._tabloid_words(lam)
+        assert words.dtype == np.int8 and codes.dtype == np.int64, lam
+        assert words.tolist() == [list(w) for w in want], lam
+        assert codes.tolist() == [sum(r * base ** x for x, r in enumerate(w)) for w in want], lam
+
+
 @pytest.mark.parametrize("lam", [lam for n in range(2, 10) for lam in p_regular_partitions(n, 2)]
                          + [(3, 2, 2, 1)])
 def test_polytabloid_terms_lookup_matches_binary_search(monkeypatch, lam):
@@ -664,7 +682,8 @@ def test_polytabloid_term_aliasing_a_tabloid_in_the_low_digits_fails(monkeypatch
     # a (3, 1) tableau looked up among the (2, 2) tabloids: its first term
     # has row word (0, 0, 1, 0), code 4, not a (2, 2) tabloid, but its low
     # three digits are those of the tabloid (0, 0, 1, 1), code 12
-    term_codes, _ = snmod._polytabloid_terms((3, 1), np.array([[0, 0, 1, 0]]))
+    term_codes = snmod._polytabloid_terms((3, 1), np.array([[0, 0, 1, 0]]),
+                                          snmod._column_group((3, 1))[0])
     assert term_codes[0, 0] == 4
     assert 4 not in tab.codes and 12 in tab.codes and 4 % 2**3 == 12 % 2**3
     with pytest.raises(CheckFailed, match="polytabloid term is not a tabloid"):
@@ -745,6 +764,101 @@ def test_quadratic_twins_build_the_tabloids_of_each_partition_once(monkeypatch):
     assert sorted(calls) == sorted(p_regular_partitions(9, 2))
     # (8, 1) has no witness on H_9, so its D is built from the same tabloids
     assert snmod._specht_core.cache_info().misses >= 1
+
+
+def test_quadratic_sweep_frees_the_tabloids():
+    """With cold caches each twin builds tabloids, and none is kept after it."""
+    from symprep import snmod
+
+    snmod._witness_table.cache_clear()
+    _clear_module_caches(snmod)
+    for theorem in ("char2", "char2_alt"):
+        (r,) = verify_appendix(theorem, [9], 2)
+        assert r.status == "pass"
+        assert snmod._tabloids.cache_info().currsize == 0
+
+
+def test_blocked_tabloids_and_witnesses_match_one_block(monkeypatch):
+    """With 3 standard tableaux per block, the term lookup and every witness
+    reduction run over several blocks; terms, signs and verdicts must match
+    a build and a reduction that take each shape in one block.  Besides the
+    chains, each pair of a chain subgroup is a subgroup of its own, so every
+    pair's verdict is compared, also where its witness is past the first block."""
+    from symprep import snmod
+
+    monkeypatch.setattr(snmod, "_BLOCK", 10**9)
+    shapes = [lam for n in range(2, 10) for lam in p_regular_partitions(n, 2)]
+    whole = {}
+    for lam in shapes:
+        n = sum(lam)
+        subs = snmod._mixed_subgroups(n, False) + snmod._mixed_subgroups(n, True)
+        pairs = {(gens[i], gens[j]) for gens in (sub.generators for sub in subs)
+                 for j in range(len(gens)) for i in range(j)}
+        subs += [pm.GroupPresentation("perm", n, pair) for pair in sorted(pairs)]
+        snmod._tabloids.cache_clear()
+        whole[lam] = snmod._Tabloids(lam), subs, snmod._decide_witnesses(lam, subs)
+    monkeypatch.setattr(snmod, "_BLOCK", 3)
+    for lam, (ref, subs, verdicts) in whole.items():
+        snmod._tabloids.cache_clear()
+        tab = snmod._tabloids(lam)
+        assert tab.terms.dtype == ref.terms.dtype == np.int32, lam
+        assert np.array_equal(tab.terms, ref.terms) and np.array_equal(tab.signs, ref.signs), lam
+        assert snmod._decide_witnesses(lam, subs) == verdicts, lam
+    snmod._tabloids.cache_clear()
+    assert any(any(verdicts) for _, _, verdicts in whole.values())
+
+
+def test_witness_maps_are_formed_once_on_first_use_and_checked(monkeypatch):
+    """Each tabloid map the witnesses read is formed once, and each is checked
+    to be an involution before any pair reads it; a subgroup decided by its
+    first pair leaves its other generators unmapped."""
+    from symprep import snmod
+
+    events = []
+    real_perm, real_require = snmod._Tabloids.perm, snmod.require
+
+    def perm(self, g):
+        m = real_perm(self, g)
+        events.append(("map", g))
+        return m
+
+    monkeypatch.setattr(snmod._Tabloids, "perm", perm)
+    monkeypatch.setattr(snmod, "require",
+                        lambda cond, msg: events.append(("check", msg)) or real_require(cond, msg))
+    n = 9
+    subs = snmod._mixed_subgroups(n, False) + snmod._mixed_subgroups(n, True)
+    gens = {g for sub in subs for g in sub.generators}
+    unmapped = 0
+    for lam in p_regular_partitions(n, 2):
+        snmod._tabloids.cache_clear()
+        snmod._tabloids(lam)
+        events.clear()
+        snmod._decide_witnesses(lam, subs)
+        formed = [k for k, e in enumerate(events) if e[0] == "map"]
+        assert len({events[k] for k in formed}) == len(formed), lam
+        for k in formed:
+            assert events[k + 1] == ("check", "tabloid map of an involution is not an involution")
+        unmapped += len(gens) - len(formed)
+    snmod._tabloids.cache_clear()
+    assert unmapped > 0
+
+
+def test_rolled_map_of_the_first_klein_generator_fails_the_claim(monkeypatch):
+    """Every KmH subgroup's first pair reads its first Klein generator, so
+    rolling that one map fails the claim even though no other map is wrong."""
+    from symprep import snmod
+
+    klein = snmod._mixed_subgroups(8, False)[1].generators[0]
+    assert all(sub.generators[0] == klein for sub in snmod._mixed_subgroups(8, False)[1:])
+    real = snmod._Tabloids.perm
+    monkeypatch.setattr(snmod._Tabloids, "perm",
+                        lambda self, g: np.roll(real(self, g), 1) if g == klein else real(self, g))
+    snmod._witness_table.cache_clear()
+    _clear_module_caches(snmod)
+    (r,) = verify_appendix("char2", [8], 2)
+    snmod._witness_table.cache_clear()
+    assert r.status == "fail"
+    assert r.computed == "CheckFailed('tabloid map of an involution is not an involution')"
 
 
 _CORRUPT_TABLOID_MAPS = """
