@@ -606,10 +606,6 @@ class Subspace:
         red, piv = rref_array(arr, field)
         return cls(field, amb, red[: len(piv)], piv)
 
-    @classmethod
-    def zero(cls, field: GF, ambient: int) -> "Subspace":
-        return cls(field, ambient, np.zeros((0, ambient), dtype=np.int64), ())
-
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -635,21 +631,24 @@ class Subspace:
 
 
 def kernel(m: Mat) -> Subspace:
-    """Right null space {v : Mv = 0} as a canonical subspace."""
-    red, piv = m.rref()
-    f = m.field
-    cols = m.cols
+    """Right null space {v : Mv = 0} as a canonical subspace, from one elimination.
+
+    M is reduced with its columns reversed, and each free column c of the
+    reversal gives e_c minus its RREF column, which is nonzero only on pivot
+    columns before c.  Read back in the original order, the vector of a free
+    column has its leading 1 there and 0 on every other free column, so the
+    vectors listed by that column are already the canonical RREF.
+    """
+    f, cols = m.field, m.cols
+    red, piv = rref_array(m.a[:, ::-1], f)
     is_free = np.ones(cols, dtype=bool)
     is_free[list(piv)] = False
-    free = np.flatnonzero(is_free)
-    if not free.size:
-        return Subspace.zero(f, cols)
-    # free column c gives e_c minus its RREF column on the pivot coordinates
+    free = np.flatnonzero(is_free)[::-1]
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     if piv:
-        basis[:, list(piv)] = neg(f, red.a[: len(piv)][:, free].T)
-    return Subspace.from_rows(f, basis)
+        basis[:, list(piv)] = neg(f, red[: len(piv)][:, free].T)
+    return Subspace(f, cols, basis[:, ::-1], (cols - 1 - free).tolist())
 
 
 def _square_family(mats: list[Mat]):

@@ -168,8 +168,8 @@ def standard_gens(kind: str, n: int) -> GroupPresentation:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def closure(group, cap: int = 10**7) -> np.ndarray:
-    """Breadth-first product closure of permutation generators.
+def closure(group: GroupPresentation, cap: int = 10**7) -> np.ndarray:
+    """Breadth-first product closure of a group's permutation generators.
 
     Returns the group as an (order, degree) int64 array, one element per row
     in one-line form, with the rows sorted lexicographically (the order of
@@ -181,16 +181,10 @@ def closure(group, cap: int = 10**7) -> np.ndarray:
     enumerates whole groups for the parabolic oracle and the rank search;
     certification goes through elementary_abelian_span, at any degree.
     """
-    if isinstance(group, GroupPresentation):
-        gens, degree = list(group.generators), group.degree
-    else:
-        gens = list(group)
-        if not gens:
-            raise ValueError("need a GroupPresentation to close an empty generator list")
-        degree = len(gens[0])
+    degree = group.degree
     if degree > 15:
         raise ValueError(f"closure codes need degree <= 15, got {degree}")
-    gens = np.array(gens, dtype=np.intp).reshape(len(gens), degree)
+    gens = group.generator_rows()
     weights = degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
     frontier = np.arange(degree, dtype=np.int64)[None, :]
     seen = frontier @ weights
@@ -301,17 +295,23 @@ class SearchResult:
     exact: bool
 
 
-def elem_abelian_rank_search(elements: np.ndarray, p: int, budget: int = 5_000_000) -> SearchResult:
+# nodes the rank search pops before it stops and reports exact = False
+SEARCH_BUDGET = 5_000_000
+
+
+def elem_abelian_rank_search(elements: np.ndarray, p: int) -> SearchResult:
     """Largest rank of an elementary abelian p-subgroup of a group, given as
     the element array that closure returns.
 
     Depth-first search over canonically increasing chains of commuting
     order-p elements, p prime.  Every subgroup of rank k contains an
     increasing independent generating chain (greedy argument), so the search
-    is exhaustive whenever the node budget is not exceeded; `exact` reports
-    which case happened.  The order-p rows and the commutation bitsets come
-    from gathers on the element array: with Q the order-p rows, Q[:, Q][i, j]
-    is q_i o q_j, which is what makes S_8 practical.
+    is exhaustive unless it pops more than SEARCH_BUDGET nodes; `exact`
+    reports which case happened.  With Q the order-p rows, the product table
+    Q[:, Q][i, j] = q_i o q_j is one gather; its codes decide commutation,
+    and looked up in the codes of Q they give index[i][j], the row of
+    q_i o q_j (-1 if that is no order-p row).  A subgroup is a bitmask over
+    Q, the identity left out.
     """
     ident = np.arange(elements.shape[1])
     power = elements
@@ -321,54 +321,55 @@ def elem_abelian_rank_search(elements: np.ndarray, p: int, budget: int = 5_000_0
     m = len(rows)
     if m == 0:
         return SearchResult(0, (), True)
-    products = rows[:, rows]
-    commute = (products == products.transpose(1, 0, 2)).all(axis=2)
+    if len(ident) > 15:
+        raise ValueError(f"product codes need degree <= 15, got {len(ident)}")
+    weights = len(ident) ** np.arange(len(ident) - 1, -1, -1, dtype=np.int64)
+    codes = rows[:, rows] @ weights
+    commute = codes == codes.T
     np.fill_diagonal(commute, False)
     adj = [int.from_bytes(bits.tobytes(), "little")
            for bits in np.packbits(commute, axis=1, bitorder="little")]
-    pelems = list(map(tuple, rows.tolist()))
-    all_mask = (1 << m) - 1
-    higher = [(all_mask >> (i + 1)) << (i + 1) for i in range(m)]
+    row_codes = rows @ weights
+    order = np.argsort(row_codes, kind="stable")
+    at = np.searchsorted(row_codes[order], codes).clip(max=m - 1)
+    index = np.where(row_codes[order][at] == codes, order[at], -1).tolist()
+    # powers[i] lists the rows of q_i, q_i^2, .., q_i^(p-1)
+    powers = [[i] for i in range(m)]
+    for _ in range(p - 2):
+        for i, pw in enumerate(powers):
+            pw.append(index[pw[-1]][i])
+    bit = [1 << i for i in range(m)]
 
-    best_rank = 0
-    best_wit: tuple = ()
+    def grow(sub: int, y: int) -> int:
+        """The bitmask of <sub, q_y>: s o q_y^j for every s in sub plus the identity."""
+        out = sub
+        for j in powers[y]:
+            out |= bit[j]
+        while sub:
+            low = sub & -sub
+            sub ^= low
+            products = index[low.bit_length() - 1]
+            for j in powers[y]:
+                out |= bit[products[j]]
+        return out
+
+    best: list = []
     nodes = 0
     exact = True
-    one = identity(len(ident))
-
-    # stack entries: (chosen index list, subgroup element set, candidate bitmask)
-    stack = []
-    for i in range(m - 1, -1, -1):
-        sub = {one}
-        y = pelems[i]
-        acc = y
-        for _ in range(p - 1):
-            sub.add(acc)
-            acc = compose(acc, y)
-        stack.append(([i], sub, adj[i] & higher[i]))
-
+    # stack entries: (chosen row list, subgroup bitmask, candidate bitmask)
+    stack = [([i], grow(0, i), adj[i] >> (i + 1) << (i + 1)) for i in range(m - 1, -1, -1)]
     while stack:
         chosen, sub, cands = stack.pop()
         nodes += 1
-        if nodes > budget:
+        if nodes > SEARCH_BUDGET:
             exact = False
             break
-        if len(chosen) > best_rank:
-            best_rank = len(chosen)
-            best_wit = tuple(pelems[i] for i in chosen)
-        c = cands
-        while c:
-            low = c & (-c)
+        if len(chosen) > len(best):
+            best = chosen
+        while cands:
+            low = cands & -cands
+            cands ^= low
             i = low.bit_length() - 1
-            c ^= low
-            y = pelems[i]
-            if y in sub:
-                continue
-            new_sub = set(sub)
-            acc = y
-            for _ in range(p - 1):
-                for s in sub:
-                    new_sub.add(compose(s, acc))
-                acc = compose(acc, y)
-            stack.append((chosen + [i], new_sub, cands & adj[i] & higher[i]))
-    return SearchResult(best_rank, best_wit, exact)
+            if not sub & low:
+                stack.append((chosen + [i], grow(sub, i), cands & adj[i]))
+    return SearchResult(len(best), tuple(tuple(rows[i].tolist()) for i in best), exact)

@@ -233,9 +233,10 @@ class _Tabloids:
         """Index map m with (g . x) = x[m] for coefficient vectors x over tabloids.
 
         g moves the entry x of a tabloid to g(x), so (g . x)[T] = x[g^-1 . T],
-        and the row word of g^-1 . T is the word of T read at g.
+        and the row word of g^-1 . T is the word of T read at g: its digit at
+        x is word[g(x)], so word[y] weighs base^(g^-1(y)).
         """
-        moved = self.words[:, list(g)] @ len(self.lam) ** np.arange(len(g), dtype=np.int64)
+        moved = self.words @ len(self.lam) ** np.argsort(g)
         return self.positions(moved, "moved code is not a tabloid code")
 
 
@@ -425,8 +426,10 @@ class LoewySeries:
 
 
 def _layers_of_mats(mats: list[Mat]) -> tuple:
-    """Invariants-quotient filtration layer dimensions for commuting p-actions:
-    each step quotients by the kernel of the stacked g - 1 and loses a layer."""
+    """Invariants-quotient filtration layer dimensions for the generator
+    matrices of an elementary abelian p-group, as `_restriction` or
+    `fingerprint_of_mats` certifies them: each step quotients by the kernel
+    of the stacked g - 1 and loses a layer."""
     layers = []
     while mats[0].rows > 0:
         quo = quotient_action(mats, stacked_minus_identity(mats))
@@ -437,39 +440,41 @@ def _layers_of_mats(mats: list[Mat]) -> tuple:
     return tuple(layers)
 
 
-def _check_p_subgroup(group: pm.GroupPresentation, n: int, p: int):
-    for g in group.generators:
-        if len(g) != n:
-            raise ValueError("subgroup degree does not match the module")
-        o = pm.order(g)
-        while o % p == 0:
-            o //= p
-        if o != 1:
-            raise ValueError(f"{group.label or 'subgroup'} is not a {p}-group")
+@functools.lru_cache(maxsize=None)
+def _elementary_rank(gens: tuple, degree: int, p: int) -> Optional[int]:
+    """Rank of the elementary abelian p-group the permutations gens generate,
+    or None when they generate no such group; each generator list is
+    certified once per process."""
+    rows = np.array(gens, dtype=np.intp).reshape(len(gens), degree)
+    certified = pm.elementary_abelian_span(rows, p)
+    return None if certified is None else len(certified[0])
+
+
+def _restriction(mod: GModule, group: pm.GroupPresentation, independent: bool) -> list[Mat]:
+    """The generator matrices on mod of an elementary abelian p-group, p the
+    field's prime; ValueError if the group is no such group on mod's points,
+    or if independent generators are asked for and the listed ones are not."""
+    p = mod.field.p
+    if group.degree != mod.n:
+        raise ValueError("subgroup degree does not match the module")
+    rank = _elementary_rank(group.generators, group.degree, p)
+    if rank is None:
+        raise ValueError(f"{group.label or 'subgroup'} is not an elementary abelian {p}-group")
+    if independent and rank != len(group.generators):
+        raise ValueError("listed generators must be independent")
+    return [mod.act(g) for g in group.generators]
 
 
 def loewy_length(mod: GModule, group: pm.GroupPresentation) -> LoewySeries:
     """Number of invariants-quotient steps to exhaust the module over the subgroup."""
-    _check_p_subgroup(group, mod.n, mod.field.p)
+    mats = _restriction(mod, group, independent=False)
     if mod.dim == 0:
         return LoewySeries(())
-    mats = [mod.act(g) for g in group.generators]
     if not mats:
         mats = [Mat.identity(mod.field, mod.dim)]
     series = LoewySeries(_layers_of_mats(mats))
     require(sum(series.layer_dims) == mod.dim, "Loewy layers do not add up to the dimension")
     return series
-
-
-def _check_elementary_abelian(group: pm.GroupPresentation, p: int) -> int:
-    """Rank of an elementary abelian p-group listed by independent generators;
-    ValueError if the group is not one or the list is not independent."""
-    certified = pm.elementary_abelian_span(group.generator_rows(), p)
-    if certified is None:
-        raise ValueError("subgroup is not elementary abelian")
-    if len(certified[0]) != len(group.generators):
-        raise ValueError("listed generators must be independent")
-    return len(group.generators)
 
 
 def norm_operator(field: GF, dim: int, mats: list[Mat]) -> Mat:
@@ -491,11 +496,10 @@ def free_summand_count(mod: GModule, group: pm.GroupPresentation) -> int:
     The subgroup must be elementary abelian with independent listed
     generators, so the norm factors as a product of generator geometric sums.
     """
-    p = mod.field.p
-    rank = _check_elementary_abelian(group, p)
-    norm = norm_operator(mod.field, mod.dim, [mod.act(g) for g in group.generators])
-    count = norm.rank()
-    require(count * p**rank <= mod.dim, "more free summands than the dimension allows")
+    mats = _restriction(mod, group, independent=True)
+    count = norm_operator(mod.field, mod.dim, mats).rank()
+    require(count * mod.field.p ** len(mats) <= mod.dim,
+            "more free summands than the dimension allows")
     return count
 
 
@@ -580,11 +584,10 @@ def fingerprint_of_mats(mats: list[Mat], field: GF,
 
 
 def fingerprint(mod: GModule, group: pm.GroupPresentation) -> Fingerprint:
-    """Fingerprint of the module restricted to an elementary abelian subgroup."""
-    _check_elementary_abelian(group, mod.field.p)
-    if mod.dim == 0:
-        return Fingerprint(0, (), 0, ())
-    mats = [mod.act(g) for g in group.generators]
+    """Fingerprint of the module restricted to an elementary abelian subgroup,
+    its generators certified independent as permutations: the matrices of an
+    unfaithful restriction may be dependent."""
+    mats = _restriction(mod, group, independent=True)
     return fingerprint_of_mats(mats, mod.field, verify_independent=False)
 
 
@@ -634,14 +637,6 @@ def _mixed_subgroups(n: int, even_part: bool) -> list[pm.GroupPresentation]:
     return subs
 
 
-@functools.lru_cache(maxsize=None)
-def _generates_2_elementary(gens: tuple, degree: int) -> bool:
-    """Whether the permutations gens generate an elementary abelian 2-group;
-    each generator list is certified once per process."""
-    rows = np.array(gens, dtype=np.intp).reshape(len(gens), degree)
-    return pm.elementary_abelian_span(rows, 2) is not None
-
-
 def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool]:
     """Per subgroup, whether the tabloid module proves D(lam) has Loewy length >= 3 on it.
 
@@ -663,7 +658,7 @@ def _decide_witnesses(lam: tuple, subs: list[pm.GroupPresentation]) -> list[bool
     over the standard tableaux stops at its first nonzero block of _BLOCK.
     """
     for sub in subs:
-        require(_generates_2_elementary(sub.generators, sub.degree),
+        require(_elementary_rank(sub.generators, sub.degree, 2) is not None,
                 "subgroup generators must be commuting involutions")
     tab = _tabloids(lam)
     terms = tab.terms

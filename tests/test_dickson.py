@@ -113,15 +113,16 @@ def test_parabolic_rejects_bad_input():
     w, _, _ = lagrangian_pair(3)
     for n, kind, sub in ((8, "perm", w),  # only S_n and A_n
                          (9, "sym", w),  # V has dimension 8 at n = 9
-                         (8, "sym", Subspace.zero(make_field(3), 6)),  # not over GF(2)
-                         (3, "sym", Subspace.zero(GF2, 2))):  # V is zero below n = 4
+                         (8, "sym", Subspace.from_rows(make_field(3), [], ambient=6)),  # not over GF(2)
+                         (3, "sym", Subspace.from_rows(GF2, [], ambient=2))):  # V is zero below n = 4
         with pytest.raises(ValueError):
             parabolic_trivial_subgroup(n, kind, sub)
 
 
 def test_exact_search_finds_the_disjoint_transpositions():
     for n in range(5, 13):
-        pairs = [pm.transposition(n, 2 * i, 2 * i + 1) for i in range(n // 2)]
+        pairs = pm.GroupPresentation(
+            "perm", n, tuple(pm.transposition(n, 2 * i, 2 * i + 1) for i in range(n // 2)))
         full = tuple(map(tuple, pm.closure(pairs).tolist()))
         for kind in ("sym", "alt"):
             want = full if kind == "sym" else tuple(g for g in full if pm.sign(g) == 1)

@@ -197,6 +197,18 @@ def test_appendix_report_bytes_are_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == _APPENDIX_DIGEST
 
 
+_DICKSON_DIGEST = "9a958e24545766ef2f93b0ee9c8830454713dad8cf8b83ba440f68d05a08720c"
+
+
+def test_dickson_report_bytes_are_pinned():
+    """The dickson report at --max-n 10, byte for byte, with the rank-search
+    and parabolic witnesses it echoes.  A change that adds or changes a
+    dickson claim updates this digest and says so in CHANGES.md."""
+    code, out, _ = _cli("verify", "dickson", "--max-n", "10", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _DICKSON_DIGEST
+
+
 def test_cli_dickson_config_and_exact_claims(capsys):
     from symprep import cli, suites
 

@@ -93,6 +93,20 @@ def test_rank_kernel_duality_1000_random():
             assert not prod.any()
 
 
+def test_kernel_one_elimination_matches_two_step_kernel():
+    """kernel reads the canonical RREF of ker M off one elimination of M with
+    its columns reversed; _generic_kernel eliminates M, then the basis."""
+    rng = np.random.default_rng(24)
+    fields = (GF2, GF3, GF5, make_field(7), GF4, make_field(2, 3), GF9)
+    for i in range(2100):
+        f = fields[i % len(fields)]
+        rows, cols = (int(x) for x in rng.integers(0, 9, size=2))
+        entries = rng.integers(0, f.q, size=(rows, cols))
+        entries[rng.random((rows, cols)) < rng.random()] = 0  # vary the rank
+        m = Mat(f, entries)
+        assert kernel(m) == _generic_kernel(m), (f, entries.tolist())
+
+
 def _apply(a: Mat, v: np.ndarray) -> np.ndarray:
     if a.field.r == 1:
         return mm_modp(a.a, v.reshape(-1, 1), a.field.p).reshape(-1)

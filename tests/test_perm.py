@@ -64,7 +64,7 @@ def test_closure_cap():
         pm.closure(pm.standard_gens("sym", 7), cap=100)
     assert len(pm.closure(pm.standard_gens("sym", 5), cap=120)) == 120
     with pytest.raises(ValueError):
-        pm.closure([pm.transposition(16, 0, 1)])  # codes would overflow int64
+        pm.closure(pm.special_subgroups(16, "H", m=1))  # codes would overflow int64
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
@@ -113,7 +113,8 @@ def test_elementary_abelian_span():
     c3 = np.array([pm.from_cycles("(1 2 3)", 6), pm.from_cycles("(4 5 6)", 6)])
     witness, span = pm.elementary_abelian_span(c3, 3)
     assert len(witness) == 2 and len(span) == 9
-    assert set(map(tuple, span.tolist())) == set(map(tuple, pm.closure(c3).tolist()))
+    c3_group = pm.GroupPresentation("perm", 6, tuple(map(tuple, c3.tolist())))
+    assert set(map(tuple, span.tolist())) == set(map(tuple, pm.closure(c3_group).tolist()))
     # (1 2) and (2 3) are involutions that do not commute
     assert pm.elementary_abelian_span(np.array([pm.transposition(4, 0, 1),
                                                 pm.transposition(4, 1, 2)]), 2) is None
@@ -147,6 +148,35 @@ def test_elem_abelian_rank_search_small():
     assert sr6.exact and sr6.rank == 2
     sr3 = pm.elem_abelian_rank_search(pm.closure(pm.standard_gens("sym", 3)), 3)
     assert sr3.exact and sr3.rank == 1
+
+
+def _rank_search(kind, n, p):
+    return pm.elem_abelian_rank_search(pm.closure(pm.standard_gens(kind, n)), p)
+
+
+def test_elem_abelian_rank_search_known_ranks():
+    # floor(n/2) disjoint transpositions in S_n; in A_n, 2 floor(n/4) from
+    # Klein blocks; floor(n/p) disjoint p-cycles, which are even, at odd p
+    cases = ([("sym", n, 2, n // 2) for n in range(2, 8)]
+             + [("alt", n, 2, 2 * (n // 4)) for n in range(3, 9)]
+             + [(kind, n, p, n // p) for p in (3, 5) for kind in ("sym", "alt")
+                for n in range(3, 8)])
+    for kind, n, p, rank in cases:
+        sr = _rank_search(kind, n, p)
+        assert (sr.rank, sr.exact) == (rank, True), (kind, n, p)
+        rows = np.array(sr.witness, dtype=np.intp).reshape(-1, n)
+        assert pm.elementary_abelian_span(rows, p)[0] == sr.witness, (kind, n, p)
+    # the witnesses the dickson report echoes
+    assert [pm.to_cycles(g) for g in _rank_search("alt", 6, 2).witness] == [
+        "(3 4)(5 6)", "(1 2)(3 4)"]
+    assert [pm.to_cycles(g) for g in _rank_search("alt", 7, 2).witness] == [
+        "(4 5)(6 7)", "(1 3)(4 5)"]
+
+
+def test_elem_abelian_rank_search_reports_an_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(pm, "SEARCH_BUDGET", 1)
+    sr = _rank_search("sym", 4, 2)
+    assert not sr.exact and sr.rank == 1
 
 
 def test_double_transposition_even():

@@ -345,6 +345,27 @@ def test_loewy_rejects_non_p_subgroup():
         loewy_length(mod, bad)
 
 
+def test_restriction_invariants_reject_non_elementary_abelian_groups():
+    # <(1 2), (2 3)> is S_3 and <(1 2 3 4)> is cyclic of order 4: both are bad
+    # input at p = 2, not a failed check
+    mod = irreducible_D((3, 1), 2)
+    s3 = pm.GroupPresentation("perm", 4, (pm.transposition(4, 0, 1), pm.transposition(4, 1, 2)))
+    c4 = pm.GroupPresentation("perm", 4, (pm.from_cycles("(1 2 3 4)", 4),))
+    for group in (s3, c4):
+        for invariant in (loewy_length, free_summand_count, fingerprint):
+            with pytest.raises(ValueError, match="not an elementary abelian 2-group"):
+                invariant(mod, group)
+    # dependent generators are fine for the Loewy series alone
+    a, b = pm.transposition(4, 0, 1), pm.transposition(4, 2, 3)
+    dependent = pm.GroupPresentation("perm", 4, (a, b, pm.compose(a, b)))
+    assert loewy_length(mod, dependent) == loewy_length(mod, pm.special_subgroups(4, "H"))
+    for invariant in (free_summand_count, fingerprint):
+        with pytest.raises(ValueError, match="independent"):
+            invariant(mod, dependent)
+    with pytest.raises(ValueError, match="degree"):
+        loewy_length(mod, pm.special_subgroups(6, "H"))
+
+
 def test_free_summand_counts():
     assert free_summand_count(irreducible_D((3, 2), 2).restrict(4),
                               pm.special_subgroups(4, "H")) == 1
@@ -718,7 +739,7 @@ def test_quadratic_twins_certify_each_subgroup_once(monkeypatch):
     monkeypatch.setattr(pm, "elementary_abelian_span",
                         lambda rows, p: spans.append(rows.tolist()) or real(rows, p))
     snmod._witness_table.cache_clear()
-    snmod._generates_2_elementary.cache_clear()
+    snmod._elementary_rank.cache_clear()
     reports = verify_appendix("char2", [9], 2) + verify_appendix("char2_alt", [9], 2)
     assert [r.status for r in reports] == ["pass", "pass"]
     # the chains share K^2 at n = 9: six subgroups, five generator lists
@@ -731,11 +752,11 @@ def test_cached_certification_still_rejects_non_commuting_generators():
     from symprep import snmod
 
     sub = pm.GroupPresentation("perm", 6, (pm.transposition(6, 0, 1), pm.transposition(6, 1, 2)))
-    snmod._generates_2_elementary.cache_clear()
+    snmod._elementary_rank.cache_clear()
     for lam in ((4, 2), (3, 2, 1)):
         with pytest.raises(CheckFailed, match="commuting involutions"):
             snmod._decide_witnesses(lam, [sub])
-    info = snmod._generates_2_elementary.cache_info()
+    info = snmod._elementary_rank.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
