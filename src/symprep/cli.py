@@ -125,14 +125,11 @@ def _cmd_dump(args) -> int:
         rep = dickson.perm_irrep(args.n, args.p)
         _emit(canonical_json(dickson.rep_to_json(rep)), args.out)
         return 0
-    if args.object == "module":
-        if args.partition is None:
-            raise ValueError("dump module needs --partition")
-        lam = _parse_partition(args.partition)
-        mod = snmod.irreducible_D(lam, args.p)
-        _emit(canonical_json(snmod.module_to_json(mod)), args.out)
-        return 0
-    _emit(render_rows(_grid_table_rows(), args.format), args.out)
+    if args.partition is None:
+        raise ValueError("dump module needs --partition")
+    lam = _parse_partition(args.partition)
+    mod = snmod.irreducible_D(lam, args.p)
+    _emit(canonical_json(snmod.module_to_json(mod)), args.out)
     return 0
 
 
@@ -168,12 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--out", default=None)
     po.set_defaults(fn=_cmd_oracle)
 
-    pd = sub.add_parser("dump", help="serialize a representation, module, or table")
-    pd.add_argument("object", choices=("perm_irrep", "module", "grid"))
+    pd = sub.add_parser("dump", help="serialize a representation or module as canonical JSON")
+    pd.add_argument("object", choices=("perm_irrep", "module"))
     pd.add_argument("--n", type=int, default=8)
     pd.add_argument("--p", type=int, default=2)
     pd.add_argument("--partition", default=None)
-    pd.add_argument("--format", choices=("json", "csv", "md"), default="json")
     pd.add_argument("--out", default=None)
     pd.set_defaults(fn=_cmd_dump)
     return parser

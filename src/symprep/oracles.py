@@ -329,7 +329,7 @@ def validate_norm_rank(seed: int = 0) -> dict:
     cases.append(([mod.act(pm.transposition(3, 0, 1))], "D(2,1)|C_2"))
     results = []
     for mats, label in cases:
-        via_norm = snmod.norm_operator(fld, mats[0].rows, mats).rank()
+        via_norm = snmod.free_count(fld, mats[0].rows, mats)
         via_search = decompose_small_module(mats, group_order=2 ** len(mats))
         results.append({"label": label, "dim": mats[0].rows,
                         "norm_rank": via_norm, "search_count": via_search,

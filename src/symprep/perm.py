@@ -307,11 +307,12 @@ def elem_abelian_rank_search(elements: np.ndarray, p: int) -> SearchResult:
     order-p elements, p prime.  Every subgroup of rank k contains an
     increasing independent generating chain (greedy argument), so the search
     is exhaustive unless it pops more than SEARCH_BUDGET nodes; `exact`
-    reports which case happened.  With Q the order-p rows, the product table
-    Q[:, Q][i, j] = q_i o q_j is one gather; its codes decide commutation,
-    and looked up in the codes of Q they give index[i][j], the row of
-    q_i o q_j (-1 if that is no order-p row).  A subgroup is a bitmask over
-    Q, the identity left out.
+    reports which case happened.  With Q the order-p rows, the codes of the
+    product table Q[:, Q][i, j] = q_i o q_j, formed a block of rows at a
+    time, decide commutation; looked up in the codes of Q they give
+    index[i][j], the row of q_i o q_j (-1 if that is no order-p row), for the
+    commuting pairs and the diagonal, the only ones the search reads.  A
+    subgroup is a bitmask over Q, the identity left out.
     """
     ident = np.arange(elements.shape[1])
     power = elements
@@ -324,15 +325,20 @@ def elem_abelian_rank_search(elements: np.ndarray, p: int) -> SearchResult:
     if len(ident) > 15:
         raise ValueError(f"product codes need degree <= 15, got {len(ident)}")
     weights = len(ident) ** np.arange(len(ident) - 1, -1, -1, dtype=np.int64)
-    codes = rows[:, rows] @ weights
+    codes, block = np.empty((m, m), dtype=np.int64), 128
+    for lo in range(0, m, block):  # no m x m x degree gather at once
+        codes[lo:lo + block] = rows[lo:lo + block][:, rows] @ weights
     commute = codes == codes.T
+    ii, jj = np.nonzero(commute)  # the commuting pairs and the diagonal
+    row_codes = rows @ weights
+    order = np.argsort(row_codes, kind="stable")
+    at = np.searchsorted(row_codes[order], codes[ii, jj]).clip(max=m - 1)
+    found = np.where(row_codes[order][at] == codes[ii, jj], order[at], -1).tolist()
+    ends, cols = np.cumsum(np.bincount(ii, minlength=m)).tolist(), jj.tolist()
+    index = [dict(zip(cols[a:b], found[a:b])) for a, b in zip([0] + ends, ends)]
     np.fill_diagonal(commute, False)
     adj = [int.from_bytes(bits.tobytes(), "little")
            for bits in np.packbits(commute, axis=1, bitorder="little")]
-    row_codes = rows @ weights
-    order = np.argsort(row_codes, kind="stable")
-    at = np.searchsorted(row_codes[order], codes).clip(max=m - 1)
-    index = np.where(row_codes[order][at] == codes, order[at], -1).tolist()
     # powers[i] lists the rows of q_i, q_i^2, .., q_i^(p-1)
     powers = [[i] for i in range(m)]
     for _ in range(p - 2):

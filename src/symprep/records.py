@@ -144,13 +144,13 @@ def reports_to_csv(reports: list[VerificationReport], timings: bool = False) -> 
     return _table(cols, [[d[c] for c in cols] for d in dicts], "csv")
 
 
-def reports_to_markdown(reports: list[VerificationReport]) -> str:
+def reports_to_markdown(reports: list[VerificationReport], timings: bool = False) -> str:
+    cols = ["expected", "computed"] + (["runtime_ms"] if timings else [])
     rows = []
     for r in reports:
-        d = report_to_dict(r)
-        rows.append([r.claim_id, r.status, json.dumps(d["expected"], sort_keys=True),
-                     json.dumps(d["computed"], sort_keys=True)])
-    return _table(["claim", "status", "expected", "computed"], rows, "md")
+        d = report_to_dict(r, timings=timings)
+        rows.append([r.claim_id, r.status] + [json.dumps(d[c], sort_keys=True) for c in cols])
+    return _table(["claim", "status"] + cols, rows, "md")
 
 
 def reports_to_text(reports: list[VerificationReport], timings: bool = False) -> str:
@@ -170,7 +170,7 @@ def render(suite: str, config: SuiteConfig, reports: list[VerificationReport]) -
     if config.format == "csv":
         return reports_to_csv(reports, timings=config.timings)
     if config.format == "md":
-        return reports_to_markdown(reports)
+        return reports_to_markdown(reports, timings=config.timings)
     return reports_to_text(reports, timings=config.timings)
 
 

@@ -425,18 +425,19 @@ class LoewySeries:
         return len(self.layer_dims)
 
 
-def _layers_of_mats(mats: list[Mat]) -> tuple:
-    """Invariants-quotient filtration layer dimensions for the generator
-    matrices of an elementary abelian p-group, as `_restriction` or
-    `fingerprint_of_mats` certifies them: each step quotients by the kernel
-    of the stacked g - 1 and loses a layer."""
+def _layers_of_mats(dim: int, mats: list[Mat]) -> tuple:
+    """Loewy layer dimensions of a dim-dimensional space under the generator
+    matrices of an elementary abelian p-group: each step quotients by the
+    common fixed space, the kernel of the stacked g - 1, and loses one layer.
+    No generators is the trivial group, whose one layer is the whole space."""
+    if not mats:
+        return (dim,) if dim else ()
     layers = []
-    while mats[0].rows > 0:
-        quo = quotient_action(mats, stacked_minus_identity(mats))
-        layer = mats[0].rows - quo[0].rows
+    while dim > 0:
+        mats = quotient_action(mats, stacked_minus_identity(mats))
+        layer, dim = dim - mats[0].rows, mats[0].rows
         require(layer > 0, "invariant space of a p-group vanished on a nonzero module")
         layers.append(layer)
-        mats = quo
     return tuple(layers)
 
 
@@ -468,18 +469,16 @@ def _restriction(mod: GModule, group: pm.GroupPresentation, independent: bool) -
 def loewy_length(mod: GModule, group: pm.GroupPresentation) -> LoewySeries:
     """Number of invariants-quotient steps to exhaust the module over the subgroup."""
     mats = _restriction(mod, group, independent=False)
-    if mod.dim == 0:
-        return LoewySeries(())
-    if not mats:
-        mats = [Mat.identity(mod.field, mod.dim)]
-    series = LoewySeries(_layers_of_mats(mats))
+    series = LoewySeries(_layers_of_mats(mod.dim, mats))
     require(sum(series.layer_dims) == mod.dim, "Loewy layers do not add up to the dimension")
     return series
 
 
-def norm_operator(field: GF, dim: int, mats: list[Mat]) -> Mat:
-    """Norm of an elementary abelian p-group on field^dim from the matrices of
-    independent generators: the product of their sums 1 + g + ... + g^(p-1)."""
+def free_count(field: GF, dim: int, mats: list[Mat]) -> int:
+    """Number of free summands of field^dim over an elementary abelian p-group,
+    from the matrices of independent generators: the rank of the norm, which
+    then factors as the product of the sums 1 + g + ... + g^(p-1).  Each free
+    summand takes p^k dimensions, k the number of generators."""
     norm = Mat.identity(field, dim)
     for a in mats:
         total, power = Mat.identity(field, dim), a
@@ -487,28 +486,23 @@ def norm_operator(field: GF, dim: int, mats: list[Mat]) -> Mat:
             total = total + power
             power = power @ a
         norm = norm @ total
-    return norm
+    count = norm.rank()
+    require(count * field.p ** len(mats) <= dim, "more free summands than the dimension allows")
+    return count
 
 
 def free_summand_count(mod: GModule, group: pm.GroupPresentation) -> int:
-    """Rank of the norm operator: the number of free summands over the subgroup.
-
-    The subgroup must be elementary abelian with independent listed
-    generators, so the norm factors as a product of generator geometric sums.
-    """
-    mats = _restriction(mod, group, independent=True)
-    count = norm_operator(mod.field, mod.dim, mats).rank()
-    require(count * mod.field.p ** len(mats) <= mod.dim,
-            "more free summands than the dimension allows")
-    return count
+    """The number of free summands over the subgroup, which must be
+    elementary abelian with independent listed generators."""
+    return free_count(mod.field, mod.dim, _restriction(mod, group, independent=True))
 
 
 def cyclic_profile(mod: GModule, g: pm.Perm) -> tuple:
     """Multiset (ascending tuple) of Jordan block sizes of an order-p element."""
     p = mod.field.p
-    if pm.order(g) != p:
-        raise ValueError("element order must equal the field characteristic")
-    x = mod.act(g) - Mat.identity(mod.field, mod.dim)
+    group = pm.GroupPresentation("perm", mod.n, (g,), label=pm.to_cycles(g))
+    (a,) = _restriction(mod, group, independent=True)
+    x = a - Mat.identity(mod.field, mod.dim)
     ranks = [mod.dim]
     power = x
     for _ in range(p):
@@ -549,46 +543,36 @@ class Fingerprint:
     gen_fixed_dims: tuple
 
 
-def fingerprint_of_mats(mats: list[Mat], field: GF,
-                        verify_independent: bool = True) -> Fingerprint:
-    """Fingerprint from explicit commuting order-p generator matrices."""
-    p = field.p
-    if not mats or mats[0].rows == 0:
-        return Fingerprint(0, (), 0, ())
-    dim = mats[0].rows
+def fingerprint_of_mats(field: GF, dim: int, mats: list[Mat]) -> Fingerprint:
+    """Fingerprint of field^dim under the matrices of independent generators
+    of an elementary abelian p-group, with the same layers and free count as
+    `loewy_length` and `free_summand_count`.
+
+    Only what a module for (Z/p)^k needs is checked: each matrix has order
+    dividing p and the matrices commute.  The matrices of an unfaithful
+    action may be dependent, so the group itself is certified where its
+    generators come from (`fingerprint` certifies permutations).  A matrix
+    that is not dim x dim over field raises ValueError.
+    """
+    if any(a.field != field or a.rows != dim or a.cols != dim for a in mats):
+        raise ValueError(f"generator matrices must be {dim} x {dim} over the field")
     ident = Mat.identity(field, dim)
-    for a in mats:
-        require(a.pow(p) == ident, "generator order must divide p")
-        for b in mats:
+    for i, a in enumerate(mats):
+        require(a.pow(field.p) == ident, "generator order must divide p")
+        for b in mats[i + 1:]:
             require(a @ b == b @ a, "generators must commute")
-    if verify_independent:
-        seen = {ident.key()}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for a in mats:
-                    y = m @ a
-                    if y.key() not in seen:
-                        require(len(seen) < 4096, "matrix group too large to verify")
-                        seen.add(y.key())
-                        nxt.append(y)
-            frontier = nxt
-        require(len(seen) == p ** len(mats), "generator matrices are not independent")
     return Fingerprint(
         dim=dim,
-        layers=_layers_of_mats(list(mats)),
-        free_count=norm_operator(field, dim, mats).rank(),
+        layers=_layers_of_mats(dim, mats),
+        free_count=free_count(field, dim, mats),
         gen_fixed_dims=tuple(joint_fixed_space([a]).dim for a in mats),
     )
 
 
 def fingerprint(mod: GModule, group: pm.GroupPresentation) -> Fingerprint:
-    """Fingerprint of the module restricted to an elementary abelian subgroup,
-    its generators certified independent as permutations: the matrices of an
-    unfaithful restriction may be dependent."""
-    mats = _restriction(mod, group, independent=True)
-    return fingerprint_of_mats(mats, mod.field, verify_independent=False)
+    """Fingerprint of the module restricted to an elementary abelian subgroup
+    with independent listed generators."""
+    return fingerprint_of_mats(mod.field, mod.dim, _restriction(mod, group, independent=True))
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +835,8 @@ def _spin_tensor_job():
         left = fingerprint(m4, pm.special_subgroups(4, "H"))
         a = m2.gen_actions[0]
         ident = Mat.identity(m2.field, m2.dim)
-        right = fingerprint_of_mats([a.kron(ident), ident.kron(a)], m2.field)
+        # a x 1 and 1 x a generate (Z/2)^2 by construction
+        right = fingerprint_of_mats(m2.field, m2.dim ** 2, [a.kron(ident), ident.kron(a)])
         return make_report(
             claim_id=claim_id,
             statement="the dim-4 restriction over its transposition subgroup matches "

@@ -139,7 +139,7 @@ def test_criterion_07_free_summands_and_spin_recursion():
         left = fingerprint(m4, pm.special_subgroups(4, "H"))
         a = m2.gen_actions[0]
         ident = Mat.identity(m2.field, m2.dim)
-        right = fingerprint_of_mats([a.kron(ident), ident.kron(a)], m2.field)
+        right = fingerprint_of_mats(m2.field, m2.dim ** 2, [a.kron(ident), ident.kron(a)])
         assert left == right
 
 
@@ -152,8 +152,8 @@ def test_criterion_08_two_constructions_agree():
             assert rep.dim == mod.dim, n
             sub = pm.special_subgroups(n, "H")
             fp_mod = fingerprint(mod, sub)
-            fp_rep = fingerprint_of_mats([rep.act(g) for g in sub.generators],
-                                         rep.field, verify_independent=False)
+            fp_rep = fingerprint_of_mats(rep.field, rep.dim,
+                                         [rep.act(g) for g in sub.generators])
             assert fp_mod == fp_rep, n
 
 

@@ -116,6 +116,19 @@ def test_render_formats():
     assert "pass" in out and "demo/thing/n5" in out
 
 
+def test_markdown_runtime_column_only_under_timings():
+    r = _sample()
+    r.runtime_ms = 7
+    plain = render("all", SuiteConfig(max_n=0, grid=(), format="md"), [r])
+    assert plain == ("| claim | status | expected | computed |\n|---|---|---|---|\n"
+                     "| demo/thing/n5 | pass | 3 | 3 |\n")
+    timed = render("all", SuiteConfig(max_n=0, grid=(), format="md", timings=True), [r])
+    assert timed == ("| claim | status | expected | computed | runtime_ms |\n"
+                     "|---|---|---|---|---|\n| demo/thing/n5 | pass | 3 | 3 | 7 |\n")
+    csv = render("all", SuiteConfig(max_n=0, grid=(), format="csv", timings=True), [r])
+    assert csv.splitlines()[0].endswith(",runtime_ms") and csv.splitlines()[1].endswith(",7")
+
+
 def test_suite_config_rejects_unknown_format():
     with pytest.raises(ValueError, match="yaml"):
         SuiteConfig(format="yaml")
@@ -209,6 +222,18 @@ def test_dickson_report_bytes_are_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == _DICKSON_DIGEST
 
 
+_LIETYPE_DIGEST = "6f1f5d7553e1605ba234f5b4bdbb77ee4b1f78c6e38dee8af8a652be82de72c7"
+
+
+def test_lietype_report_bytes_are_pinned():
+    """The lietype report, byte for byte, with the extension-field
+    eliminations of its overlap grid.  A change that adds or changes a
+    lietype claim updates this digest and says so in CHANGES.md."""
+    code, out, _ = _cli("verify", "lietype", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _LIETYPE_DIGEST
+
+
 def test_cli_dickson_config_and_exact_claims(capsys):
     from symprep import cli, suites
 
@@ -227,7 +252,9 @@ def test_cli_dickson_config_and_exact_claims(capsys):
 @pytest.mark.parametrize("args", [("verify", "dickson", "--jobs", "2"),
                                   ("verify", "dickson", "--enum-cap", "5"),
                                   ("verify", "dickson", "--seed", "3"),
-                                  ("table", "parabolic", "--enum-cap", "5")])
+                                  ("table", "parabolic", "--enum-cap", "5"),
+                                  ("dump", "grid"),
+                                  ("dump", "module", "--partition", "3,2", "--format", "json")])
 def test_cli_removed_flags_exit_2(args):
     from symprep import cli
 
@@ -330,13 +357,23 @@ def test_cli_failed_check_exits_1(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "md", "json"])
-def test_cli_table_rp_and_dump_grid_same_bytes(fmt, capsys):
+def test_cli_table_rp_formats(fmt, capsys):
     from symprep import cli
 
     assert cli.main(["table", "rp", "--format", fmt]) == 0
-    table = capsys.readouterr().out
-    assert cli.main(["dump", "grid", "--format", fmt]) == 0
-    assert capsys.readouterr().out == table
+    out = capsys.readouterr().out
+    if fmt == "json":
+        rows = json.loads(out)
+        assert len(rows) == 36 and all(r["match"] is True for r in rows)
+        assert list(rows[0]) == ["closed_form", "computed", "family", "m", "match", "q"]
+        return
+    lines = out.strip().split("\n")
+    head = {"csv": "family,m,q,computed,closed_form,match",
+            "md": "| family | m | q | computed | closed_form | match |"}[fmt]
+    assert lines[0] == head
+    assert len(lines) == {"csv": 37, "md": 38}[fmt]  # header (+ rule) + 36 grid points
+    assert all(line.rstrip(" |").endswith("True" if fmt == "md" else "true")
+               for line in lines[-36:])
 
 
 _LAYER_TRACE = """

@@ -388,8 +388,10 @@ def test_free_summand_rejects_dependent_generators():
 
 def test_cyclic_profile_order_guard():
     mod = irreducible_D((4, 1), 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an elementary abelian 5-group"):
         cyclic_profile(mod, pm.transposition(5, 0, 1))
+    with pytest.raises(ValueError, match="independent"):
+        cyclic_profile(mod, pm.identity(5))
 
 
 def test_tensor_module():
@@ -425,17 +427,41 @@ def test_fingerprint_equality_tensor_square():
     left = fingerprint(m4, pm.special_subgroups(4, "H"))
     a = m2.gen_actions[0]
     ident = Mat.identity(m2.field, m2.dim)
-    right = fingerprint_of_mats([a.kron(ident), ident.kron(a)], m2.field)
+    right = fingerprint_of_mats(m2.field, m2.dim ** 2, [a.kron(ident), ident.kron(a)])
     assert left == right
     assert left.dim == 4 and left.free_count == 1
 
 
 def test_fingerprint_independence_check():
+    # the matrices of an unfaithful action may be dependent: (Z/2)^2 acting
+    # through one swap has the swap's fixed line twice and no free summand
     f = make_field(2)
     swap = Mat(f, [[0, 1], [1, 0]])
-    with pytest.raises(AssertionError):
-        fingerprint_of_mats([swap, swap], f)  # dependent pair
-    assert fingerprint_of_mats([], f) == Fingerprint(0, (), 0, ())
+    assert fingerprint_of_mats(f, 2, [swap, swap]) == Fingerprint(2, (1, 1), 0, (1, 1))
+    assert fingerprint_of_mats(f, 0, []) == Fingerprint(0, (), 0, ())
+
+
+def test_fingerprint_of_the_trivial_group_agrees_with_the_other_invariants():
+    mod = irreducible_D((4, 1), 2)
+    trivial = pm.GroupPresentation("perm", 5, ())
+    assert fingerprint(mod, trivial) == Fingerprint(4, (4,), 4, ())
+    assert loewy_length(mod, trivial).layer_dims == (4,)
+    assert free_summand_count(mod, trivial) == 4
+
+
+def test_fingerprint_of_mats_checks_the_matrices():
+    f2, f3 = make_field(2), make_field(3)
+    swap = Mat(f2, [[0, 1], [1, 0]])
+    for bad in (Mat.identity(f2, 3), Mat(f3, [[0, 1], [1, 0]])):
+        with pytest.raises(ValueError, match="2 x 2 over the field"):
+            fingerprint_of_mats(f2, 2, [swap, bad])
+    # (1 2) and (2 3) as 3 x 3 permutation matrices: order 2, not commuting
+    s12 = Mat(f2, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    s23 = Mat(f2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    with pytest.raises(CheckFailed, match="commute"):
+        fingerprint_of_mats(f2, 3, [s12, s23])
+    with pytest.raises(CheckFailed, match="order must divide p"):
+        fingerprint_of_mats(f2, 3, [s12 @ s23])
 
 
 def test_fingerprint_distinguishes():
