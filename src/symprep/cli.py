@@ -14,7 +14,9 @@ import sys
 from . import classical, dickson, oracles, snmod
 from .checks import CheckFailed
 from .records import REPORT_FORMATS, SuiteConfig, canonical_json, render, render_rows
-from .suites import SUITE_NAMES, run_suite
+from .suites import FAMILIES, MAX_DEGREE, SUITE_NAMES, check_max_n, run_suite
+
+PARABOLIC_DEGREES, _ = FAMILIES["dickson/parabolic-rank"]
 
 
 def _emit(text: str, out: str | None):
@@ -30,7 +32,7 @@ def _parse_partition(text: str) -> tuple:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--max-n", type=int, default=12, dest="max_n",
+    p.add_argument("--max-n", type=int, default=MAX_DEGREE, dest="max_n",
                    help="largest symmetric-group degree to sweep")
     p.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
@@ -54,10 +56,9 @@ def _grid_table_rows():
 
 
 def _parabolic_table_rows(max_n: int):
-    if max_n > snmod.MAX_N:
-        raise ValueError(f"max_n {max_n} is above the largest supported degree {snmod.MAX_N}")
+    check_max_n(max_n, max(PARABOLIC_DEGREES))
     rows = []
-    for n in range(5, max_n + 1):
+    for n in (n for n in PARABOLIC_DEGREES if n <= max_n):
         for kind in ("sym", "alt"):
             res = dickson.standard_parabolic(n, kind)
             rows.append({"n": n, "kind": kind, "rank": res.rank,
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("name", choices=("rp", "parabolic"))
     pt.add_argument("--format", choices=("csv", "md", "json"), default="csv")
     pt.add_argument("--out", default=None)
-    pt.add_argument("--max-n", type=int, default=12, dest="max_n")
+    pt.add_argument("--max-n", type=int, default=max(PARABOLIC_DEGREES), dest="max_n")
     pt.set_defaults(fn=_cmd_table)
 
     po = sub.add_parser("oracle", help="run an independent brute-force oracle")

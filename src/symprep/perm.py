@@ -9,7 +9,6 @@ compose(a, b) is the gather a[b].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
@@ -45,10 +44,6 @@ def cycles_of(a: Perm):
 def sign(a: Perm) -> int:
     """+1 for even permutations, -1 for odd: a k-cycle is k - 1 swaps."""
     return -1 if sum(len(c) - 1 for c in cycles_of(a)) % 2 else 1
-
-
-def order(a: Perm) -> int:
-    return lcm(*map(len, cycles_of(a)))
 
 
 def to_cycles(a: Perm) -> str:

@@ -30,6 +30,8 @@ from .linalg import (Mat, joint_fixed_space, kernel, left_multiply, mm_modp,  # 
 from .records import VerificationReport, make_report, run_jobs
 
 MAX_N = 12
+# the quadratic-pair twins state their hits from this degree on
+QUADRATIC_FIRST_N = 8
 
 
 # ---------------------------------------------------------------------------
@@ -873,20 +875,25 @@ def _three_part_job(n: int, lam: tuple, sub: pm.GroupPresentation):
 def appendix_jobs(theorem: str, ns: Iterable[int], p: int) -> list:
     """One (claim_id, thunk) job per claim of a theorem family over the degrees.
 
-    An unknown theorem key or a wrong prime raises ValueError here, before
-    any job exists.  A thunk returns one VerificationReport, or None where
-    the module has dimension at most 1 and there is nothing to claim.
+    An unknown theorem key, a wrong prime or a degree outside the family's
+    range (up to MAX_N, from p for the odd-cyclic twins, from
+    QUADRATIC_FIRST_N for the quadratic twins, else from 2) raises
+    ValueError here, before any job exists.  A thunk returns one
+    VerificationReport, or None where the module has dimension at most 1 and
+    there is nothing to claim.
     """
     ns = sorted(set(int(n) for n in ns))
-    if theorem in ("charnot2", "charnot2_alt"):
-        if p % 2 == 0:
-            raise ValueError(f"{theorem} needs an odd prime, got {p}")
-        return [_odd_depth_job(n, lam, p, theorem.endswith("_alt"))
-                for n in ns if n >= p for lam in p_regular_partitions(n, p)]
-    if theorem not in ("char2", "char2_alt", "H2kproj", "length2"):
+    odd = theorem in ("charnot2", "charnot2_alt")
+    if not odd and theorem not in ("char2", "char2_alt", "H2kproj", "length2"):
         raise ValueError(f"unknown theorem key {theorem!r}")
-    if p != 2:
-        raise ValueError(f"{theorem} needs p = 2, got {p}")
+    if p % 2 == 0 if odd else p != 2:
+        raise ValueError(f"{theorem} needs {'an odd prime' if odd else 'p = 2'}, got {p}")
+    first = p if odd else QUADRATIC_FIRST_N if theorem.startswith("char2") else 2
+    if ns and not first <= ns[0] <= ns[-1] <= MAX_N:
+        raise ValueError(f"{theorem} degrees {ns} outside the supported range {first}..{MAX_N}")
+    if odd:
+        return [_odd_depth_job(n, lam, p, theorem.endswith("_alt"))
+                for n in ns for lam in p_regular_partitions(n, p)]
     if theorem == "H2kproj":
         return ([_norm_rank_job()]
                 + [_free_summand_job(n, k) for n in ns for k in range(2, (n + 1) // 2)]

@@ -1,17 +1,20 @@
-"""Claim suites: ordered batches of verification jobs with stable reports.
+"""Claim suites: one table of claim families, read by one loop into ordered
+batches of verification jobs with stable reports.
 
-A job is (claim_id, thunk); the thunk returns one VerificationReport.  Jobs
-run through `records.run_jobs`, one after another in declaration order, and
-a raising thunk turns into a fail report instead of crashing the run.
+A job is (claim_id, thunk); the thunk returns one VerificationReport.  Each
+row of FAMILIES makes one family's jobs at the degrees it runs at, so a new
+family is one row.  Jobs run through `records.run_jobs`, one after another
+in table order, and a raising thunk turns into a fail report instead of
+crashing the run.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from . import classical, dickson, oracles, snmod
 from . import perm as pm
 from .records import SuiteConfig, exit_code, make_report, run_jobs
-
-SUITE_NAMES = ("dickson", "lietype", "appendix", "all")
 
 
 # ---------------------------------------------------------------------------
@@ -126,30 +129,6 @@ def _doubled_job(n: int):
     return label, job
 
 
-def dickson_suite(config: SuiteConfig) -> list:
-    top = config.max_n
-    if top < 5:
-        return []
-    jobs = []
-    for n in range(5, top + 1):
-        jobs.append(_invariance_job(n))
-    for n in range(5, top + 1):
-        for kind in ("sym", "alt"):
-            jobs.append(_parabolic_job(n, kind))
-    for n in range(5, min(top, 8) + 1):
-        for kind in ("sym", "alt"):
-            jobs.append(_parabolic_oracle_job(n, kind))
-    for n in (6, 7):
-        if n <= top:
-            jobs.append(_alt_max_rank_job(n))
-    for g in range(1, 6):
-        jobs.append(_siegel_job(g))
-    for n in (6, 8):
-        if n <= top:
-            jobs.append(_doubled_job(n))
-    return jobs
-
-
 # ---------------------------------------------------------------------------
 # lietype suite: the unipotent intersection grid
 
@@ -187,16 +166,6 @@ def _bridge_job(m: int, q: int):
             computed=sp.computed,
         )
     return label, job
-
-
-def lietype_suite(config: SuiteConfig) -> list:
-    grid = classical.grid_points() if config.grid is None else list(config.grid)
-    jobs = [_grid_job(family, m, q) for family, m, q in grid]
-    if config.grid is None:
-        for q in (2, 4):
-            for m in (2, 3):
-                jobs.append(_bridge_job(m, q))
-    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -263,33 +232,64 @@ def _cross_construction_job(n: int):
     return label, job
 
 
-def appendix_suite(config: SuiteConfig) -> list:
-    top = config.max_n
-    if top < 4:
-        return []
-    odd = [("charnot2", 3), ("charnot2_alt", 3)]
-    if top >= 5:
-        odd += [("charnot2", 5), ("charnot2_alt", 5)]
-    jobs = []
-    for theorem, p in odd:
-        jobs += snmod.appendix_jobs(theorem, range(p, min(top, 7) + 1), p)
-    jobs.append(_profile_job((4, 1), 5, [3]))
-    jobs.append(_profile_job((3, 1), 3, [3]))
-    jobs.append(_profile_job((2, 1, 1), 3, [3]))
-    if top >= 8:
-        for theorem in ("char2", "char2_alt"):
-            jobs += snmod.appendix_jobs(theorem, range(8, top + 1), 2)
-    if top >= 6:
-        jobs += snmod.appendix_jobs("length2", [6], 2)
-    jobs += snmod.appendix_jobs("H2kproj", range(5, top + 1), 2)
-    jobs.append(_green_tensor_job())
-    for n in range(5, min(top, 10) + 1):
-        jobs.append(_cross_construction_job(n))
-    return jobs
-
-
 # ---------------------------------------------------------------------------
-# entry point
+# the family table and the entry point
+
+
+def _theorem(theorem: str, p: int) -> Callable:
+    return lambda ns, _: snmod.appendix_jobs(theorem, ns, p)
+
+
+# One row per claim family, in report order: "suite/family": (degrees, jobs).
+# degrees are the n it runs at by default, the largest being its cap, and none
+# for a family not swept by degree; jobs(ns, config) are its (claim_id, thunk)
+# jobs at the degrees ns.
+FAMILIES = {
+    "dickson/symplectic-invariance": (
+        range(5, 13), lambda ns, _: [_invariance_job(n) for n in ns]),
+    "dickson/parabolic-rank": (range(5, 13), lambda ns, _: [
+        _parabolic_job(n, k) for n in ns for k in ("sym", "alt")]),
+    "dickson/parabolic-rank-oracle": (range(5, 9), lambda ns, _: [
+        _parabolic_oracle_job(n, k) for n in ns for k in ("sym", "alt")]),
+    "dickson/even-subgroup-max-rank": ((6, 7), lambda ns, _: [_alt_max_rank_job(n) for n in ns]),
+    "dickson/lagrangian-stabilizer-dim": ((), lambda ns, _: [_siegel_job(g) for g in range(1, 6)]),
+    "dickson/doubled-symplectic": ((6, 8), lambda ns, _: [_doubled_job(n) for n in ns]),
+    "lietype/grid": ((), lambda ns, config: [_grid_job(*pt) for pt in (
+        classical.grid_points() if config.grid is None else config.grid)]),
+    "lietype/odd-orthogonal-even-char-bridge": ((), lambda ns, config: [
+        _bridge_job(m, q) for q in (2, 4) for m in (2, 3)] if config.grid is None else []),
+    "appendix/charnot2/p3": (range(3, 8), _theorem("charnot2", 3)),
+    "appendix/charnot2_alt/p3": (range(3, 8), _theorem("charnot2_alt", 3)),
+    "appendix/charnot2/p5": (range(5, 8), _theorem("charnot2", 5)),
+    "appendix/charnot2_alt/p5": (range(5, 8), _theorem("charnot2_alt", 5)),
+    "appendix/jordan-profile": ((), lambda ns, _: [
+        _profile_job(lam, p, [3]) for lam, p in (((4, 1), 5), ((3, 1), 3), ((2, 1, 1), 3))]),
+    "appendix/char2": (range(snmod.QUADRATIC_FIRST_N, 13), _theorem("char2", 2)),
+    "appendix/char2_alt": (range(snmod.QUADRATIC_FIRST_N, 13), _theorem("char2_alt", 2)),
+    "appendix/length2": ((6,), _theorem("length2", 2)),
+    "appendix/H2kproj": (range(5, 13), _theorem("H2kproj", 2)),
+    "appendix/odd-tensor-blocks": ((), lambda ns, _: [_green_tensor_job()]),
+    "appendix/two-construction-agreement": (
+        range(5, 11), lambda ns, _: [_cross_construction_job(n) for n in ns]),
+}
+# below its first degree a suite runs no family at all
+FIRST_DEGREE = {"dickson": 5, "lietype": 0, "appendix": 4}
+SUITE_NAMES = (*FIRST_DEGREE, "all")
+# the largest cap: the default and the bound of every --max-n
+MAX_DEGREE = max(n for degrees, _ in FAMILIES.values() for n in degrees)
+
+
+def suite_jobs(name: str, config: SuiteConfig) -> list:
+    """The jobs of one suite, each family at its degrees up to config.max_n."""
+    if config.max_n < FIRST_DEGREE[name]:
+        return []
+    return [job for key, (degrees, jobs) in FAMILIES.items() if key.split("/")[0] == name
+            for job in jobs([n for n in degrees if n <= config.max_n], config)]
+
+
+def check_max_n(max_n: int, cap: int = MAX_DEGREE):
+    if max_n > cap:
+        raise ValueError(f"max_n {max_n} is above the largest supported degree {cap}")
 
 
 def run_suite(name: str, config: SuiteConfig | None = None):
@@ -297,17 +297,7 @@ def run_suite(name: str, config: SuiteConfig | None = None):
     config = config if config is not None else SuiteConfig()
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if config.max_n > snmod.MAX_N:
-        raise ValueError(f"max_n {config.max_n} is above the largest supported "
-                         f"degree {snmod.MAX_N}")
-    builders = {"dickson": dickson_suite, "lietype": lietype_suite,
-                "appendix": appendix_suite}
-    if name == "all":
-        jobs = []
-        for part in ("dickson", "lietype", "appendix"):
-            jobs.extend(builders[part](config))
-    else:
-        jobs = builders[name](config)
-    reports = run_jobs(jobs)
+    check_max_n(config.max_n)
+    parts = FIRST_DEGREE if name == "all" else (name,)
+    reports = run_jobs([job for part in parts for job in suite_jobs(part, config)])
     return reports, exit_code(reports)
-

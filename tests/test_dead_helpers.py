@@ -37,25 +37,52 @@ def _import_path_of(node: ast.AST, paths: dict):
     return None
 
 
-def _referenced_names(tree: ast.AST):
-    """(name, line, owner) of every name, attribute and string constant; a
-    string counts because perfbench/layers.py patches functions by their
-    names.  owner is "" for a bare name or a string, and for an attribute the
-    import path of what it is read from (None if that is no import)."""
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_names(tree: ast.AST) -> set:
+    """The ids of the Name nodes that read a local of an enclosing function: a
+    name the function binds in its own scope, as an argument or as an
+    assignment target."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, _SCOPES):
+            continue
+        own, todo = [], list(ast.iter_child_nodes(fn))
+        while todo:  # the function's own scope, not the functions and classes it nests
+            node = todo.pop()
+            own.append(node)
+            if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+                todo.extend(ast.iter_child_nodes(node))
+        bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        bound |= {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        out |= {id(n) for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in bound}
+    return out
+
+
+def _referenced_names(tree: ast.AST, strings: bool):
+    """(name, line, owner) of every name read, attribute and, if strings,
+    string constant; strings count in perfbench/, whose layers.py patches
+    functions by their names.  A name bound is no reference.  owner is "" for
+    a bare name or a string, None for a read of a function's local, and for an
+    attribute the import path of what it is read from (None if that is no
+    import)."""
     paths = _import_paths(tree)
+    local = _local_names(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno, ""
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno, None if id(node) in local else ""
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno, _import_path_of(node.value, paths)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value, node.lineno, ""
 
 
 def test_every_module_level_definition_has_a_caller():
     """A method counts as used by any reference to its name; a module-level
-    definition only by a bare name, a string, or an attribute read from its
-    own module, so `Mat.inverse()` is no use of a function `perm.inverse`."""
+    definition only by a bare name that is no function's own local, a string
+    in perfbench/, or an attribute read from its own module, so neither
+    `Mat.inverse()` nor a local `order = ...` is a use of a function in perm."""
     definitions = []
     references = {}
     for path in sorted(p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")):
@@ -68,7 +95,7 @@ def test_every_module_level_definition_has_a_caller():
             definitions += [(path, node, False) for cls in tree.body if isinstance(cls, ast.ClassDef)
                             for node in cls.body if isinstance(node, ast.FunctionDef)
                             and not (node.name.startswith("__") and node.name.endswith("__"))]
-        for name, line, owner in _referenced_names(tree):
+        for name, line, owner in _referenced_names(tree, path.parent.name == "perfbench"):
             references.setdefault(name, []).append((path, line, owner))
     assert len(definitions) > 100  # the scan found the package
 

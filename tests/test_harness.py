@@ -234,6 +234,27 @@ def test_lietype_report_bytes_are_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == _LIETYPE_DIGEST
 
 
+# sha256 of json.dumps({"<suite>/<max_n>": claim ids}, sort_keys=True) over
+# dickson, lietype and appendix at every max_n from 0 to 12
+_CLAIM_LIST_DIGEST = "f1676e1416feb6c455cea3affb259645f3acac12ab9d9247ec003c43c136a5de"
+
+
+def test_claim_lists_are_pinned():
+    """Every suite's claim ids, in order, at every --max-n, built from the
+    family table without running a claim.  A change that adds, drops or moves
+    a claim updates this digest and says so in CHANGES.md."""
+    from symprep import suites
+
+    names = ("dickson", "lietype", "appendix")
+    ids = {f"{name}/{m}": [claim_id for claim_id, _ in suites.suite_jobs(name, SuiteConfig(max_n=m))]
+           for name in names for m in range(13)}
+    assert sum(map(len, ids.values())) == 1768
+    assert [len(ids[f"{name}/12"]) for name in names] == [41, 40, 160]
+    assert ids["dickson/4"] == ids["appendix/3"] == []
+    digest = hashlib.sha256(json.dumps(ids, sort_keys=True).encode()).hexdigest()
+    assert digest == _CLAIM_LIST_DIGEST
+
+
 def test_cli_dickson_config_and_exact_claims(capsys):
     from symprep import cli, suites
 
@@ -322,6 +343,8 @@ def test_cli_bad_args_exit_2():
                  ("dump", "module"),
                  ("oracle", "decompose_small_module", "--demo", "bogus"),
                  ("verify", "dickson", "--max-n", "13"),
+                 ("verify", "appendix", "--max-n", "13"),
+                 ("verify", "lietype", "--max-n", "13"),
                  ("table", "parabolic", "--max-n", "13")):
         code, _, err = _cli(*argv)
         assert code == 2, argv

@@ -315,6 +315,29 @@ def test_bad_module_arguments_raise_value_error():
         verify_appendix("charnot2", [5], 2)
 
 
+def test_appendix_degree_outside_the_family_is_bad_input(monkeypatch):
+    """A degree outside a theorem family's range raises before any job exists,
+    as a bad key or prime does, so no tabloid is built and no fail report made."""
+    from symprep import snmod
+
+    built = []
+
+    def no_tabloids(lam):
+        built.append(lam)
+        raise AssertionError(f"tabloids of {lam} built")
+
+    monkeypatch.setattr(snmod, "_tabloids", no_tabloids)
+    first = snmod.QUADRATIC_FIRST_N
+    cases = [("charnot2", [13], 7), ("charnot2_alt", [4], 5), ("H2kproj", [13], 2),
+             ("H2kproj", [5, 13], 2), ("length2", [1], 2)]
+    cases += [(theorem, [n], 2) for theorem in ("char2", "char2_alt") for n in range(4, first)]
+    for theorem, ns, p in cases:
+        with pytest.raises(ValueError, match="outside the supported range"):
+            verify_appendix(theorem, ns, p)
+    assert built == []
+    assert first == 8
+
+
 # ---------------------------------------------------------------------------
 # restriction invariants
 
