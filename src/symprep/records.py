@@ -70,7 +70,7 @@ def run_jobs(jobs) -> list[VerificationReport]:
 
 @dataclass
 class SuiteConfig:
-    max_n: int = 12
+    max_n: int  # no default: records cannot read the cap, suites.MAX_DEGREE
     grid: Optional[tuple] = None  # None = the standard (family, m, q) grid
     format: str = "text"  # one of REPORT_FORMATS
     timings: bool = False

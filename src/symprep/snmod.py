@@ -4,7 +4,7 @@ irreducible quotients, and restriction behavior on 2-subgroups.
 The construction is concrete: the tabloid permutation module is an explicit
 coordinate space, standard polytabloids are integer vectors in it, and every
 Coxeter-generator action is straightened back into the standard-polytabloid
-basis by solving against the pivot columns.  Everything downstream (Loewy
+basis by solving against the own-tabloid block.  Everything downstream (Loewy
 filtrations, norm ranks, Jordan profiles, fingerprints) is plain linear
 algebra over GF(p).
 """
@@ -346,14 +346,14 @@ class GModule:
 def _specht_core(lam: tuple, p: int):
     """(n, dim, generator matrices, Gram matrix) for the standard-polytabloid basis.
 
-    The basis b has one row per standard polytabloid and one column per
-    tabloid, as int64 entries for every p; over GF(2), `rref_array` and the
-    large products pack its rows themselves.  The action of s_k on b
-    permutes its columns, and straightening solves for the coefficients on
-    the pivot columns of b, with the inverse there read off the one
-    elimination of [b | I], then checks coef·b = s_k·b exactly, as a matrix
-    identity, at every dimension.  The tabloid data is read from `_tabloids`,
-    the one build per shape that lam's witness table also reads.
+    The basis b has one int64 row per standard polytabloid and one column
+    per tabloid.  The tabloid {t} of a standard tableau t is the last tabloid
+    of its polytabloid e_t (James, LNM 682, §8), so the own-tabloid block,
+    b at the columns {t}, is checked upper unitriangular, which also makes b
+    independent mod p.  s_k permutes the columns of b; straightening reads
+    coef = (s_k·b)[:, own]·block⁻¹ and checks coef·b = s_k·b exactly, as a
+    matrix identity, at every dimension.  The tabloid data is read from
+    `_tabloids`, the one build per shape that lam's witness table also reads.
     """
     lam = check_partition(lam)
     n = sum(lam)
@@ -361,19 +361,19 @@ def _specht_core(lam: tuple, p: int):
         raise ValueError(f"degree {n} outside the supported range 2..{MAX_N}")
     fld = make_field(p)
     tab = _tabloids(lam)
-    dim, tabloids = len(tab.tableaux), len(tab.codes)
-    entries = np.zeros((dim, tabloids), dtype=np.int64)
+    dim = len(tab.tableaux)
+    entries = np.zeros((dim, len(tab.codes)), dtype=np.int64)
     entries[np.arange(dim)[:, None], tab.terms] = tab.signs % p
     b = Mat(fld, entries)
-    # [b | I] reduces to [rref(b) | E] with E b[:, piv] = I, so E inverts b on its pivots
-    red, piv = rref_array(np.hstack([entries, np.eye(dim, dtype=np.int64)]), fld)
-    require(piv[-1] < tabloids, "standard polytabloids must stay independent mod p")
-    piv = list(piv)
-    binv = Mat._of(fld, red[:, tabloids:])
+    own = tab.positions(tab.tableaux @ len(lam) ** np.arange(n), "standard tableau is not a tabloid")
+    block = entries[:, own]
+    require(not np.tril(block, -1).any() and (block.diagonal() == 1).all(),
+            "own-tabloid block must be upper unitriangular")
+    binv = Mat._of(fld, block).inverse()
     gen_mats = []
     for k in range(n - 1):
         shuffle = tab.perm(pm.transposition(n, k, k + 1))
-        coef = Mat._of(fld, entries[:, shuffle[piv]]) @ binv
+        coef = Mat._of(fld, entries[:, shuffle[own]]) @ binv
         require(coef @ b == Mat._of(fld, entries[:, shuffle]), "straightening failed")
         gen_mats.append(coef.T)
     gram = b @ b.T

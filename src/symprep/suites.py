@@ -294,7 +294,7 @@ def check_max_n(max_n: int, cap: int = MAX_DEGREE):
 
 def run_suite(name: str, config: SuiteConfig | None = None):
     """Execute one suite (or all of them); returns (reports, exit code)."""
-    config = config if config is not None else SuiteConfig()
+    config = config if config is not None else SuiteConfig(max_n=MAX_DEGREE)
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     check_max_n(config.max_n)

@@ -205,7 +205,7 @@ def test_criterion_10_infrastructure():
             assert (fast == slow).all() and piv_fast == tuple(piv_slow)
 
         # identical configs give byte-identical reports
-        cfg = SuiteConfig(grid=(("SL", 3, 2), ("Sp", 2, 2)))
+        cfg = SuiteConfig(max_n=12, grid=(("SL", 3, 2), ("Sp", 2, 2)))
         r1, _ = run_suite("lietype", cfg)
         r2, _ = run_suite("lietype", cfg)
         assert reports_to_json("lietype", cfg, r1) == reports_to_json("lietype", cfg, r2)

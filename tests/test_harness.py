@@ -131,7 +131,13 @@ def test_markdown_runtime_column_only_under_timings():
 
 def test_suite_config_rejects_unknown_format():
     with pytest.raises(ValueError, match="yaml"):
-        SuiteConfig(format="yaml")
+        SuiteConfig(max_n=12, format="yaml")
+
+
+def test_suite_config_max_n_has_no_default():
+    """A config without max_n would not follow suites.MAX_DEGREE when a cap is raised."""
+    with pytest.raises(TypeError, match="max_n"):
+        SuiteConfig()
 
 
 def test_empty_suite_contract():
@@ -156,7 +162,7 @@ def test_small_suite_deterministic_bytes():
 
 
 def test_lietype_restricted_grid():
-    cfg = SuiteConfig(grid=(("SL", 3, 2), ("Sp", 2, 3)))
+    cfg = SuiteConfig(max_n=12, grid=(("SL", 3, 2), ("Sp", 2, 3)))
     reports, code = run_suite("lietype", cfg)
     assert code == 0
     assert [r.claim_id for r in reports] == ["lietype/SL/m3/q2", "lietype/Sp/m2/q3"]

@@ -3,6 +3,7 @@ tabloid combinatorics, quotients by the form radical, and the structural
 invariants of restrictions to 2-subgroups and p-cycles."""
 
 import collections
+import hashlib
 import itertools
 import os
 import subprocess
@@ -15,7 +16,8 @@ import symprep
 from symprep import perm as pm
 from symprep.checks import CheckFailed
 from symprep.field import make_field
-from symprep.linalg import Mat
+from symprep.linalg import Mat, rref_array
+from symprep.records import canonical_json
 from symprep.snmod import (Fingerprint, GModule, LoewySeries,
                            basic_spin_restriction, check_partition,
                            conjugate, cyclic_profile,
@@ -280,6 +282,59 @@ def test_exact_straightening_rejects_one_swap_between_dimensions_200_and_400(mon
                         lambda self, g: bad if g == s5 and self.lam == lam else real(self, g))
     with pytest.raises(CheckFailed, match="straightening failed"):
         specht_module(lam, 2)
+
+
+def test_reversed_basis_order_fails_the_unitriangular_check(monkeypatch):
+    """Listing the standard tableaux backwards makes the own-tabloid block
+    lower triangular; the core must refuse it, not invert it."""
+    from symprep import snmod
+
+    real = snmod.standard_tableaux
+    _clear_module_caches(snmod)
+    monkeypatch.setattr(snmod, "standard_tableaux", lambda words, rows: real(words, rows)[::-1])
+    try:
+        with pytest.raises(CheckFailed, match="own-tabloid block must be upper unitriangular"):
+            specht_module((3, 2), 2)
+    finally:
+        _clear_module_caches(snmod)  # drop whatever was built on the reversed order
+
+
+def test_specht_core_matches_the_augmented_solve():
+    """The own-tabloid block gives the generators and Gram matrix of the
+    earlier route, which read its pivots off one elimination of [b | I]."""
+    from symprep import snmod
+
+    for lam in (lam for n in range(2, 9) for lam in partitions(n)):
+        n, tab = sum(lam), snmod._tabloids(lam)
+        for p in (2, 3, 5):
+            f = make_field(p)
+            b = np.zeros((len(tab.tableaux), len(tab.codes)), dtype=np.int64)
+            b[np.arange(len(b))[:, None], tab.terms] = tab.signs % p
+            red, piv = rref_array(np.hstack([b, np.eye(len(b), dtype=np.int64)]), f)
+            binv, piv = Mat._of(f, red[:, b.shape[1]:]), np.array(piv)
+            gens = tuple((Mat._of(f, b[:, tab.perm(pm.transposition(n, k, k + 1))[piv]]) @ binv).T
+                         for k in range(n - 1))
+            _, _, core_gens, gram = snmod._specht_core(lam, p)
+            assert core_gens == gens and gram == Mat(f, b) @ Mat(f, b).T, (lam, p)
+
+
+_PINNED_MODULES = [
+    ((4, 2, 1), 2, "3ac7b0f9f8e4c168c79b8f529106260f5996f0ce9872103c734810f8e449bf11"),
+    ((3, 2), 2, "06e97ded18fcc49f04aff006e17b3ce95851ca84c10932102998f72afeb2e0e3"),
+    ((5, 3, 2), 2, "b24c61cc002039fc9c4d48774f94c45d3c44f311c18a688cd66551cd23ce59e0"),
+    ((3, 2), 3, "51d0eaad04bb6e791eda789dd94b699406ad9e03f52095b2bf68a6fb24fb01bf"),
+    ((5, 2), 3, "67755f3756e7d2fcca6d4060811e9bf86e83bd14ec4add93e4d2c80dc360c289"),
+    ((6, 3, 1), 3, "78622823c36985f0d9d736d74021f693cbb1a5621da986e01059b261312a934f"),
+]
+
+
+@pytest.mark.parametrize("lam, p, digest", _PINNED_MODULES,
+                         ids=[f"{','.join(map(str, lam))}-p{p}" for lam, p, _ in _PINNED_MODULES])
+def test_dump_module_bytes_are_pinned(lam, p, digest):
+    """The generator matrices of D(lam), as `dump module` writes them; the
+    `verify` digests see only the claims read off them."""
+    doc = canonical_json(module_to_json(irreducible_D(lam, p)))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def test_act_is_multiplicative():
