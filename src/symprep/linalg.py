@@ -476,17 +476,19 @@ class Mat:
                                                 self.cols * other.cols))
 
     def pow(self, e: int) -> "Mat":
+        """self^e for e >= 0, left-to-right binary: floor(log2 e) squarings
+        and popcount(e) - 1 products by self, none by the identity."""
         if self.rows != self.cols:
             raise ValueError(f"power of a non-square {self.rows}x{self.cols} matrix")
         if e < 0:
-            return self.inverse().pow(-e)
-        out = Mat.identity(self.field, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base
-            e >>= 1
+            raise ValueError(f"negative exponent {e}")
+        if e == 0:
+            return Mat.identity(self.field, self.rows)
+        out = self
+        for bit in bin(e)[3:]:  # the bits after the leading one
+            out = out @ out
+            if bit == "1":
+                out = out @ self
         return out
 
     # -- elimination-based -------------------------------------------------
@@ -520,10 +522,6 @@ class Mat:
 
     def __hash__(self):
         return hash((self.field, self.shape, self.a.tobytes()))
-
-    def key(self) -> bytes:
-        """Dedup key for closure sets."""
-        return self.a.tobytes()
 
     def __repr__(self):
         return f"Mat({self.field}, {self.rows}x{self.cols})"

@@ -204,20 +204,20 @@ def decompose_small_module(mats: list[Mat], group_order: int) -> int:
     if dim == 0:
         return 0
     ident = Mat.identity(fld, dim)
-    elems = {ident.key(): ident}
+    elems = {ident: None}  # a set in insertion order
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
             for g in mats:
                 y = m @ g
-                if y.key() not in elems:
+                if y not in elems:
                     if len(elems) > 64:
                         raise ValueError("brute-force decomposition capped at 64 group elements")
-                    elems[y.key()] = y
+                    elems[y] = None
                     nxt.append(y)
         frontier = nxt
-    group = list(elems.values())
+    group = list(elems)
     if group_order % len(group):
         raise ValueError(f"group order {group_order} is not a multiple of "
                          f"{len(group)}, the order of the matrix group")

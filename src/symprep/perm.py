@@ -163,7 +163,11 @@ def standard_gens(kind: str, n: int) -> GroupPresentation:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def closure(group: GroupPresentation, cap: int = 10**7) -> np.ndarray:
+# elements closure enumerates before it refuses a group
+CLOSURE_CAP = 10**7
+
+
+def closure(group: GroupPresentation) -> np.ndarray:
     """Breadth-first product closure of a group's permutation generators.
 
     Returns the group as an (order, degree) int64 array, one element per row
@@ -171,10 +175,11 @@ def closure(group: GroupPresentation, cap: int = 10**7) -> np.ndarray:
     sorted tuples).  Each round composes the whole frontier with every
     generator as one gather and dedupes the products by their base-degree
     integer codes, so the degree is limited to 15 for the codes to fit in
-    int64.  Raises ValueError as soon as a round takes the group past cap
-    elements, so at most cap times the generator count rows are held.  It
-    enumerates whole groups for the parabolic oracle and the rank search;
-    certification goes through elementary_abelian_span, at any degree.
+    int64.  Raises ValueError as soon as a round takes the group past
+    CLOSURE_CAP elements, so at most CLOSURE_CAP times the generator count
+    rows are held.  It enumerates whole groups for the parabolic oracle and
+    the rank search; certification goes through elementary_abelian_span, at
+    any degree.
     """
     degree = group.degree
     if degree > 15:
@@ -187,8 +192,8 @@ def closure(group: GroupPresentation, cap: int = 10**7) -> np.ndarray:
         products = frontier[:, gens].reshape(-1, degree)
         codes, first = np.unique(products @ weights, return_index=True)
         fresh = seen[np.searchsorted(seen, codes).clip(max=len(seen) - 1)] != codes
-        if len(seen) + np.count_nonzero(fresh) > cap:
-            raise ValueError(f"group has more than cap = {cap} elements")
+        if len(seen) + np.count_nonzero(fresh) > CLOSURE_CAP:
+            raise ValueError(f"group has more than CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = products[first[fresh]]
         seen = np.sort(np.concatenate([seen, codes[fresh]]), kind="stable")
     return seen[:, None] // weights % degree

@@ -23,8 +23,8 @@ import numpy as np
 from . import perm as pm
 from .checks import require
 from .field import GF, make_field
-# kernel, mm_modp and rref_array stay importable from here: the layer trace
-# in perfbench/layers.py wraps them by module
+# joint_fixed_space, kernel, mm_modp and rref_array stay importable from here:
+# the layer trace in perfbench/layers.py wraps them by module
 from .linalg import (Mat, joint_fixed_space, kernel, left_multiply, mm_modp,  # noqa: F401
                      quotient_action, right_multiply, rref_array, stacked_minus_identity)
 from .records import VerificationReport, make_report, run_jobs
@@ -321,8 +321,9 @@ class GModule:
         cached = self._act_cache.get(g)
         if cached is not None:
             return cached
-        out = Mat.identity(self.field, self.dim)
-        for i in pm.adjacent_factorization(g):
+        word = pm.adjacent_factorization(g)
+        out = self.gen_actions[word[0]] if word else Mat.identity(self.field, self.dim)
+        for i in word[1:]:
             out = self.gen_actions[i] @ out
         self._act_cache[g] = out
         return out
@@ -364,7 +365,7 @@ def _specht_core(lam: tuple, p: int):
     dim = len(tab.tableaux)
     entries = np.zeros((dim, len(tab.codes)), dtype=np.int64)
     entries[np.arange(dim)[:, None], tab.terms] = tab.signs % p
-    b = Mat(fld, entries)
+    b = Mat._of(fld, entries)
     own = tab.positions(tab.tableaux @ len(lam) ** np.arange(n), "standard tableau is not a tabloid")
     block = entries[:, own]
     require(not np.tril(block, -1).any() and (block.diagonal() == 1).all(),
@@ -479,15 +480,12 @@ def loewy_length(mod: GModule, group: pm.GroupPresentation) -> LoewySeries:
 def free_count(field: GF, dim: int, mats: list[Mat]) -> int:
     """Number of free summands of field^dim over an elementary abelian p-group,
     from the matrices of independent generators: the rank of the norm, which
-    then factors as the product of the sums 1 + g + ... + g^(p-1).  Each free
-    summand takes p^k dimensions, k the number of generators."""
-    norm = Mat.identity(field, dim)
+    then factors as the product of the sums 1 + g + ... + g^(p-1), each equal
+    to (g - 1)^(p-1) in characteristic p since C(p-1, j) = (-1)^j mod p.
+    Each free summand takes p^k dimensions, k the number of generators."""
+    norm = ident = Mat.identity(field, dim)
     for a in mats:
-        total, power = Mat.identity(field, dim), a
-        for _ in range(field.p - 1):
-            total = total + power
-            power = power @ a
-        norm = norm @ total
+        norm = norm @ (a - ident).pow(field.p - 1)
     count = norm.rank()
     require(count * field.p ** len(mats) <= dim, "more free summands than the dimension allows")
     return count
@@ -500,24 +498,18 @@ def free_summand_count(mod: GModule, group: pm.GroupPresentation) -> int:
 
 
 def cyclic_profile(mod: GModule, g: pm.Perm) -> tuple:
-    """Multiset (ascending tuple) of Jordan block sizes of an order-p element."""
-    p = mod.field.p
+    """Multiset (ascending tuple) of Jordan block sizes of an order-p element.
+
+    x = g - 1 is nilpotent and the socle series is ker x ⊂ ker x^2 ⊂ ..., so
+    the k-th socle layer l_k, dim ker x^k - dim ker x^(k-1), counts the
+    Jordan blocks of size at least k: l_k - l_(k+1) of them have size k.
+    """
     group = pm.GroupPresentation("perm", mod.n, (g,), label=pm.to_cycles(g))
-    (a,) = _restriction(mod, group, independent=True)
-    x = a - Mat.identity(mod.field, mod.dim)
-    ranks = [mod.dim]
-    power = x
-    for _ in range(p):
-        ranks.append(power.rank())
-        power = power @ x
-    require(ranks[p] == 0, "p-th power of a unipotent difference must vanish")
-    blocks = []
-    for k in range(1, p + 1):
-        at_least_k = ranks[k - 1] - ranks[k]
-        at_least_next = (ranks[k] - ranks[k + 1]) if k < p else 0
-        blocks.extend([k] * (at_least_k - at_least_next))
-    require(sum(blocks) == mod.dim, "Jordan blocks do not add up to the dimension")
-    return tuple(blocks)
+    layers = _layers_of_mats(mod.dim, _restriction(mod, group, independent=True))
+    require(len(layers) <= mod.field.p, "p-th power of a unipotent difference must vanish")
+    below = layers[1:] + (0,)
+    return tuple(k for k, (here, nxt) in enumerate(zip(layers, below), 1)
+                 for _ in range(here - nxt))
 
 
 def tensor_module(a: GModule, b: GModule) -> GModule:
@@ -567,7 +559,7 @@ def fingerprint_of_mats(field: GF, dim: int, mats: list[Mat]) -> Fingerprint:
         dim=dim,
         layers=_layers_of_mats(dim, mats),
         free_count=free_count(field, dim, mats),
-        gen_fixed_dims=tuple(joint_fixed_space([a]).dim for a in mats),
+        gen_fixed_dims=tuple(dim - (a - ident).rank() for a in mats),
     )
 
 

@@ -288,6 +288,8 @@ def suite_jobs(name: str, config: SuiteConfig) -> list:
 
 
 def check_max_n(max_n: int, cap: int = MAX_DEGREE):
+    if max_n < 0:
+        raise ValueError(f"max_n {max_n} is negative")
     if max_n > cap:
         raise ValueError(f"max_n {max_n} is above the largest supported degree {cap}")
 

@@ -351,7 +351,9 @@ def test_cli_bad_args_exit_2():
                  ("verify", "dickson", "--max-n", "13"),
                  ("verify", "appendix", "--max-n", "13"),
                  ("verify", "lietype", "--max-n", "13"),
-                 ("table", "parabolic", "--max-n", "13")):
+                 ("table", "parabolic", "--max-n", "13"),
+                 ("verify", "all", "--max-n", "-5"),
+                 ("table", "parabolic", "--max-n", "-1")):
         code, _, err = _cli(*argv)
         assert code == 2, argv
         line = next(x for x in err.splitlines() if "error: " in x)

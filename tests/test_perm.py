@@ -53,16 +53,19 @@ def test_standard_gens_generate():
             assert [tuple(g) for g in arr.tolist()] == want, (n, kind)
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(pm, "CLOSURE_CAP", 100)
     with pytest.raises(ValueError):
-        pm.closure(pm.standard_gens("sym", 7), cap=100)
-    assert len(pm.closure(pm.standard_gens("sym", 5), cap=120)) == 120
+        pm.closure(pm.standard_gens("sym", 7))
+    monkeypatch.setattr(pm, "CLOSURE_CAP", 120)
+    assert len(pm.closure(pm.standard_gens("sym", 5))) == 120
     with pytest.raises(ValueError):
         pm.closure(pm.special_subgroups(16, "H", m=1))  # codes would overflow int64
+    monkeypatch.setattr(pm, "CLOSURE_CAP", 1000)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
-            pm.closure(pm.standard_gens("sym", 12), cap=1000)
+            pm.closure(pm.standard_gens("sym", 12))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

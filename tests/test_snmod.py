@@ -490,6 +490,75 @@ def test_tensor_profile_all_odd():
     assert all(b % 2 == 1 for b in prof)
 
 
+def _rank_of_powers_blocks(a: Mat, p: int) -> tuple:
+    """Jordan blocks of a unipotent a from the ranks of (a - 1)^k, k <= p."""
+    x = a - Mat.identity(a.field, a.rows)
+    ranks, power = [a.rows], x
+    for _ in range(p):
+        ranks.append(power.rank())
+        power = power @ x
+    assert ranks[p] == 0
+    blocks = []
+    for k in range(1, p + 1):
+        at_least_next = ranks[k] - ranks[k + 1] if k < p else 0
+        blocks += [k] * (ranks[k - 1] - ranks[k] - at_least_next)
+    return tuple(blocks)
+
+
+def _power_sum_norm_rank(mats: list, p: int) -> int:
+    """Rank of the product of the sums 1 + g + ... + g^(p-1)."""
+    ident = Mat.identity(mats[0].field, mats[0].rows)
+    norm = ident
+    for a in mats:
+        total, power = ident, a
+        for _ in range(p - 1):
+            total, power = total + power, power @ a
+        norm = norm @ total
+    return norm.rank()
+
+
+def test_socle_layer_invariants_match_ranks_of_powers_and_power_sums():
+    """Jordan profile, free count and fixed dimensions at the standard p-cycle,
+    and the free count at two disjoint p-cycles, on every p-regular λ ⊢ n <= 7."""
+    from symprep import snmod
+    from symprep.linalg import joint_fixed_space
+    seen = 0
+    for p in (2, 3, 5, 7):
+        cycle = "(" + " ".join(map(str, range(1, p + 1))) + ")"
+        second = "(" + " ".join(map(str, range(p + 1, 2 * p + 1))) + ")"
+        for n in range(max(2, p), 8):
+            for lam in p_regular_partitions(n, p):
+                mod = irreducible_D(lam, p)
+                g = pm.from_cycles(cycle, n)
+                a = mod.act(g)
+                assert cyclic_profile(mod, g) == _rank_of_powers_blocks(a, p), (lam, p)
+                fp = fingerprint_of_mats(mod.field, mod.dim, [a])
+                assert fp.free_count == _power_sum_norm_rank([a], p), (lam, p)
+                assert fp.gen_fixed_dims == (joint_fixed_space([a]).dim,), (lam, p)
+                if n >= 2 * p:
+                    mats = [a, mod.act(pm.from_cycles(second, n))]
+                    assert (snmod.free_count(mod.field, mod.dim, mats)
+                            == _power_sum_norm_rank(mats, p)), (lam, p)
+                seen += 1
+    assert seen == 87
+
+
+def test_planted_extra_socle_layer_fails_the_order_check(monkeypatch):
+    from symprep import snmod
+    mod, g = irreducible_D((2, 1), 2), pm.transposition(3, 0, 1)
+    assert cyclic_profile(mod, g) == (2,)
+    real = snmod._layers_of_mats
+    monkeypatch.setattr(snmod, "_layers_of_mats", lambda dim, mats: real(dim, mats) + (1,))
+    with pytest.raises(CheckFailed, match="p-th power"):
+        cyclic_profile(mod, g)
+
+
+def test_act_of_the_identity_and_of_one_swap():
+    mod = irreducible_D((4, 2), 3)
+    assert mod.act(pm.identity(6)) == Mat.identity(mod.field, mod.dim)
+    assert mod.act(pm.transposition(6, 2, 3)) == mod.gen_actions[2]
+
+
 # ---------------------------------------------------------------------------
 # spin restrictions and fingerprints
 
