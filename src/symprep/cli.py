@@ -57,6 +57,9 @@ def _grid_table_rows():
 
 def _parabolic_table_rows(max_n: int):
     check_max_n(max_n, max(PARABOLIC_DEGREES))
+    if max_n < min(PARABOLIC_DEGREES):
+        raise ValueError(f"max_n {max_n} is below the first parabolic degree "
+                         f"{min(PARABOLIC_DEGREES)}, so the table would be empty")
     rows = []
     for n in (n for n in PARABOLIC_DEGREES if n <= max_n):
         for kind in ("sym", "alt"):

@@ -23,9 +23,9 @@ from .linalg import Mat, Subspace, kernel, mm_modp
 # parabolic-trivial subgroups by exhaustive closure
 
 # elements filtered per batched product.  It bounds the memory of the
-# stacked images: on the n <= 8 oracle runs of the dickson suite, 512 left
-# the process's peak RSS where per-element filtering had it, and 1024
-# raised it by 1.6 MiB.
+# stacked images: for the dickson suite at max_n 8 (one BLAS thread), the
+# process's peak RSS was 37.5 MiB at 512 and at 1024, and 2048 and 8192
+# raised it by 0.8 and 2.3 MiB.
 _FILTER_CHUNK = 512
 
 
@@ -35,11 +35,16 @@ def _trivial_rows(n: int) -> np.ndarray:
 
     Enumerates S_n as the sorted element array of pm.closure and maps each
     chunk of at most _FILTER_CHUNK rows through the mod-2 representation
-    with one gather (irrep_images).  One batched product per chunk tests
-    D = g - I two ways: B D^T = 0, where the rows of B span W (g fixes W
-    pointwise), and R D = 0, where R v is the residue of v after clearing
-    W's pivots (g is the identity on V/W).  The survivors stay sorted.  No
-    packed-word tricks anywhere.
+    with one gather (irrep_images).  The chunk's D = g - I is then filtered
+    in two stages.  Stage 1 keeps the g with D B^T = 0, where the rows of B
+    span W: g fixes W pointwise.  Stage 2 runs on those few rows only and
+    keeps the g with R D = 0, where R v is the residue of v after clearing
+    W's pivots: g is the identity on V/W.  For a Lagrangian W of a form g
+    preserves, stage 1 already implies stage 2 (V/W is dual to W); stage 2
+    stays because it is the definition, and this oracle assumes no form.
+    D is left unreduced and each product is read through x & 1, which is
+    x mod 2 for every int64, negatives included.  The survivors stay
+    sorted.  No packed-word tricks anywhere.
     """
     from .dickson import half_dim, irrep_images, lagrangian_pair
 
@@ -49,14 +54,14 @@ def _trivial_rows(n: int) -> np.ndarray:
     ident = np.eye(dim, dtype=np.int64)
     basis = w.basis
     residue = (ident + basis.T @ ident[list(w.pivots)]) % 2
-    left = np.vstack([residue, basis])
     survivors = []
     for start in range(0, len(elements), _FILTER_CHUNK):
         block = elements[start:start + _FILTER_CHUNK]
-        diff = (irrep_images(block, 2) - ident) % 2
-        prod = np.matmul(left, np.concatenate([diff, diff.transpose(0, 2, 1)], axis=2)) % 2
-        keep = ~prod[:, :dim, :dim].any(axis=(1, 2)) & ~prod[:, dim:, dim:].any(axis=(1, 2))
-        survivors.append(block[keep])
+        diff = irrep_images(block, 2) - ident
+        fixes_w = ~((diff @ basis.T) & 1).any(axis=(1, 2))
+        diff = diff[fixes_w]
+        trivial_on_quotient = ~((residue @ diff) & 1).any(axis=(1, 2))
+        survivors.append(block[fixes_w][trivial_on_quotient])
     survivors = np.concatenate(survivors)
     survivors.flags.writeable = False
     return survivors

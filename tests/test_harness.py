@@ -353,7 +353,9 @@ def test_cli_bad_args_exit_2():
                  ("verify", "lietype", "--max-n", "13"),
                  ("table", "parabolic", "--max-n", "13"),
                  ("verify", "all", "--max-n", "-5"),
-                 ("table", "parabolic", "--max-n", "-1")):
+                 ("table", "parabolic", "--max-n", "-1"),
+                 ("table", "parabolic", "--max-n", "4"),
+                 ("table", "parabolic", "--max-n", "0")):
         code, _, err = _cli(*argv)
         assert code == 2, argv
         line = next(x for x in err.splitlines() if "error: " in x)

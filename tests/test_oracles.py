@@ -1,17 +1,20 @@
 """Independent slow-path checkers: exhaustive parabolic enumeration,
 brute-force free-summand peeling, and the tableau counting recursion."""
 
+import inspect
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from symprep import oracles
+from symprep import dickson, oracles
 from symprep import perm as pm
 from symprep.checks import CheckFailed
 from symprep.dickson import (half_dim, lagrangian_pair,
-                             parabolic_trivial_subgroup)
+                             parabolic_trivial_subgroup, perm_irrep)
 from symprep.field import make_field
-from symprep.linalg import Mat
+from symprep.linalg import Mat, Subspace
 from symprep.oracles import (decompose_small_module, enum_parabolic,
                              make_test_modules, tableau_count,
                              validate_norm_rank)
@@ -68,6 +71,79 @@ def test_enum_parabolic_sweeps_once_per_degree_and_certifies_every_call(monkeypa
         with pytest.raises(CheckFailed):
             enum_parabolic(6, kind)
     assert oracles._trivial_rows.cache_info().misses == 1
+
+
+def _trivial_reference(n, w):
+    """The counts of elements of S_n fixing w pointwise and of those that are
+    the identity on V/w, and the array of those doing both, one element at a
+    time in lexicographic order, by Mat arithmetic."""
+    rep = perm_irrep(n, 2)
+    f = rep.field
+    ident = Mat.identity(f, w.ambient)
+    b = Mat(f, w.basis)
+    residue = ident + b.T @ Mat(f, np.eye(w.ambient, dtype=np.int64)[list(w.pivots)])
+    fixes_w = on_quotient = 0
+    trivial = []
+    for g in itertools.permutations(range(n)):
+        d = rep.act(g) - ident
+        on_w, on_v_mod_w = not (d @ b.T).a.any(), not (residue @ d).a.any()
+        fixes_w += on_w
+        on_quotient += on_v_mod_w
+        if on_w and on_v_mod_w:
+            trivial.append(g)
+    return fixes_w, on_quotient, np.array(trivial, dtype=np.int64)
+
+
+# W from the half dimension d (None: the standard Lagrangian), and whether
+# the W test keeps rows the V/W test drops, and the other way round
+_STAGE_CASES = {
+    # a symplectic g fixing a Lagrangian W pointwise is the identity on
+    # V/W, which is dual to W, and the other way round
+    "standard": (None, (False, False)),
+    # (g - 1)V inside a line <w> forces gw = w, but not the converse
+    "line": ([(0, 1)], (True, False)),
+    # the plane <e_1 + e_2, e_1 + e_3> is not isotropic
+    "plane": ([(0, 1), (0, 2)], (True, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STAGE_CASES))
+def test_trivial_rows_match_an_element_by_element_reference(monkeypatch, case):
+    # the W test and the V/W test are two stages of the filter; only a W on
+    # which they keep different rows shows a dropped stage
+    supports, stages_differ = _STAGE_CASES[case]
+    if supports is not None:
+        def patched(d):
+            rows = np.zeros((len(supports), 2 * d), dtype=np.int64)
+            for i, support in enumerate(supports):
+                rows[i, list(support)] = 1
+            return Subspace.from_rows(make_field(2), rows), None, None
+        monkeypatch.setattr(dickson, "lagrangian_pair", patched)
+    oracles._trivial_rows.cache_clear()
+    try:
+        for n in (5, 6, 7):
+            w, _, _ = dickson.lagrangian_pair(half_dim(n))
+            fixes_w, on_quotient, trivial = _trivial_reference(n, w)
+            differ = (fixes_w > len(trivial), on_quotient > len(trivial))
+            assert differ == stages_differ, n
+            rows = oracles._trivial_rows(n)
+            assert rows.dtype == np.int64 and not rows.flags.writeable, n
+            assert np.array_equal(rows, trivial), n
+        # one row per chunk: most chunks then fail the W test outright and
+        # leave nothing for the V/W test
+        monkeypatch.setattr(oracles, "_FILTER_CHUNK", 1)
+        oracles._trivial_rows.cache_clear()
+        assert fixes_w < math.factorial(7)
+        assert np.array_equal(oracles._trivial_rows(7), trivial)
+    finally:
+        oracles._trivial_rows.cache_clear()
+
+
+def test_oracle_filter_uses_none_of_the_main_path_kernels():
+    for fn in (oracles._trivial_rows, enum_parabolic):
+        src = inspect.getsource(fn)
+        for name in ("mm_gf2", "pack_rows", "rref_array", "_sweep_survivors_gf2"):
+            assert name not in src, (fn.__name__, name)
 
 
 def test_enum_parabolic_cap():
