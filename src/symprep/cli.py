@@ -2,8 +2,9 @@
 
 All state comes in through flags, never environment variables, and JSON output
 is canonical (sorted keys, no floats), so identical invocations give identical
-bytes.  Exit codes: 0 all pass/recorded, 1 any fail or failed certification
-check, 2 bad configuration.
+bytes.  Each oracle, table and dump kind is a subcommand of its own that takes
+only the flags it reads.  Exit codes: 0 all pass/recorded, 1 any fail or failed
+certification check, 2 bad configuration.
 """
 
 from __future__ import annotations
@@ -20,31 +21,32 @@ PARABOLIC_DEGREES, _ = FAMILIES["dickson/parabolic-rank"]
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
+    with fh:
+        fh.write(text)
 
 
-def _parse_partition(text: str) -> tuple:
+def partition(text: str) -> tuple:
+    """comma-separated parts, e.g. 5,2"""
+    # argparse names the type function in its error: "invalid partition value"
     return tuple(int(x) for x in text.replace(" ", "").split(","))
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--max-n", type=int, default=MAX_DEGREE, dest="max_n",
-                   help="largest symmetric-group degree to sweep")
-    p.add_argument("--format", choices=REPORT_FORMATS, default="text")
-    p.add_argument("--out", default=None, help="write output here instead of stdout")
-    p.add_argument("--timings", action="store_true",
-                   help="include runtimes in reports (breaks byte-stability)")
+def _json(doc_of):
+    """The handler that prints canonical_json(doc_of(args)) and exits 0."""
+    return lambda args: (canonical_json(doc_of(args)), 0)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     config = SuiteConfig(max_n=args.max_n, format=args.format, timings=args.timings)
     reports, code = run_suite(args.suite, config)
-    _emit(render(args.suite, config, reports), args.out)
-    return code
+    return render(args.suite, config, reports), code
 
 
 def _grid_table_rows():
@@ -69,15 +71,6 @@ def _parabolic_table_rows(max_n: int):
     return rows
 
 
-def _cmd_table(args) -> int:
-    if args.name == "rp":
-        rows = _grid_table_rows()
-    else:
-        rows = _parabolic_table_rows(args.max_n)
-    _emit(render_rows(rows, args.format), args.out)
-    return 0
-
-
 def _regular_module(rank: int):
     """The group algebra of an elementary abelian 2-group acting on itself."""
     from .field import make_field
@@ -95,49 +88,22 @@ def _regular_module(rank: int):
     return mats
 
 
-def _cmd_oracle(args) -> int:
-    if args.kind == "enum_parabolic":
-        if args.n is None or args.group is None:
-            raise ValueError("enum_parabolic needs --n and --group")
-        doc = oracles.enum_parabolic(args.n, args.group)
-        _emit(canonical_json(doc), args.out)
-        return 0
-    if args.kind == "tableau_count":
-        if args.partition is None:
-            raise ValueError("tableau_count needs --partition")
-        lam = _parse_partition(args.partition)
-        doc = {"partition": list(lam), "count": oracles.tableau_count(lam)}
-        _emit(canonical_json(doc), args.out)
-        return 0
-    # decompose_small_module: demo decompositions or the full norm validation
+def _cmd_decompose(args):
+    """The named demo module's free summand count, or the full norm validation."""
     if args.demo:
         rank = {"regular-c2": 1, "regular-k4": 2}[args.demo]
         mats = _regular_module(rank)
         count = oracles.decompose_small_module(mats, group_order=2**rank)
-        doc = {"module": args.demo, "dim": mats[0].rows, "free_count": count}
-        _emit(canonical_json(doc), args.out)
-        return 0
+        return canonical_json({"module": args.demo, "dim": mats[0].rows, "free_count": count}), 0
     verdict = oracles.validate_norm_rank(seed=args.seed)
     doc = {"cases": verdict["cases"], "all_match": verdict["all_match"],
            "mismatches": [r["label"] for r in verdict["results"] if not r["match"]]}
-    _emit(canonical_json(doc), args.out)
-    return 0 if verdict["all_match"] else 1
-
-
-def _cmd_dump(args) -> int:
-    if args.object == "perm_irrep":
-        rep = dickson.perm_irrep(args.n, args.p)
-        _emit(canonical_json(dickson.rep_to_json(rep)), args.out)
-        return 0
-    if args.partition is None:
-        raise ValueError("dump module needs --partition")
-    lam = _parse_partition(args.partition)
-    mod = snmod.irreducible_D(lam, args.p)
-    _emit(canonical_json(snmod.module_to_json(mod)), args.out)
-    return 0
+    return canonical_json(doc), 0 if verdict["all_match"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One leaf parser per verify suite, table, oracle and dump kind; each
+    declares the flags its handler reads and nothing else."""
     parser = argparse.ArgumentParser(
         prog="symprep",
         description="exact mod-p verification of symplectic permutation "
@@ -145,44 +111,63 @@ def build_parser() -> argparse.ArgumentParser:
                     "and symmetric-group Loewy structure")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="run a claim suite and report")
+    def leaf(group, name, fn, **kw):
+        p = group.add_parser(name, **kw)
+        p.add_argument("--out", default=None, help="write output here instead of stdout")
+        p.set_defaults(fn=fn)
+        return p
+
+    pv = leaf(sub, "verify", _cmd_verify, help="run a claim suite and report")
     pv.add_argument("suite", choices=SUITE_NAMES)
-    _add_common(pv)
-    pv.set_defaults(fn=_cmd_verify)
+    pv.add_argument("--max-n", type=int, default=MAX_DEGREE, dest="max_n",
+                    help="largest symmetric-group degree to sweep")
+    pv.add_argument("--format", choices=REPORT_FORMATS, default="text")
+    pv.add_argument("--timings", action="store_true",
+                    help="include runtimes in reports (breaks byte-stability)")
 
-    pt = sub.add_parser("table", help="emit a computed table")
-    pt.add_argument("name", choices=("rp", "parabolic"))
-    pt.add_argument("--format", choices=("csv", "md", "json"), default="csv")
-    pt.add_argument("--out", default=None)
-    pt.add_argument("--max-n", type=int, default=max(PARABOLIC_DEGREES), dest="max_n")
-    pt.set_defaults(fn=_cmd_table)
+    tables = sub.add_parser("table", help="emit a computed table").add_subparsers(
+        dest="name", required=True)
+    pt = leaf(tables, "rp", lambda a: (render_rows(_grid_table_rows(), a.format), 0))
+    pp = leaf(tables, "parabolic",
+              lambda a: (render_rows(_parabolic_table_rows(a.max_n), a.format), 0))
+    pp.add_argument("--max-n", type=int, default=max(PARABOLIC_DEGREES), dest="max_n")
+    for p in (pt, pp):
+        p.add_argument("--format", choices=("csv", "md", "json"), default="csv")
 
-    po = sub.add_parser("oracle", help="run an independent brute-force oracle")
-    po.add_argument("kind", choices=("enum_parabolic", "decompose_small_module",
-                                     "tableau_count"))
-    po.add_argument("--n", type=int, default=None)
-    po.add_argument("--group", choices=("sym", "alt"), default=None)
-    po.add_argument("--partition", default=None, help="comma-separated parts, e.g. 5,2")
-    po.add_argument("--demo", default=None, choices=("regular-c2", "regular-k4"),
-                    help="decompose a named module instead of validating norm ranks")
-    po.add_argument("--seed", type=int, default=0)
-    po.add_argument("--out", default=None)
-    po.set_defaults(fn=_cmd_oracle)
+    kinds = sub.add_parser("oracle", help="run an independent brute-force oracle").add_subparsers(
+        dest="kind", required=True)
+    pe = leaf(kinds, "enum_parabolic", _json(lambda a: oracles.enum_parabolic(a.n, a.group)))
+    pe.add_argument("--n", type=int, required=True)
+    pe.add_argument("--group", choices=("sym", "alt"), required=True)
+    pc = leaf(kinds, "tableau_count", _json(lambda a: {
+        "partition": list(a.partition), "count": oracles.tableau_count(a.partition)}))
+    pc.add_argument("--partition", type=partition, required=True, help=partition.__doc__)
+    pds = leaf(kinds, "decompose_small_module", _cmd_decompose).add_mutually_exclusive_group()
+    pds.add_argument("--demo", default=None, choices=("regular-c2", "regular-k4"),
+                     help="decompose a named module instead of validating norm ranks")
+    pds.add_argument("--seed", type=int, default=0)
 
-    pd = sub.add_parser("dump", help="serialize a representation or module as canonical JSON")
-    pd.add_argument("object", choices=("perm_irrep", "module"))
-    pd.add_argument("--n", type=int, default=8)
-    pd.add_argument("--p", type=int, default=2)
-    pd.add_argument("--partition", default=None)
-    pd.add_argument("--out", default=None)
-    pd.set_defaults(fn=_cmd_dump)
+    objects = sub.add_parser(
+        "dump", help="serialize a representation or module as canonical JSON").add_subparsers(
+        dest="object", required=True)
+    pi = leaf(objects, "perm_irrep",
+              _json(lambda a: dickson.rep_to_json(dickson.perm_irrep(a.n, a.p))))
+    pi.add_argument("--n", type=int, default=8)
+    pmod = leaf(objects, "module",
+                _json(lambda a: snmod.module_to_json(snmod.irreducible_D(a.partition, a.p))))
+    pmod.add_argument("--partition", type=partition, required=True, help=partition.__doc__)
+    for p in (pi, pmod):
+        p.add_argument("--p", type=int, default=2)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the leaf's handler, which returns (output text, exit code), and write the text."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        text, code = args.fn(args)
+        _emit(text, args.out)
+        return code
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -24,8 +24,7 @@ import numpy as np
 from . import perm as pm
 from .checks import require
 from .field import GF, make_field
-from .forms import (FormSpec, bilinear, is_isotropic, preserves_form,
-                    unipotent_hom_dim)
+from .forms import FormSpec, is_isotropic, preserves_form, unipotent_hom_dim
 from .linalg import GF2, Mat, Subspace, mm_modp
 
 
@@ -186,30 +185,18 @@ def lagrangian_pair(d: int):
     """Dual pair of Lagrangians for the Dickson form on GF(2)^(2d).
 
     W is spanned by w_i = e_{2i-1} + e_{2i}; the dual basis vectors are
-    partial sums e_1 + ... + e_{2i-1}.  The pairing matrix of the two bases
-    is checked to be the identity before anything is returned.
+    partial sums e_1 + ... + e_{2i-1}.  The pairing matrix of the two bases,
+    W·G·W'ᵀ for the Gram matrix G, is checked to be the identity before
+    anything is returned.
     """
     form = dickson_form(d)
-    dim = 2 * d
-    w_rows = np.zeros((d, dim), dtype=np.int64)
-    dual_rows = np.zeros((d, dim), dtype=np.int64)
-    for i in range(d):
-        w_rows[i, 2 * i] = 1
-        w_rows[i, 2 * i + 1] = 1
-        dual_rows[i, : 2 * i + 1] = 1
-    duality = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            duality[i, j] = bilinear(form, w_rows[i], dual_rows[j])
-    require(np.array_equal(duality, np.eye(d, dtype=np.int64)),
-            "Lagrangian bases do not pair to the identity")
+    w_rows = np.kron(np.eye(d, dtype=np.int64), np.ones(2, dtype=np.int64))
+    dual_rows = (np.arange(2 * d) <= 2 * np.arange(d)[:, None]).astype(np.int64)
+    pairing = Mat(GF2, w_rows) @ form.gram @ Mat(GF2, dual_rows.T)
+    require(pairing == Mat.identity(GF2, d), "Lagrangian bases do not pair to the identity")
     require(is_isotropic(form, w_rows) and is_isotropic(form, dual_rows),
             "Lagrangian bases are not isotropic")
-    return (
-        Subspace.from_rows(GF2, w_rows),
-        Subspace.from_rows(GF2, dual_rows),
-        Mat(GF2, duality),
-    )
+    return Subspace.from_rows(GF2, w_rows), Subspace.from_rows(GF2, dual_rows), pairing
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +211,7 @@ class ParabolicResult:
     elements: tuple
 
 
-def _sweep_survivors_gf2(n: int, big: int, e: np.ndarray, w: Subspace, parity: Optional[int]):
+def _sweep_survivors_gf2(n: int, w: Subspace, parity: Optional[int]):
     """All g in S_n (or A_n when parity=1) acting trivially on w and V/w.
 
     A depth-first backtrack assigns g one point at a time: the simplest form
@@ -238,7 +225,7 @@ def _sweep_survivors_gf2(n: int, big: int, e: np.ndarray, w: Subspace, parity: O
     so the survivors are exactly those of a full n! sweep.  They are returned
     in lexicographic order.
     """
-    dim = big - 2
+    big, dim, e = _irrep_tables(n, 2)
     last = big - 1
     moved_last = big == n  # for odd n, S_n fixes the last ambient point
     ebits = [int(sum(1 << k for k in range(dim) if e[j, k] % 2)) for j in range(big)]
@@ -304,8 +291,7 @@ def parabolic_trivial_subgroup(n: int, kind: str, w: Subspace) -> ParabolicResul
     rep = perm_irrep(n, 2)  # rejects n < 4
     if w.field != rep.field or w.ambient != rep.dim:
         raise ValueError(f"w must be a subspace of GF(2)^{rep.dim}")
-    big, _, e = _irrep_tables(n, 2)
-    survivors = _sweep_survivors_gf2(n, big, e, w, 1 if kind == "alt" else None)
+    survivors = _sweep_survivors_gf2(n, w, 1 if kind == "alt" else None)
     rows = np.array(survivors)
     certified = pm.elementary_abelian_span(rows, 2)
     require(certified is not None, "trivial-action subgroup is not elementary abelian")

@@ -66,12 +66,6 @@ def _quad_matrix(form: FormSpec) -> np.ndarray:
     return u
 
 
-def bilinear(form: FormSpec, u, v) -> int:
-    u = np.asarray(u, dtype=np.int64).reshape(1, -1)
-    v = np.asarray(v, dtype=np.int64).reshape(-1, 1)
-    return int(_sandwich(form.gram.field, u, form.gram.a, v)[0, 0])
-
-
 def preserves_form(m, form: FormSpec):
     """Does each matrix preserve the form?  `m` is one Mat or an encoded
     stack of shape (..., d, d); the verdicts have shape (...)."""

@@ -228,7 +228,7 @@ def unpack_rows(w: np.ndarray, cols: int) -> np.ndarray:
     return bits.astype(np.int64)
 
 
-def mm_gf2(aw: np.ndarray, k: int, bw: np.ndarray) -> np.ndarray:
+def mm_gf2(aw: np.ndarray, bw: np.ndarray) -> np.ndarray:
     """Packed GF(2) product of A (packed rows, k columns) and B (k packed rows).
 
     The method of the Four Russians (Arlazarov et al. 1970; Albrecht, Bard
@@ -236,7 +236,7 @@ def mm_gf2(aw: np.ndarray, k: int, bw: np.ndarray) -> np.ndarray:
     sums of each group are tabulated, and each row of A adds one table row
     per group, the one its byte over those 8 columns addresses.
     """
-    n, wb = aw.shape[0], bw.shape[1]
+    n, (k, wb) = aw.shape[0], bw.shape
     groups = -(-k // 8)
     out = np.zeros((n, wb), dtype=np.uint64)
     if n == 0 or groups == 0:
@@ -462,7 +462,7 @@ class Mat:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         n, k, m = self.rows, self.cols, other.cols
         if f.is_gf2 and n * k * m >= _LARGE_MACS:
-            return Mat.from_words(f, mm_gf2(self.words, k, other.words), m)
+            return Mat.from_words(f, mm_gf2(self.words, other.words), m)
         return Mat._of(f, matmul(f, self.a, other.a))
 
     @property
@@ -541,7 +541,7 @@ def left_multiply(a: Mat, bs: list[Mat]) -> list[Mat]:
         raise ValueError(f"cannot multiply {a!r} by {bs!r}")
     widths = [b.cols for b in bs]
     if f.is_gf2 and a.rows * a.cols * sum(widths) >= _LARGE_MACS:
-        out = mm_gf2(a.words, a.cols, np.hstack([b.words for b in bs]))
+        out = mm_gf2(a.words, np.hstack([b.words for b in bs]))
         spans = [b.words.shape[1] for b in bs]
         return [Mat.from_words(f, out[:, e - s:e], m)
                 for e, s, m in zip(itertools.accumulate(spans), spans, widths)]
@@ -556,7 +556,7 @@ def right_multiply(mats: list[Mat], b: Mat) -> list[Mat]:
         raise ValueError(f"cannot multiply {mats!r} by {b!r}")
     heights = [a.rows for a in mats]
     if f.is_gf2 and sum(heights) * b.rows * b.cols >= _LARGE_MACS:
-        out = mm_gf2(np.vstack([a.words for a in mats]), b.rows, b.words)
+        out = mm_gf2(np.vstack([a.words for a in mats]), b.words)
         return [Mat.from_words(f, out[e - n:e], b.cols)
                 for e, n in zip(itertools.accumulate(heights), heights)]
     out = matmul(f, np.vstack([a.a for a in mats]), b.a)

@@ -293,16 +293,17 @@ def _random_commuting_pair(rng, fld: GF, dim: int):
     return None
 
 
-def make_test_modules(seed: int = 0, singles: int = 30, pairs: int = 30):
-    """Seeded random (generators, label) cases for validating summand counts."""
+def make_test_modules(seed: int = 0):
+    """Seeded random (generators, label) cases for validating summand counts:
+    30 single involutions, then 30 commuting pairs."""
     fld = make_field(2)
     rng = np.random.default_rng(900_000 + seed)
     cases = []
-    for i in range(singles):
+    for i in range(30):
         dim = int(rng.integers(2, 7))
         cases.append(([_random_involution(rng, fld, dim)], f"rand-C2-{i}-dim{dim}"))
     made = 0
-    while made < pairs:
+    while made < 30:
         dim = int(rng.integers(3, 7))
         pair = _random_commuting_pair(rng, fld, dim)
         if pair is None:

@@ -10,8 +10,7 @@ import pytest
 
 import symprep
 from symprep import perm as pm
-from symprep.dickson import (_irrep_tables,
-                             _sweep_survivors_gf2, check_invariance,
+from symprep.dickson import (_sweep_survivors_gf2, check_invariance,
                              diagonal_rep, dickson_form, gl_parabolic_check,
                              half_dim, irrep_images, lagrangian_pair,
                              parabolic_trivial_subgroup, perm_irrep,
@@ -93,6 +92,24 @@ def test_lagrangian_duality():
         assert pairing == Mat.identity(pairing.field, d)
 
 
+def test_lagrangian_pair_matches_entrywise_construction():
+    """W, W' and their pairing against rows and values built one entry at a
+    time, with B(x, y) = sum over i != j of x_i y_j; d = 11 is n = 24."""
+    for d in range(1, 12):
+        dim = 2 * d
+        w_rows = [[int(k in (2 * i, 2 * i + 1)) for k in range(dim)] for i in range(d)]
+        dual_rows = [[int(k <= 2 * i) for k in range(dim)] for i in range(d)]
+
+        def b(x, y):
+            return sum(x[i] * y[j] for i in range(dim) for j in range(dim) if i != j) % 2
+
+        w, dual, pairing = lagrangian_pair(d)
+        assert w == Subspace.from_rows(GF2, w_rows)
+        assert dual == Subspace.from_rows(GF2, dual_rows)
+        assert pairing.tolist() == [[b(x, y) for y in dual_rows] for x in w_rows]
+        assert pairing == Mat.identity(GF2, d)
+
+
 def test_parabolic_ranks_exact_small():
     for n in (5, 6, 7, 8):
         w, _, _ = lagrangian_pair(half_dim(n))
@@ -155,7 +172,6 @@ def _other_pairing_lagrangian(d: int) -> Subspace:
 def test_backtrack_matches_brute_force_on_other_lagrangians():
     for n in (5, 6, 7):
         rep = perm_irrep(n, 2)
-        big, _, e = _irrep_tables(n, 2)
         d = rep.dim // 2
         _, dual, _ = lagrangian_pair(d)
         assert any(sum(row) % 2 for row in dual.basis)  # odd-weight rows read the last point
@@ -163,7 +179,7 @@ def test_backtrack_matches_brute_force_on_other_lagrangians():
             for kind, parity in (("sym", None), ("alt", 1)):
                 brute = [g for g in map(tuple, pm.closure(pm.standard_gens(kind, n)).tolist())
                          if gl_parabolic_check(rep, w, pm.GroupPresentation("perm", n, (g,)))]
-                assert _sweep_survivors_gf2(n, big, e, w, parity) == brute, (n, kind)
+                assert _sweep_survivors_gf2(n, w, parity) == brute, (n, kind)
                 assert parabolic_trivial_subgroup(n, kind, w).elements == tuple(brute), (n, kind)
 
 

@@ -276,18 +276,82 @@ def test_cli_dickson_config_and_exact_claims(capsys):
         assert ranks[f"dickson/parabolic-rank/{tag}"] == want
 
 
+# a flag of another kind of the same command, which this kind does not read
+_UNREAD_FLAGS = [
+    ("table", "rp", "--max-n", "5"),
+    ("oracle", "enum_parabolic", "--n", "6", "--group", "sym", "--partition", "5,2"),
+    ("oracle", "enum_parabolic", "--n", "6", "--group", "sym", "--demo", "regular-c2"),
+    ("oracle", "enum_parabolic", "--n", "6", "--group", "sym", "--seed", "3"),
+    ("oracle", "tableau_count", "--partition", "5,2", "--n", "5"),
+    ("oracle", "tableau_count", "--partition", "5,2", "--group", "sym"),
+    ("oracle", "tableau_count", "--partition", "5,2", "--demo", "regular-c2"),
+    ("oracle", "tableau_count", "--partition", "5,2", "--seed", "3"),
+    ("oracle", "decompose_small_module", "--n", "5"),
+    ("oracle", "decompose_small_module", "--group", "sym"),
+    ("oracle", "decompose_small_module", "--partition", "5,2"),
+    ("dump", "perm_irrep", "--partition", "5,2"),
+    ("dump", "module", "--partition", "5,2", "--n", "5"),
+]
+
+
 @pytest.mark.parametrize("args", [("verify", "dickson", "--jobs", "2"),
                                   ("verify", "dickson", "--enum-cap", "5"),
                                   ("verify", "dickson", "--seed", "3"),
                                   ("table", "parabolic", "--enum-cap", "5"),
                                   ("dump", "grid"),
-                                  ("dump", "module", "--partition", "3,2", "--format", "json")])
+                                  ("dump", "module", "--partition", "3,2", "--format", "json"),
+                                  *_UNREAD_FLAGS,
+                                  ("oracle", "decompose_small_module", "--demo", "regular-c2",
+                                   "--seed", "1")])
 def test_cli_removed_flags_exit_2(args):
+    """A flag the command does not read, or --seed beside --demo, which draws
+    nothing at random, is bad input: exit 2 with an error line."""
+    code, out, err = _cli(*args)
+    assert code == 2 and out == "", args
+    line = next(x for x in err.splitlines() if "error: " in x)
+    assert line.split("error: ", 1)[1].strip(), args
+
+
+_LEAF_FLAGS = {
+    ("verify",): {"--max-n", "--format", "--out", "--timings"},
+    ("table", "rp"): {"--format", "--out"},
+    ("table", "parabolic"): {"--max-n", "--format", "--out"},
+    ("oracle", "enum_parabolic"): {"--n", "--group", "--out"},
+    ("oracle", "tableau_count"): {"--partition", "--out"},
+    ("oracle", "decompose_small_module"): {"--demo", "--seed", "--out"},
+    ("dump", "perm_irrep"): {"--n", "--p", "--out"},
+    ("dump", "module"): {"--partition", "--p", "--out"},
+}
+
+
+def test_cli_leaf_flag_sets_are_pinned():
+    """Every leaf command's flags, read off the parser: a flag that its handler
+    does not read must not come back."""
+    import argparse
+
     from symprep import cli
 
-    with pytest.raises(SystemExit) as exc:
-        cli.main(list(args))
-    assert exc.value.code == 2
+    def leaves(parser, path=()):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, path + (name,))
+
+    flags = dict(leaves(cli.build_parser()))
+    assert flags == _LEAF_FLAGS
+    assert sum(map(len, flags.values())) == 23
+
+
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_cli_unwritable_out_exits_2(tmp_path, where):
+    """An --out that cannot be opened is bad input: one error line, no file."""
+    target = tmp_path / where
+    code, out, err = _cli("table", "rp", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 def test_cli_table_rp_csv():
@@ -341,7 +405,7 @@ def test_cli_bad_args_exit_2():
     assert code == 2
     code, _, _ = _cli("table", "rp", "--format", "yaml")
     assert code == 2
-    code, _, _ = _cli("oracle", "enum_parabolic", "--n", "99")
+    code, _, _ = _cli("oracle", "enum_parabolic", "--n", "99", "--group", "sym")
     assert code == 2
     for argv in (("oracle", "tableau_count", "--partition", "a,b"),
                  ("oracle", "enum_parabolic", "--n", "6"),

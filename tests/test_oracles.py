@@ -210,8 +210,8 @@ def test_decompose_caps():
 
 
 def test_make_test_modules_shapes():
-    cases = make_test_modules(seed=1, singles=5, pairs=5)
-    assert len(cases) == 10
+    cases = make_test_modules(seed=1)
+    assert [label.split("-")[1] for _, label in cases] == ["C2"] * 30 + ["K4"] * 30
     f = make_field(2)
     for mats, label in cases:
         assert len(mats) == (1 if "C2" in label else 2)
