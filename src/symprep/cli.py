@@ -10,7 +10,11 @@ certification check, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
+import tempfile
 
 from . import classical, dickson, oracles, snmod
 from .checks import CheckFailed
@@ -20,16 +24,34 @@ from .suites import FAMILIES, MAX_DEGREE, SUITE_NAMES, check_max_n, run_suite
 PARABOLIC_DEGREES, _ = FAMILIES["dickson/parabolic-rank"]
 
 
-def _emit(text: str, out: str | None):
+@contextlib.contextmanager
+def _output(out: str | None):
+    """Yield the function that writes the output text to --out or stdout.
+
+    A temporary file is created beside --out before the work starts, so an
+    unwritable path fails at once; it replaces --out only when the work
+    succeeds, and is removed otherwise, so a failed run leaves no file.
+    """
     if not out:
-        sys.stdout.write(text)
+        yield sys.stdout.write
         return
     try:
-        fh = open(out, "w", encoding="utf-8", newline="\n")
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".",
+                                   prefix=f".{os.path.basename(out)}.", suffix=".tmp")
     except OSError as exc:
         raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
-    with fh:
-        fh.write(text)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open(out, "w") would give
+            yield fh.write
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def partition(text: str) -> tuple:
@@ -165,8 +187,9 @@ def main(argv=None) -> int:
     """Run the leaf's handler, which returns (output text, exit code), and write the text."""
     args = build_parser().parse_args(argv)
     try:
-        text, code = args.fn(args)
-        _emit(text, args.out)
+        with _output(args.out) as write:
+            text, code = args.fn(args)
+            write(text)
         return code
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)

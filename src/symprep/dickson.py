@@ -7,8 +7,9 @@ subgroup of S_n acting trivially on both W and V/W is elementary abelian of
 rank floor(n/2).  Everything here is computed exactly, with an element
 image formula, applied to whole blocks of permutations at once, that avoids
 multiplying out generator words.  The representation itself is one frozen
-value per (n, p): perm_irrep builds and checks it once per process, and
-every caller shares it.
+value per (n, p), and the Dickson form and its Lagrangian pair one frozen
+value per half-dimension d: perm_irrep, dickson_form and lagrangian_pair
+build and check each once per process, and every caller shares it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import perm as pm
 from .checks import require
 from .field import GF, make_field
 from .forms import FormSpec, is_isotropic, preserves_form, unipotent_hom_dim
-from .linalg import GF2, Mat, Subspace, mm_modp
+from .linalg import GF2, Mat, Subspace, matmul, mm_modp
 
 
 def half_dim(n: int) -> int:
@@ -87,18 +88,33 @@ def _irrep_tables(n: int, p: int):
     return n, dim, e
 
 
+@functools.lru_cache(maxsize=None)
+def _difference_table(n: int, p: int) -> np.ndarray:
+    """The read-only (N, N, dim) table diff[a, b] = (E[a] - E[b]) mod p.
+
+    E and the ambient point count N are those of _irrep_tables; every image
+    column that irrep_images returns is one entry of this table.
+    """
+    _, _, e = _irrep_tables(n, p)
+    diff = (e[:, None, :] - e[None, :, :]) % p
+    diff.flags.writeable = False
+    return diff
+
+
 def irrep_images(perms: np.ndarray, p: int) -> np.ndarray:
     """Images under perm_irrep(n, p) of the rows of a (k, n) permutation array.
 
     Returns a (k, dim, dim) int64 array.  Column i of the image of g is
     E[g(i)] - E[g(N)] mod p, with E and the ambient point count N from
-    _irrep_tables and g extended to fix the ambient points n..N-1, so a
-    whole block of elements costs two gathers.
+    _irrep_tables and g extended to fix the ambient points n..N-1.  Every
+    such difference is precomputed once per (n, p) in _difference_table, so
+    a whole block of elements costs one gather.
     """
     k, n = perms.shape
-    big, dim, e = _irrep_tables(n, p)
+    diff = _difference_table(n, p)
+    big, dim = diff.shape[1:]
     ext = np.concatenate([perms, np.broadcast_to(np.arange(n, big), (k, big - n))], axis=1)
-    return (e[ext[:, :dim]] - e[ext[:, big - 1:]]).transpose(0, 2, 1) % p
+    return diff[ext[:, :dim], ext[:, big - 1:]].transpose(0, 2, 1)
 
 
 def _faithful_exactly(n: int, p: int) -> bool:
@@ -119,19 +135,30 @@ def _faithful_exactly(n: int, p: int) -> bool:
 
 
 def _check_word_consistency(rep: Representation):
-    """On 20 random words, the product of generator images is the word's image."""
+    """On 20 random words, the product of generator images is the word's image.
+
+    Each word of length at most 10 is padded with identity slots to length
+    10, so the 20 products are nine stacked products over a (20, dim, dim)
+    stack; their elements' images are one irrep_images call.
+    """
     rng = random.Random(0)
     gens = rep.group.generators
-    n = rep.group.degree
-    for _ in range(20):
+    n, pad = rep.group.degree, len(gens)  # slot pad is the identity
+    slots = np.full((20, 10), pad)
+    elements = []
+    for row in slots:
         length = rng.randint(1, 10)
-        word = [rng.randrange(len(gens)) for _ in range(length)]
+        row[:length] = [rng.randrange(len(gens)) for _ in range(length)]
         g = pm.identity(n)
-        m = Mat.identity(rep.field, rep.dim)
-        for idx in word:
+        for idx in row[:length]:
             g = pm.compose(g, gens[idx])
-            m = m @ rep.images[idx]
-        require(m == rep.act(g), "generator images disagree with the element formula")
+        elements.append(g)
+    mats = np.stack([m.a for m in rep.images] + [np.eye(rep.dim, dtype=np.int64)])
+    prod = mats[slots[:, 0]]
+    for col in slots.T[1:]:
+        prod = matmul(rep.field, prod, mats[col])
+    require(np.array_equal(prod, irrep_images(np.array(elements), rep.field.p)),
+            "generator images disagree with the element formula")
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,8 +194,13 @@ def perm_irrep(n: int, p: int) -> Representation:
 # the symplectic structure
 
 
+@functools.lru_cache(maxsize=None)
 def dickson_form(d: int) -> FormSpec:
-    """All-ones-minus-identity Gram on GF(2)^(2d): B(x, y) = sum_{i != j} x_i y_j."""
+    """All-ones-minus-identity Gram on GF(2)^(2d): B(x, y) = sum_{i != j} x_i y_j.
+
+    Cached: each d is built once per process, and the frozen result is
+    shared by every caller.
+    """
     if d < 1:
         raise ValueError("need d >= 1")
     j = np.ones((2 * d, 2 * d), dtype=np.int64) - np.eye(2 * d, dtype=np.int64)
@@ -181,13 +213,16 @@ def check_invariance(rep: Representation, form: FormSpec) -> bool:
     return all(preserves_form(m, form) for m in rep.images)
 
 
+@functools.lru_cache(maxsize=None)
 def lagrangian_pair(d: int):
     """Dual pair of Lagrangians for the Dickson form on GF(2)^(2d).
 
     W is spanned by w_i = e_{2i-1} + e_{2i}; the dual basis vectors are
     partial sums e_1 + ... + e_{2i-1}.  The pairing matrix of the two bases,
-    W·G·W'ᵀ for the Gram matrix G, is checked to be the identity before
-    anything is returned.
+    W·G·W'ᵀ for the Gram matrix G, is checked to be the identity, and both
+    bases isotropic, before anything is returned.  Cached: each d is built
+    and checked once per process, and the result, (W, W', pairing) with
+    read-only arrays, is shared by every caller.
     """
     form = dickson_form(d)
     w_rows = np.kron(np.eye(d, dtype=np.int64), np.ones(2, dtype=np.int64))

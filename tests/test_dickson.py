@@ -1,7 +1,10 @@
 """The mod-p representation cut from the permutation module, its symplectic
 pairing, Lagrangian structure, and parabolic subgroup computations."""
 
+import dataclasses
+import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -10,11 +13,12 @@ import pytest
 
 import symprep
 from symprep import perm as pm
-from symprep.dickson import (_sweep_survivors_gf2, check_invariance,
-                             diagonal_rep, dickson_form, gl_parabolic_check,
-                             half_dim, irrep_images, lagrangian_pair,
-                             parabolic_trivial_subgroup, perm_irrep,
-                             rep_to_json, siegel_unipotent_dim,
+from symprep.checks import CheckFailed
+from symprep.dickson import (_check_word_consistency, _sweep_survivors_gf2,
+                             check_invariance, diagonal_rep, dickson_form,
+                             gl_parabolic_check, half_dim, irrep_images,
+                             lagrangian_pair, parabolic_trivial_subgroup,
+                             perm_irrep, rep_to_json, siegel_unipotent_dim,
                              standard_parabolic)
 from symprep.field import make_field
 from symprep.forms import is_isotropic, preserves_form
@@ -78,6 +82,42 @@ def test_batched_images_match_act():
             assert Mat(rep.field, img) == rep.act(tuple(g)), (n, p, g)
 
 
+def _reference_image(g, p):
+    """The matrix of g on the reduced permutation module, one column at a time.
+
+    V is the sum-zero submodule of GF(p)^N, where N = n, or for p = 2 the even
+    2 ceil(n/2) with g fixing the extra point, taken modulo the all-ones
+    vector when p divides N, in the basis b_i = e_i - e_(N-1).
+    """
+    n = len(g)
+    big = n + n % 2 if p == 2 else n
+    quotient = big % p == 0
+    dim = big - 2 if quotient else big - 1
+    g = list(g) + list(range(n, big))
+    cols = []
+    for i in range(dim):
+        v = [0] * big
+        v[g[i]] += 1
+        v[g[big - 1]] -= 1  # g b_i = e_g(i) - e_g(N-1)
+        coords = v[:big - 1]  # v = sum_j v_j b_j, as v sums to 0
+        if quotient:  # all-ones = sum_j b_j: clear b_(N-2)
+            coords = [c - coords[big - 2] for c in coords[:big - 2]]
+        cols.append([c % p for c in coords])
+    return [[col[i] for col in cols] for i in range(dim)]
+
+
+def test_images_match_column_by_column_reference():
+    rng = random.Random(5)
+    cases = [(itertools.permutations(range(n)), p) for n in (5, 6) for p in (2, 3, 5)]
+    cases += [([rng.sample(range(n), n) for _ in range(50)], 2) for n in (9, 10, 24)]
+    for perms, p in cases:
+        perms = np.array(list(perms))
+        images = irrep_images(perms, p)
+        assert images.dtype == np.int64 and len(images) == len(perms)
+        for g, img in zip(perms.tolist(), images):
+            assert img.tolist() == _reference_image(g, p), (p, g)
+
+
 def test_invariance_all_small_degrees():
     for n in range(5, 11):
         rep = perm_irrep(n, 2)
@@ -108,6 +148,19 @@ def test_lagrangian_pair_matches_entrywise_construction():
         assert dual == Subspace.from_rows(GF2, dual_rows)
         assert pairing.tolist() == [[b(x, y) for y in dual_rows] for x in w_rows]
         assert pairing == Mat.identity(GF2, d)
+
+
+def test_dickson_form_and_lagrangian_pair_are_built_once_and_frozen():
+    form = dickson_form(3)
+    assert dickson_form(3) is form
+    pair = lagrangian_pair(3)
+    assert lagrangian_pair(3) is pair
+    w, dual, pairing = pair
+    for arr in (w.basis, dual.basis, pairing.a, form.gram.a):
+        with pytest.raises(ValueError):
+            arr[0, 0] ^= 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        form.kind = "symmetric"
 
 
 def test_parabolic_ranks_exact_small():
@@ -214,6 +267,41 @@ def test_parabolic_certification_survives_python_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["raised CheckFailed"] * 3
+
+
+_SWAPPED_IMAGES = """
+import dataclasses
+import sys
+from symprep.checks import CheckFailed
+from symprep.dickson import _check_word_consistency, perm_irrep
+if not sys.flags.optimize:
+    sys.exit(3)
+rep = perm_irrep(6, 2)
+_check_word_consistency(rep)
+try:
+    _check_word_consistency(dataclasses.replace(rep, images=rep.images[::-1]))
+except CheckFailed as exc:
+    print("raised", type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("n,p", [(6, 2), (7, 3), (10, 5)])
+def test_word_check_rejects_swapped_generator_images(n, p):
+    rep = perm_irrep(n, p)
+    a, b = rep.images
+    assert a != b
+    _check_word_consistency(rep)
+    with pytest.raises(CheckFailed):
+        _check_word_consistency(dataclasses.replace(rep, images=(b, a)))
+
+
+def test_word_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _SWAPPED_IMAGES], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised CheckFailed"]
 
 
 def test_gl_parabolic_check():

@@ -354,6 +354,51 @@ def test_cli_unwritable_out_exits_2(tmp_path, where):
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
+def test_cli_bad_out_exits_2_before_the_work(monkeypatch, tmp_path):
+    """An --out in a missing directory is refused before any claim runs."""
+    from symprep import cli
+
+    def never(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    code, out, err = _cli("verify", "all", "--format", "json",
+                          "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_out_leaves_only_the_target(tmp_path):
+    target = tmp_path / "x.csv"
+    code, out, _ = _cli("table", "rp", "--out", str(target))
+    assert code == 0 and out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+    assert target.read_text(encoding="utf-8") == _cli("table", "rp")[1]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(target).st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_cli_failed_check_leaves_out_untouched(monkeypatch, tmp_path):
+    """A run that a failed check ends writes nothing: a new --out is not
+    created, and an old one keeps its bytes."""
+    from symprep import cli
+    from symprep.checks import CheckFailed
+
+    def failing(*args):
+        raise CheckFailed("planted")
+
+    monkeypatch.setattr(cli, "run_suite", failing)
+    target = tmp_path / "x.json"
+    assert _cli("verify", "dickson", "--out", str(target)) == (1, "", "check failed: planted\n")
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("kept\n", encoding="utf-8")
+    assert _cli("verify", "dickson", "--out", str(target)) == (1, "", "check failed: planted\n")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_cli_table_rp_csv():
     code, out, _ = _cli("table", "rp")
     assert code == 0
