@@ -23,9 +23,9 @@ from .linalg import Mat, Subspace, kernel, mm_modp
 # parabolic-trivial subgroups by exhaustive closure
 
 # elements filtered per batched product.  It bounds the memory of the
-# stacked images: for the dickson suite at max_n 8 (one BLAS thread), the
-# process's peak RSS was 37.5 MiB at 512 and at 1024, and 2048 and 8192
-# raised it by 0.8 and 2.3 MiB.
+# stacked images: for the dickson suite at max_n 8 (one BLAS thread, with
+# the int8 rows of pm.closure), the process's peak RSS was 32.2 MiB at 512
+# and 32.3 MiB at 1024, and 2048 and 8192 raised it by 1.4 and 5.3 MiB.
 _FILTER_CHUNK = 512
 
 
@@ -33,9 +33,10 @@ _FILTER_CHUNK = 512
 def _trivial_rows(n: int) -> np.ndarray:
     """The elements of S_n acting trivially on W and V/W, as read-only rows.
 
-    Enumerates S_n as the sorted element array of pm.closure and maps each
-    chunk of at most _FILTER_CHUNK rows through the mod-2 representation
-    with one gather (irrep_images).  The chunk's D = g - I is then filtered
+    Enumerates S_n as the sorted int8 element array of pm.closure and maps
+    each chunk of at most _FILTER_CHUNK rows through the mod-2
+    representation with one gather (irrep_images), whose images are int64
+    whatever the rows' dtype.  The chunk's D = g - I is then filtered
     in two stages.  Stage 1 keeps the g with D B^T = 0, where the rows of B
     span W: g fixes W pointwise.  Stage 2 runs on those few rows only and
     keeps the g with R D = 0, where R v is the residue of v after clearing
@@ -44,7 +45,8 @@ def _trivial_rows(n: int) -> np.ndarray:
     stays because it is the definition, and this oracle assumes no form.
     D is left unreduced and each product is read through x & 1, which is
     x mod 2 for every int64, negatives included.  The survivors stay
-    sorted.  No packed-word tricks anywhere.
+    sorted and int8, as closure returns them.  No packed-word tricks
+    anywhere.
     """
     from .dickson import half_dim, irrep_images, lagrangian_pair
 
@@ -363,3 +365,22 @@ def tableau_count(lam: tuple) -> int:
             smaller = lam[:i] + (lam[i] - 1,) + lam[i + 1:]
             total += tableau_count(tuple(x for x in smaller if x))
     return total
+
+
+# ---------------------------------------------------------------------------
+# partitions into distinct parts, counted through partitions into odd parts
+
+
+def distinct_part_count(n: int) -> int:
+    """q(n), the number of partitions of n into distinct parts.
+
+    By Euler's theorem these are as many as the partitions of n into odd
+    parts, which the coin-change recursion over the parts 1, 3, 5, ...
+    counts; no partition is listed.  In characteristic 2 the 2-regular
+    partitions are exactly the ones into distinct parts.
+    """
+    ways = [1] + [0] * n
+    for part in range(1, n + 1, 2):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]

@@ -170,33 +170,48 @@ CLOSURE_CAP = 10**7
 def closure(group: GroupPresentation) -> np.ndarray:
     """Breadth-first product closure of a group's permutation generators.
 
-    Returns the group as an (order, degree) int64 array, one element per row
+    Returns the group as an (order, degree) int8 array, one element per row
     in one-line form, with the rows sorted lexicographically (the order of
     sorted tuples).  Each round composes the whole frontier with every
     generator as one gather and dedupes the products by their base-degree
     integer codes, so the degree is limited to 15 for the codes to fit in
-    int64.  Raises ValueError as soon as a round takes the group past
-    CLOSURE_CAP elements, so at most CLOSURE_CAP times the generator count
-    rows are held.  It enumerates whole groups for the parabolic oracle and
-    the rank search; certification goes through elementary_abelian_span, at
-    any degree.
+    int64.  The codes come from an einsum, which reads the int8 rows as they
+    are; a matmul would first copy them to int64.  The codes of every
+    element found so far are kept sorted, each round merging its fresh codes
+    in at their searchsorted places, so at the end a row's place among them
+    is its place in the output: each round's rows are scattered there,
+    without a decode of the codes or an argsort.  Raises ValueError as soon
+    as a round takes the group past CLOSURE_CAP elements, so at most
+    CLOSURE_CAP times the generator count rows are held.  It enumerates
+    whole groups for the parabolic oracle and the rank search;
+    certification goes through elementary_abelian_span, at any degree.
     """
     degree = group.degree
     if degree > 15:
         raise ValueError(f"closure codes need degree <= 15, got {degree}")
     gens = group.generator_rows()
     weights = degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
-    frontier = np.arange(degree, dtype=np.int64)[None, :]
-    seen = frontier @ weights
+
+    def codes_of(rows):
+        return np.einsum("ij,j->i", rows, weights)
+
+    frontier = np.arange(degree, dtype=np.int8)[None, :]
+    seen = codes_of(frontier)
+    rounds = [frontier]
     while len(frontier):
         products = frontier[:, gens].reshape(-1, degree)
-        codes, first = np.unique(products @ weights, return_index=True)
-        fresh = seen[np.searchsorted(seen, codes).clip(max=len(seen) - 1)] != codes
+        codes, first = np.unique(codes_of(products), return_index=True)
+        at = np.searchsorted(seen, codes)
+        fresh = seen[at.clip(max=len(seen) - 1)] != codes
         if len(seen) + np.count_nonzero(fresh) > CLOSURE_CAP:
             raise ValueError(f"group has more than CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = products[first[fresh]]
-        seen = np.sort(np.concatenate([seen, codes[fresh]]), kind="stable")
-    return seen[:, None] // weights % degree
+        seen = np.insert(seen, at[fresh], codes[fresh])
+        rounds.append(frontier)
+    out = np.empty((len(seen), degree), dtype=np.int8)
+    for rows in rounds:
+        out[np.searchsorted(seen, codes_of(rows))] = rows
+    return out
 
 
 def elementary_abelian_span(elements: np.ndarray, p: int):

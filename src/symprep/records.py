@@ -88,7 +88,12 @@ class SuiteConfig:
 
 
 def _plain(value):
-    """Recursively convert to JSON-safe builtins; floats are rejected."""
+    """Recursively convert to JSON-safe builtins.
+
+    Floats and every type other than bool, int, str, None, dict, list and
+    tuple are rejected: a numpy scalar would otherwise pass as its str, so
+    np.int8(3) would become "3" and change the report's JSON type silently.
+    """
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
@@ -97,7 +102,8 @@ def _plain(value):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    return str(value)
+    raise TypeError(f"reports hold bool, int, str and None in dicts and lists, "
+                    f"not {type(value).__name__}")
 
 
 def report_to_dict(r: VerificationReport, timings: bool = False) -> dict:

@@ -751,7 +751,14 @@ def _quadratic_job(n: int, alt: bool):
     claim_id = f"appendix/quadratic-pairs{'-alt' if alt else ''}/n{n}"
 
     def job():
+        from .oracles import distinct_part_count
+
         hits, rows = _sweep_quadratic(n, even_part=alt)
+        modules, want = len(set(r[0] for r in rows)), distinct_part_count(n) - 1
+        # D(n) is the only 2-regular D(lam) of dimension at most 1
+        require(modules == want, f"the sweep checked {modules} modules, not q({n}) - 1 = {want}")
+        require(len(rows) == modules * len(_mixed_subgroups(n, alt)),
+                f"the sweep checked {len(rows)} pairs, not one per module and subgroup")
         expected_hits = [[f"{n - 1}-1", ("H~_" if alt else "H_") + str(n)]]
         if n == 8 and not alt:
             expected_hits.append(["5-3", "K^2xH_0"])
@@ -760,7 +767,7 @@ def _quadratic_job(n: int, alt: bool):
             claim_id=claim_id,
             statement="Loewy length at most 2 over the Klein-by-transposition "
                       "subgroup chain happens only at the listed module/subgroup pairs",
-            inputs={"n": n, "modules_checked": len(set(r[0] for r in rows)),
+            inputs={"n": n, "modules_checked": modules,
                     "pairs_checked": len(rows), "sweep": "all 2-regular"},
             expected="recorded-only" if recorded else sorted(expected_hits),
             computed=sorted(hits),

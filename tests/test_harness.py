@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import symprep
@@ -40,6 +41,12 @@ def test_plain_value_guard():
     with pytest.raises(TypeError):
         # floats are not reproducible; rejected when the report is serialized
         report_to_dict(make_report("x", "s", {"t": 0.5}, 1, 1))
+    # numpy scalars would otherwise turn into their str
+    for value in (np.int8(3), np.int64(3), np.bool_(True)):
+        with pytest.raises(TypeError):
+            report_to_dict(make_report("x", "s", {"t": [value]}, 1, 1))
+        with pytest.raises(TypeError):
+            report_to_dict(make_report("x", "s", {}, value, 1))
     report_to_dict(make_report("x", "s", {"t": [1, "two", True, None]}, 1, 1))
 
 
@@ -191,6 +198,15 @@ def test_cli_verify_json():
     doc = json.loads(proc.stdout)
     assert doc["suite"] == "lietype"
     assert doc["summary"]["fail"] == 0
+
+
+def test_python_m_symprep_runs_the_cli():
+    args = ("verify", "dickson", "--max-n", "5", "--format", "json")
+    proc = subprocess.run([sys.executable, "-m", "symprep", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = _cli(*args)
+    assert code == 0 and proc.stdout == out
 
 
 def test_cli_verify_deterministic(tmp_path):

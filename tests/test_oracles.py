@@ -127,7 +127,7 @@ def test_trivial_rows_match_an_element_by_element_reference(monkeypatch, case):
             differ = (fixes_w > len(trivial), on_quotient > len(trivial))
             assert differ == stages_differ, n
             rows = oracles._trivial_rows(n)
-            assert rows.dtype == np.int64 and not rows.flags.writeable, n
+            assert rows.dtype == np.int8 and not rows.flags.writeable, n
             assert np.array_equal(rows, trivial), n
         # one row per chunk: most chunks then fail the W test outright and
         # leave nothing for the V/W test

@@ -44,13 +44,37 @@ def test_adjacent_factorization_reconstructs():
 
 def test_standard_gens_generate():
     # the closure array against itertools, in the same lexicographic order
-    for n in range(4, 8):
+    for n in range(4, 9):
         for kind in ("sym", "alt"):
             arr = pm.closure(pm.standard_gens(kind, n))
             want = [g for g in itertools.permutations(range(n))
                     if kind == "sym" or pm.sign(g) == 1]
-            assert arr.shape == (len(want), n), (n, kind)
+            assert arr.dtype == np.int8 and arr.shape == (len(want), n), (n, kind)
             assert [tuple(g) for g in arr.tolist()] == want, (n, kind)
+
+
+def test_closure_memory_of_s8():
+    # S_8 is 40320 int8 rows of 8, 315 KiB; the peak covers the sorted codes,
+    # the rows of every round and the last round's products, with no int64
+    # copy of the rows and no decode of the codes (5.2 MiB when there were)
+    pm.closure(pm.standard_gens("sym", 8))  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        arr = pm.closure(pm.standard_gens("sym", 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(arr) == 40320 and peak < 2.5 * 2**20, peak
+
+
+def test_closure_at_degree_15_is_the_certified_span():
+    # 7 disjoint transpositions in S_15: weights up to 15^14, so every code
+    # is below 15^15 < 2^63
+    h15 = pm.special_subgroups(15, "H")
+    arr = pm.closure(h15)
+    witness, span = pm.elementary_abelian_span(h15.generator_rows(), 2)
+    assert arr.dtype == np.int8 and arr.shape == (128, 15)
+    assert witness == h15.generators and np.array_equal(arr, span)
 
 
 def test_closure_cap(monkeypatch):

@@ -730,6 +730,20 @@ def test_quadratic_sweep_matches_socle_series(n, theorem):
     assert (report.inputs["modules_checked"], report.inputs["pairs_checked"]) == (modules, pairs)
 
 
+@pytest.mark.parametrize("theorem", ["char2", "char2_alt"])
+def test_quadratic_sweep_missing_a_module_fails(monkeypatch, theorem):
+    # (4, 3, 1) leaves no hit at n = 8, so only the count against q(8) - 1,
+    # from the odd-part recursion, sees that it was never swept
+    from symprep import snmod
+
+    real = snmod.p_regular_partitions
+    monkeypatch.setattr(snmod, "p_regular_partitions",
+                        lambda n, p: [lam for lam in real(n, p) if lam != (4, 3, 1)])
+    (report,) = verify_appendix(theorem, [8], 2)
+    assert report.status == "fail"
+    assert "not q(8) - 1 = 5" in report.computed
+
+
 def test_quadratic_sweep_without_witnesses_gives_same_reports(monkeypatch):
     from symprep import snmod
     from symprep.records import report_to_dict
