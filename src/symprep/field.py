@@ -237,7 +237,7 @@ class GF:
     # -- misc --------------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, GF) and (self.p, self.r) == (other.p, other.r)
+        return self is other or isinstance(other, GF) and (self.p, self.r) == (other.p, other.r)
 
     def __hash__(self):
         return hash((self.p, self.r))

@@ -11,7 +11,17 @@ same mod-p product and the degrees r..2r-2 fold back with the field's
 reduction rows.  Bit-packing of GF(2) rows, 64 columns to a uint64 word,
 lives in two kernels: `mm_gf2`, the Four-Russians table product that large
 GF(2) `Mat` products use, and `rref_array`, which packs every GF(2)
-elimination.
+elimination; `form` shows a GF(2) matrix by its packed rows, so that batches
+of products compare as words.
+
+Batches of matrix products are formed a few products at a time:
+`product_grid` gives [[a @ b for b in rights] for a in lefts] from the lefts
+stacked top to bottom times the rights side by side, with `left_multiply`
+and `right_multiply` as its one-row and one-column cases; `product_forms`
+gives the same grid as one array of each product's `form`, and
+`paired_forms` the forms of pairwise products from stacks.  Each cuts its
+batch into chunks of whole blocks holding at most _PRODUCT_CELLS result
+cells (`spans`).
 
 All reduced row echelon forms are canonical: leading coefficient 1, pivot
 columns cleared, rows ordered by pivot.  Two subspaces are equal iff their
@@ -22,7 +32,6 @@ reproducible.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -39,6 +48,12 @@ _LARGE_MACS = 200_000
 
 # words per block of Four-Russians tables, so a block stays in cache
 _TABLE_WORDS = 1 << 16
+
+# result cells, entries or packed words, per product of a batch (`spans`):
+# a chunk holds at most this many, or one block that alone holds more, so
+# its int64 and float64 temporaries stay at 128 KiB each.  Four times as
+# many raised the peak RSS of a mixed-field benchmark worker by 0.8 MiB.
+_PRODUCT_CELLS = 1 << 14
 
 
 def _as_array(a) -> np.ndarray:
@@ -60,8 +75,11 @@ def mm_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     require((p - 1) * (p - 1) * k < _FLOAT_EXACT, "mod-p product would leave exact float range")
     if a.size * m >= _LARGE_MACS:  # n·k·m, times the stack that a carries
         c = a.astype(np.float64) @ b.astype(np.float64)
-        return np.rint(c).astype(np.int64) % p
-    return (a @ b) % p
+        c = np.rint(c, out=c).astype(np.int64)
+    else:
+        c = a @ b
+    c %= p  # in place: no second int64 result
+    return c
 
 
 # The layer trace in perfbench/layers.py wraps the name mm_modp and counts
@@ -530,37 +548,143 @@ class Mat:
         return [[int(x) for x in row] for row in self.a]
 
 
-def left_multiply(a: Mat, bs: list[Mat]) -> list[Mat]:
-    """[a @ b for b in bs] as one product of a with the bs side by side.
+def spans(cells: list[int]) -> list[range]:
+    """Consecutive runs of items whose results hold the given numbers of
+    cells: a run holds at most _PRODUCT_CELLS cells in all, or is one item
+    that alone holds more."""
+    if sum(cells) <= _PRODUCT_CELLS:  # the common case: one run
+        return [range(len(cells))] if cells else []
+    out, start, total = [], 0, 0
+    for i, c in enumerate(cells):
+        if i > start and total + c > _PRODUCT_CELLS:
+            out.append(range(start, i))
+            start, total = i, 0
+        total += c
+    out.append(range(start, len(cells)))
+    return out
 
-    A large GF(2) product runs `mm_gf2` on the bs' packed rows laid word by
-    word side by side; each b's rows end in zero padding, so each product
-    block keeps its own words."""
-    f = a.field
-    if any(b.field != f or b.rows != a.cols for b in bs):
-        raise ValueError(f"cannot multiply {a!r} by {bs!r}")
-    widths = [b.cols for b in bs]
-    if f.is_gf2 and a.rows * a.cols * sum(widths) >= _LARGE_MACS:
-        out = mm_gf2(a.words, np.hstack([b.words for b in bs]))
-        spans = [b.words.shape[1] for b in bs]
-        return [Mat.from_words(f, out[:, e - s:e], m)
-                for e, s, m in zip(itertools.accumulate(spans), spans, widths)]
-    out = matmul(f, a.a, np.hstack([b.a for b in bs]))
-    return [Mat._of(f, out[:, e - m:e]) for e, m in zip(itertools.accumulate(widths), widths)]
+
+def _chunks(lefts: list[Mat], rights: list[Mat], cells: list[int], packed: bool):
+    """(run of lefts, run of rights, their product) for each chunk of a
+    grid: the run of lefts stacked top to bottom times the run of rights
+    side by side, as entries or, if packed, as packed rows with each
+    right's words side by side.  cells[j] is the width of rights[j] in the
+    result, and a chunk's result holds at most _PRODUCT_CELLS cells or is a
+    single block that alone holds more; a run of several lefts takes every
+    right."""
+    f, width = lefts[0].field, sum(cells)
+    for ls in spans([a.rows * width for a in lefts]):
+        stack = _concat([lefts[i].words if packed else lefts[i].a for i in ls], 0)
+        for rs in spans([stack.shape[0] * c for c in cells]):
+            side = _concat([rights[j].words if packed else rights[j].a for j in rs], 1)
+            yield ls, rs, mm_gf2(stack, side) if packed else matmul(f, stack, side)
+
+
+def _concat(arrays: list[np.ndarray], axis: int) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+
+
+def _grid_factors(lefts: list[Mat], rights: list[Mat]):
+    """(field, inner size) of factors that multiply; ValueError otherwise."""
+    f, k = (lefts or rights)[0].field, lefts[0].cols if lefts else rights[0].rows
+    if any(x.field is not f and x.field != f for x in lefts + rights) \
+            or any(a.cols != k for a in lefts) or any(b.rows != k for b in rights):
+        raise ValueError(f"cannot multiply {lefts!r} by {rights!r}")
+    return f, k
+
+
+def product_grid(lefts: list[Mat], rights: list[Mat]) -> list[list[Mat]]:
+    """[[a @ b for b in rights] for a in lefts], one product per chunk (`_chunks`).
+
+    A GF(2) grid of at least _LARGE_MACS multiply-adds runs `mm_gf2` on
+    packed rows, and as each right's rows end in zero padding, each block
+    keeps its own words and comes out packed.
+    """
+    if not lefts or not rights:
+        return [[] for _ in lefts]
+    f, k = _grid_factors(lefts, rights)
+    widths = [b.cols for b in rights]
+    packed = f.is_gf2 and sum(a.rows for a in lefts) * k * sum(widths) >= _LARGE_MACS
+    cells = [b.words.shape[1] for b in rights] if packed else widths
+    grid = [[] for _ in lefts]
+    for ls, rs, out in _chunks(lefts, rights, cells, packed):
+        top = 0
+        for i in ls:
+            row, top, left = out[top:top + lefts[i].rows], top + lefts[i].rows, 0
+            for j in rs:
+                block, left = row[:, left:left + cells[j]], left + cells[j]
+                grid[i].append(Mat.from_words(f, block, widths[j]) if packed else Mat._of(f, block))
+    return grid
+
+
+def form(m: Mat) -> np.ndarray:
+    """The array that tells m from the other matrices of its field and shape:
+    its packed rows (`Mat.words`) over GF(2), its entries otherwise."""
+    return m.words if m.field.is_gf2 else m.a
+
+
+def product_forms(lefts: list[Mat], rights: list[Mat]) -> np.ndarray:
+    """The `form` of every product a @ b, a in lefts and b in rights, for
+    lefts of one shape and rights of one shape: P[i, :, j] is that of
+    lefts[i] @ rights[j].  One product per chunk (`_chunks`); over GF(2)
+    every chunk runs `mm_gf2`."""
+    if not lefts or not rights:
+        raise ValueError("need factors on both sides")
+    f, _ = _grid_factors(lefts, rights)
+    if any(a.shape != lefts[0].shape for a in lefts) or any(b.shape != rights[0].shape
+                                                           for b in rights):
+        raise ValueError("the factors on each side must share one shape")
+    n, width = lefts[0].rows, form(rights[0]).shape[1]
+    grid = None
+    for ls, rs, out in _chunks(lefts, rights, [width] * len(rights), f.is_gf2):
+        if len(ls) == len(lefts) and len(rs) == len(rights):
+            return out.reshape(len(ls), n, len(rs), width)  # the one chunk
+        if grid is None:
+            grid = np.empty((len(lefts), n, len(rights), width), dtype=out.dtype)
+        grid[ls.start:ls.stop, :, rs.start:rs.stop] = out.reshape(len(ls), n, len(rs), width)
+    return grid
+
+
+def left_multiply(a: Mat, bs: list[Mat]) -> list[Mat]:
+    """[a @ b for b in bs]: the one-row case of `product_grid`."""
+    return product_grid([a], bs)[0]
 
 
 def right_multiply(mats: list[Mat], b: Mat) -> list[Mat]:
-    """[a @ b for a in mats] as one product of the mats stacked top to bottom with b."""
-    f = b.field
-    if any(a.field != f or a.cols != b.rows for a in mats):
-        raise ValueError(f"cannot multiply {mats!r} by {b!r}")
-    heights = [a.rows for a in mats]
-    if f.is_gf2 and sum(heights) * b.rows * b.cols >= _LARGE_MACS:
-        out = mm_gf2(np.vstack([a.words for a in mats]), b.words)
-        return [Mat.from_words(f, out[e - n:e], b.cols)
-                for e, n in zip(itertools.accumulate(heights), heights)]
-    out = matmul(f, np.vstack([a.a for a in mats]), b.a)
-    return [Mat._of(f, out[e - n:e]) for e, n in zip(itertools.accumulate(heights), heights)]
+    """[a @ b for a in mats]: the one-column case of `product_grid`."""
+    return [row[0] for row in product_grid(mats, [b])]
+
+
+def paired_forms(lefts: list[Mat], rights: np.ndarray, cols: int) -> np.ndarray:
+    """The `form` of lefts[k] @ R_k for every k, where rights[k] is the form
+    of R_k, a matrix with cols columns; the lefts share one shape.
+
+    The pairs go in runs (`spans`), one product per run.  Over GF(2) that
+    is one `mm_gf2` of the run's distinct lefts, by identity, stacked times
+    all its rights side by side, whose pair blocks are read off; a run
+    holds at most _PRODUCT_CELLS words of that product.  Over other fields
+    it is one product of stacks, of at most _PRODUCT_CELLS result entries.
+    """
+    if not lefts:
+        return rights[:0]
+    (n, k), f = lefts[0].shape, lefts[0].field
+    if any(a.field != f or a.shape != (n, k) for a in lefts) or len(rights) != len(lefts) \
+            or rights.shape[1] != k:
+        raise ValueError("paired factors must share one field and one shape")
+    out = []
+    if not f.is_gf2:
+        for run in spans([n * cols] * len(lefts)):
+            out.append(matmul(f, np.stack([lefts[i].a for i in run]), rights[run.start:run.stop]))
+        return np.concatenate(out)
+    for run in spans([n * rights.shape[2] * len(lefts)] * len(lefts)):
+        row = {}
+        for i in run:
+            row.setdefault(id(lefts[i]), (len(row), lefts[i]))
+        stack = np.concatenate([a.words for _, a in row.values()])
+        prod = mm_gf2(stack, np.concatenate(rights[run.start:run.stop], axis=1))
+        prod = prod.reshape(len(row), n, len(run), -1)
+        out.append(prod[[row[id(lefts[i])][0] for i in run], :, np.arange(len(run))])
+    return np.concatenate(out)
 
 
 def entries(m, field: GF | None = None) -> np.ndarray:

@@ -25,8 +25,9 @@ from .checks import require
 from .field import GF, make_field
 # joint_fixed_space, kernel, mm_modp and rref_array stay importable from here:
 # the layer trace in perfbench/layers.py wraps them by module
-from .linalg import (Mat, joint_fixed_space, kernel, left_multiply, mm_modp,  # noqa: F401
-                     quotient_action, right_multiply, rref_array, stacked_minus_identity)
+from .linalg import (Mat, form, joint_fixed_space, kernel, mm_modp,  # noqa: F401
+                     paired_forms, product_forms, quotient_action, right_multiply, rref_array,
+                     spans, stacked_minus_identity)
 from .records import VerificationReport, make_report, run_jobs
 
 MAX_N = 12
@@ -149,18 +150,30 @@ def standard_tableaux(words: np.ndarray, rows: int) -> np.ndarray:
     return standard[np.lexsort(standard.T[::-1])]
 
 
+@functools.lru_cache(maxsize=None)
+def _symmetric_group(c: int):
+    """(perms, signs) of S_c, read-only: the (c! x c) int64 array of its
+    permutations in `itertools.permutations` order and their signs."""
+    perms = np.array(list(itertools.permutations(range(c))), dtype=np.int64)
+    signs = np.array([pm.sign(sig) for sig in perms], dtype=np.int64)
+    perms.flags.writeable = signs.flags.writeable = False
+    return perms, signs
+
+
 def _column_group(lam: tuple):
     """(column perms, signs) of the column group of lam, one term per element.
 
     perms[j] is the (c_j! x c_j) int64 array of the permutations of column
     j, of height c_j, in `itertools.permutations` order.  The terms are
     their choices over the columns in `itertools.product` order, and term k
-    carries the sign signs[k] of that permutation of the cells.
+    carries the sign signs[k] of that permutation of the cells.  Both are
+    read-only; the arrays of each height are built once per process.
     """
-    perms = [np.array(list(itertools.permutations(range(c))), dtype=np.int64)
-             for c in conjugate(lam)]
-    signs = functools.reduce(np.multiply.outer, [[pm.sign(sig) for sig in col] for col in perms])
-    return perms, np.asarray(signs, dtype=np.int64).reshape(-1)
+    groups = [_symmetric_group(c) for c in conjugate(lam)]
+    signs = functools.reduce(np.multiply.outer, [col_signs for _, col_signs in groups])
+    signs = np.asarray(signs, dtype=np.int64).reshape(-1)
+    signs.flags.writeable = False
+    return [perms for perms, _ in groups], signs
 
 
 def _polytabloid_terms(lam: tuple, tableaux: np.ndarray, perms: list) -> np.ndarray:
@@ -204,6 +217,7 @@ class _Tabloids:
         n = sum(lam)
         self.lam = lam
         self.words, self.codes = _tabloid_words(lam)
+        self.powers = len(lam) ** np.arange(n, dtype=np.int64)  # base^x, the weight of entry x
         # slots no tabloid fills hold 0, so a lookup compares the code it finds
         slots = len(lam) ** (n - 1)
         self.index = None
@@ -228,7 +242,7 @@ class _Tabloids:
             at = np.minimum(np.searchsorted(self.codes, query), len(self.codes) - 1).astype(np.int32)
         else:
             at = self.index[query % len(self.index)]
-        require(np.array_equal(self.codes[at], query), message)
+        require(bool((self.codes[at] == query).all()), message)
         return at
 
     def perm(self, g: pm.Perm) -> np.ndarray:
@@ -236,10 +250,11 @@ class _Tabloids:
 
         g moves the entry x of a tabloid to g(x), so (g . x)[T] = x[g^-1 . T],
         and the row word of g^-1 . T is the word of T read at g: its digit at
-        x is word[g(x)], so word[y] weighs base^(g^-1(y)).
+        x is word[g(x)], so word[g(x)] weighs base^x.
         """
-        moved = self.words @ len(self.lam) ** np.argsort(g)
-        return self.positions(moved, "moved code is not a tabloid code")
+        weights = np.zeros(len(g), dtype=np.int64)
+        weights[list(g)] = self.powers
+        return self.positions(self.words @ weights, "moved code is not a tabloid code")
 
 
 # One slot: the quadratic sweep reads a shape's tabloids for its witness
@@ -284,31 +299,49 @@ class GModule:
         """Check the Coxeter relations of s_0, .., s_k exactly on v: the
         identity if full, else a fixed random 64-column block.
 
-        With m_j = s_j·v, s_i takes two products: s_(i+1), .., s_k stacked
-        on m_i give s_j·s_i·v for j > i, and s_i times m_i, .., m_k,
-        s_(i+1)·s_i·v and s_(i-1)·s_i·v side by side gives s_i·s_j·v for
-        j >= i and one side of each braid at s_i.  The first failing family
-        in the order involution, braid, distant names the error.
+        With w(i, j) = s_i·s_j·v, involution is w(i, i) = v, distant
+        commutation w(i, j) = w(j, i) for |i - j| >= 2, and braid
+        s_i·w(i+1, i) = s_(i+1)·w(i, i+1).  The words are formed a band of
+        generators at a time, the band's rows of words holding at most
+        linalg._PRODUCT_CELLS cells of their `form` (`spans`): one
+        `product_forms` gives w(i, j) for i in the band and every j from its
+        first on, one more w(i, j) for i past the band and j in it, and one
+        `paired_forms` the braid sides at the band's generators.  So a
+        module whose words fit one band takes two product calls, three with
+        the block, at any n.  The first failing family in the order
+        involution, braid, distant names the error.
         """
-        gens, f = self.gen_actions, self.field
+        gens, f, m = list(self.gen_actions), self.field, len(self.gen_actions)
         if full:
-            v, moved = Mat.identity(f, self.dim), list(gens)
+            v, moved = Mat.identity(f, self.dim), gens
         else:
             v = Mat(f, np.random.default_rng(77003).integers(0, f.q, size=(self.dim, 64)))
             moved = right_multiply(gens, v)
+        one = form(v)
         involution = braid = distant = True
-        back = braid_left = None  # s_(i-1)·s_i·v and s_(i-1)·s_i·s_(i-1)·v
-        for i, s in enumerate(gens):
-            last = i + 1 == len(gens)
-            after = [] if last else right_multiply(gens[i + 1:], moved[i])
-            extra = after[:1] + ([] if back is None else [back])
-            left = left_multiply(s, moved[i:] + extra)
-            involution &= left[0] == v
-            distant &= left[2:len(gens) - i] == after[1:]
-            if back is not None:
-                braid &= braid_left == left[-1]
-            if not last:
-                back, braid_left = left[1], left[len(gens) - i]
+        for band in spans([m * one.size] * m):
+            lo, hi = band.start, band.stop
+            t = hi - lo
+            words = product_forms(gens[lo:hi], moved[lo:])  # s_i·s_j·v at [i - lo, :, j - lo]
+            below = product_forms(gens[hi:], moved[lo:hi]) if hi < m else None  # at [i - hi, ...]
+
+            def w(i, j):
+                """Forms of s_i·s_j·v for index arrays i, j counted from lo."""
+                if below is None:
+                    return words[i, :, j]
+                up = i < t
+                out = np.empty((len(i),) + words.shape[1:2] + words.shape[3:], words.dtype)
+                out[up], out[~up] = words[i[up], :, j[up]], below[i[~up] - t, :, j[~up]]
+                return out
+
+            i = np.arange(t)
+            far_i, far_j = np.nonzero(np.arange(m - lo) >= i[:, None] + 2)
+            at = i[i + lo + 1 < m]
+            involution &= bool((w(i, i) == one).all())
+            distant &= np.array_equal(w(far_i, far_j), w(far_j, far_i))
+            sides = paired_forms([gens[lo + k] for k in at] + [gens[lo + k + 1] for k in at],
+                                 np.concatenate([w(at + 1, at), w(at, at + 1)]), v.cols)
+            braid &= np.array_equal(sides[:len(at)], sides[len(at):])
         require(involution, "generator is not an involution")
         require(braid, "braid relation fails")
         require(distant, "distant generators must commute")
@@ -351,10 +384,15 @@ def _specht_core(lam: tuple, p: int):
     per tabloid.  The tabloid {t} of a standard tableau t is the last tabloid
     of its polytabloid e_t (James, LNM 682, §8), so the own-tabloid block,
     b at the columns {t}, is checked upper unitriangular, which also makes b
-    independent mod p.  s_k permutes the columns of b; straightening reads
-    coef = (s_k·b)[:, own]·block⁻¹ and checks coef·b = s_k·b exactly, as a
-    matrix identity, at every dimension.  The tabloid data is read from
-    `_tabloids`, the one build per shape that lam's witness table also reads.
+    independent mod p.  s_k permutes the columns of b (`_Tabloids.perm`);
+    straightening reads coef = (s_k·b)[:, own]·block⁻¹ and checks
+    coef·b = s_k·b exactly, as a matrix identity on every column, at every
+    dimension.  Both go a run of generators at a time with their s_k·b
+    stacked, a run holding at most linalg._PRODUCT_CELLS entries of them
+    (`spans`): one product gives every coef of the run, one more every
+    coef·b, so a shape that fits one run takes two products at any n.  The
+    tabloid data is read from `_tabloids`, the one build per shape that
+    lam's witness table also reads.
     """
     lam = check_partition(lam)
     n = sum(lam)
@@ -366,17 +404,19 @@ def _specht_core(lam: tuple, p: int):
     entries = np.zeros((dim, len(tab.codes)), dtype=np.int64)
     entries[np.arange(dim)[:, None], tab.terms] = tab.signs % p
     b = Mat._of(fld, entries)
-    own = tab.positions(tab.tableaux @ len(lam) ** np.arange(n), "standard tableau is not a tabloid")
+    own = tab.positions(tab.tableaux @ tab.powers, "standard tableau is not a tabloid")
     block = entries[:, own]
     require(not np.tril(block, -1).any() and (block.diagonal() == 1).all(),
             "own-tabloid block must be upper unitriangular")
     binv = Mat._of(fld, block).inverse()
     gen_mats = []
-    for k in range(n - 1):
-        shuffle = tab.perm(pm.transposition(n, k, k + 1))
-        coef = Mat._of(fld, entries[:, shuffle[own]]) @ binv
-        require(coef @ b == Mat._of(fld, entries[:, shuffle]), "straightening failed")
-        gen_mats.append(coef.T)
+    for run in spans([entries.size] * (n - 1)):
+        moves = np.stack([tab.perm(pm.transposition(n, k, k + 1)) for k in run])
+        coef = Mat._of(fld, entries[:, moves[:, own]].swapaxes(0, 1).reshape(-1, dim)) @ binv
+        # s_k·b for each k of the run, stacked; freed before the next run's
+        require(coef @ b == Mat._of(fld, entries[:, moves].swapaxes(0, 1).reshape(coef.rows, -1)),
+                "straightening failed")
+        gen_mats += [Mat._of(fld, c.T) for c in coef.a.reshape(-1, dim, dim)]
     gram = b @ b.T
     return n, dim, tuple(gen_mats), gram
 

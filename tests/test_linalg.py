@@ -10,10 +10,11 @@ import pytest
 
 import symprep
 from symprep.field import make_field
-from symprep.linalg import (Mat, Subspace, _rref_generic, add, det, inv, joint_fixed_space,
-                            kernel, left_multiply, matmul, mm_gf2, mm_modp, mul, neg,
-                            pack_rows, quotient_action, right_multiply,
-                            stacked_minus_identity)
+from symprep import linalg
+from symprep.linalg import (Mat, Subspace, _rref_generic, add, det, form, inv,
+                            joint_fixed_space, kernel, left_multiply, matmul, mm_gf2, mm_modp,
+                            mul, neg, pack_rows, paired_forms, product_forms, product_grid,
+                            quotient_action, right_multiply, spans, stacked_minus_identity)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -245,6 +246,45 @@ def test_batched_products_match_one_product_per_block(f, n):
     other = GF5 if f != GF5 else GF3
     with pytest.raises(ValueError):
         left_multiply(a, [Mat.identity(other, n)])
+
+
+@pytest.mark.parametrize("cells", [None, 1, 30, 300], ids=["default", "one-block", "30", "300"])
+@pytest.mark.parametrize("f,n", [(GF2, 3), (GF2, 70), (GF3, 5), (GF4, 4)],
+                         ids=["GF2", "GF2-packed", "GF3", "GF4"])
+def test_chunked_grids_and_pairs_match_one_product_per_block(f, n, cells, monkeypatch):
+    """product_grid, product_forms and paired_forms against a @ b block by
+    block, in one chunk, one block per chunk, and chunks of a few blocks."""
+    if cells is not None:
+        monkeypatch.setattr(linalg, "_PRODUCT_CELLS", cells)
+    rng = np.random.default_rng(11 * n + f.q)
+    lefts = [random_mat(f, h, n, rng) for h in (n, 1, 2 * n + 3)]
+    rights = [random_mat(f, n, w, rng) for w in (n, 1, 130, 2 * n + 5)]
+    assert product_grid(lefts, rights) == [[a @ b for b in rights] for a in lefts]
+    squares = [random_mat(f, n, n, rng) for _ in range(5)]
+    blocks = [random_mat(f, n, 3, rng) for _ in range(4)]
+    grid = product_forms(squares, blocks)
+    assert grid.shape[:3] == (5, n, 4)
+    for i, a in enumerate(squares):
+        for j, b in enumerate(blocks):
+            assert np.array_equal(grid[i, :, j], form(a @ b))
+    wide = [random_mat(f, n, 70, rng) for _ in squares]
+    repeated = squares + squares[1::2]  # lefts that recur share a stacked factor
+    for ls, rs in ((squares, blocks + [blocks[0]]), (squares, wide), (repeated, (blocks * 2)[:7])):
+        pairs = paired_forms(ls, np.stack([form(b) for b in rs]), rs[0].cols)
+        assert np.array_equal(pairs, np.stack([form(a @ b) for a, b in zip(ls, rs)]))
+    with pytest.raises(ValueError):
+        product_forms(squares, lefts)
+    with pytest.raises(ValueError):
+        paired_forms(squares[:2], np.stack([form(b) for b in blocks]), 3)
+
+
+def test_spans_cut_runs_at_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(linalg, "_PRODUCT_CELLS", 10)
+    assert spans([]) == []
+    assert spans([3, 3, 3]) == [range(0, 3)]
+    assert spans([4, 4, 4, 11, 2]) == [range(0, 2), range(2, 3), range(3, 4), range(4, 5)]
+    monkeypatch.setattr(linalg, "_PRODUCT_CELLS", 1)
+    assert spans([1, 1, 1]) == [range(0, 1), range(1, 2), range(2, 3)]
 
 
 # public entry points given arguments from different spaces

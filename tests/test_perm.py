@@ -93,7 +93,7 @@ def test_closure_cap(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 1000 rows of 12 int64 entries are 96 kB; S_12 itself would be 46 GB
+    # 1000 rows of 12 int8 entries are 12 kB; S_12 itself would be 5.7 GB
     assert peak < 2**20
 
 

@@ -223,6 +223,20 @@ def test_batched_relation_verdicts_match_word_by_word(p):
     where dim <= 4, eight seeded entries per generator above, and each
     generator swapped for the identity, for its neighbour, and the last one
     for a transposition that breaks only distant commutation."""
+    _assert_batched_verdicts_match_word_by_word(p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_product_chunks_give_the_word_by_word_verdicts(p, monkeypatch):
+    """The same defects with the product budget at one block, so that every
+    band holds one generator and every product call one block."""
+    from symprep import linalg
+
+    monkeypatch.setattr(linalg, "_PRODUCT_CELLS", 1)
+    _assert_batched_verdicts_match_word_by_word(p)
+
+
+def _assert_batched_verdicts_match_word_by_word(p):
     rng = np.random.default_rng(p)
     seen = set()
     for n in range(2, 8):
@@ -302,9 +316,26 @@ def test_reversed_basis_order_fails_the_unitriangular_check(monkeypatch):
 def test_specht_core_matches_the_augmented_solve():
     """The own-tabloid block gives the generators and Gram matrix of the
     earlier route, which read its pivots off one elimination of [b | I]."""
+    _assert_specht_core_matches_the_augmented_solve(8)
+
+
+def test_one_product_chunks_give_the_augmented_solve(monkeypatch):
+    """The same generators to n = 7 with the product budget at one block,
+    so that each generator's straightening is its own run."""
+    from symprep import linalg, snmod
+
+    monkeypatch.setattr(linalg, "_PRODUCT_CELLS", 1)
+    _clear_module_caches(snmod)
+    try:
+        _assert_specht_core_matches_the_augmented_solve(7)
+    finally:
+        _clear_module_caches(snmod)  # drop what was built on one-block chunks
+
+
+def _assert_specht_core_matches_the_augmented_solve(max_n):
     from symprep import snmod
 
-    for lam in (lam for n in range(2, 9) for lam in partitions(n)):
+    for lam in (lam for n in range(2, max_n + 1) for lam in partitions(n)):
         n, tab = sum(lam), snmod._tabloids(lam)
         for p in (2, 3, 5):
             f = make_field(p)
@@ -316,6 +347,41 @@ def test_specht_core_matches_the_augmented_solve():
                          for k in range(n - 1))
             _, _, core_gens, gram = snmod._specht_core(lam, p)
             assert core_gens == gens and gram == Mat(f, b) @ Mat(f, b).T, (lam, p)
+
+
+# tracemalloc peaks of specht_module with its tabloids prebuilt, measured
+# when straightening and the relation checks took two products per
+# generator: dim 450 takes the sampled relation check, dim 315 the full one
+_PER_GENERATOR_PEAK_MIB = {((5, 3, 2), 2): 41.8, ((6, 3, 1), 3): 51.5}
+
+
+@pytest.mark.parametrize("lam, p", sorted(_PER_GENERATOR_PEAK_MIB))
+def test_specht_module_peak_memory_is_at_most_that_of_per_generator_products(lam, p):
+    import tracemalloc
+
+    from symprep import snmod
+
+    _clear_module_caches(snmod)
+    snmod._tabloids(lam)
+    tracemalloc.start()
+    try:
+        specht_module(lam, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        _clear_module_caches(snmod)
+    assert peak <= _PER_GENERATOR_PEAK_MIB[lam, p] * 2**20
+
+
+def test_column_groups_are_read_only_and_built_once_per_height():
+    from symprep import snmod
+
+    snmod._symmetric_group.cache_clear()
+    perms, signs = snmod._column_group((3, 3, 2))
+    assert [len(x) for x in perms] == [6, 6, 2] and len(signs) == 72
+    assert not signs.flags.writeable and not any(x.flags.writeable for x in perms)
+    snmod._column_group((4, 4, 2))  # columns of heights 3, 3, 2, 2
+    assert snmod._symmetric_group.cache_info().misses == 2
 
 
 _PINNED_MODULES = [
