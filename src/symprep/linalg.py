@@ -5,7 +5,7 @@ field shares one vectorized path: the encoded-array operations `add`,
 `neg`, `mul`, `inv`, `sub_mul`, `matmul` and `det`.  Each takes leading
 stack axes, so a batch of matrices is one array of shape (..., n, n) and one
 call.  Over a prime field each is the plain mod-p expression, and `mm_modp`
-sends large products through float64 BLAS.  Over GF(p^r), r > 1, an array
+sends products of at least _BLAS_MACS multiply-adds through float64 BLAS.  Over GF(p^r), r > 1, an array
 is split into its r base-p digit planes; plane products run through the
 same mod-p product and the degrees r..2r-2 fold back with the field's
 reduction rows.  Bit-packing of GF(2) rows, 64 columns to a uint64 word,
@@ -32,18 +32,25 @@ reproducible.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .checks import require
 from .field import GF, make_field
 
-# product of two entries times the inner dimension must stay exactly
-# representable in float64 for the BLAS shortcut to be valid
+# p² times the inner dimension must stay below this for mm_modp's float64
+# product and its reduction to be exact
 _FLOAT_EXACT = 2**53
 
-# from this many multiply-adds on, a product leaves the plain int64 matmul:
-# mm_modp goes through float64 BLAS, a GF(2) Mat through the packed product
+# from this many multiply-adds on, counted over the broadcast stack, mm_modp
+# multiplies in float64 through BLAS: numpy's int64 matmul has no BLAS, and
+# below this it is the faster one on the shapes the benchmark workloads make
+# at p = 2, 3 and 5 (the sweep in BENCH_blas_layers.json)
+_BLAS_MACS = 4_096
+
+# from this many multiply-adds on, a GF(2) Mat product runs the packed
+# Four-Russians product on its words
 _LARGE_MACS = 200_000
 
 # words per block of Four-Russians tables, so a block stays in cache
@@ -66,20 +73,34 @@ def _as_array(a) -> np.ndarray:
 
 def mm_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact matmul of canonical mod-p arrays; leading axes are stacks,
-    broadcast as in np.matmul."""
-    k, m = a.shape[-1], b.shape[-1]
+    broadcast as in np.matmul.
+
+    A product of at least _BLAS_MACS multiply-adds runs in float64 through
+    BLAS and is reduced in place, c - ⌊c/p⌋·p, then cast once.  That is
+    exact: each sum c = qp + r is an integer, and p(q + 1) <= c + p < p²k
+    < 2^53, so c/p lies more than half an ulp below q + 1 and rounds to a
+    value in [q, q + 1), whose floor is q; qp and c - qp are exact too.
+    """
+    n, k, m = a.shape[-2], a.shape[-1], b.shape[-1]
     assert k == b.shape[-2], f"shape mismatch {a.shape} @ {b.shape}"
     if k == 0:
         stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        return np.zeros(stack + (a.shape[-2], m), dtype=np.int64)
-    require((p - 1) * (p - 1) * k < _FLOAT_EXACT, "mod-p product would leave exact float range")
-    if a.size * m >= _LARGE_MACS:  # n·k·m, times the stack that a carries
-        c = a.astype(np.float64) @ b.astype(np.float64)
-        c = np.rint(c, out=c).astype(np.int64)
-    else:
+        return np.zeros(stack + (n, m), dtype=np.int64)
+    require(p * p * k < _FLOAT_EXACT, "mod-p product would leave exact float range")
+    macs = n * k * m
+    if a.ndim > 2 or b.ndim > 2:  # times the broadcast stack
+        macs *= math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+    if macs < _BLAS_MACS:
         c = a @ b
-    c %= p  # in place: no second int64 result
-    return c
+        c %= p  # in place: no second int64 result
+        return c
+    c = a.astype(np.float64) @ b.astype(np.float64)
+    q = np.divide(c, p)
+    np.floor(q, out=q)
+    q *= p
+    c -= q
+    del q  # so the cast below is the second result-sized array, not the third
+    return c.astype(np.int64)
 
 
 # The layer trace in perfbench/layers.py wraps the name mm_modp and counts
@@ -349,7 +370,7 @@ def rref_array(a: np.ndarray, f: GF):
     """Canonical RREF of an encoded array; returns (array, pivot tuple)."""
     a = _as_array(a)
     if f.is_gf2:
-        w = pack_rows(a % 2)
+        w = pack_rows(a)  # it keeps the low bit, the entry mod 2
         piv = _rref_packed(w, a.shape[1])
         return unpack_rows(w, a.shape[1]), tuple(piv)
     out, piv = _rref_generic(a, f)

@@ -25,9 +25,9 @@ from .checks import require
 from .field import GF, make_field
 # joint_fixed_space, kernel, mm_modp and rref_array stay importable from here:
 # the layer trace in perfbench/layers.py wraps them by module
-from .linalg import (Mat, form, joint_fixed_space, kernel, mm_modp,  # noqa: F401
-                     paired_forms, product_forms, quotient_action, right_multiply, rref_array,
-                     spans, stacked_minus_identity)
+from .linalg import (Mat, form, joint_fixed_space, kernel, left_multiply,  # noqa: F401
+                     mm_modp, paired_forms, product_forms, quotient_action, right_multiply,
+                     rref_array, spans)
 from .records import VerificationReport, make_report, run_jobs
 
 MAX_N = 12
@@ -469,18 +469,44 @@ class LoewySeries:
 
 
 def _layers_of_mats(dim: int, mats: list[Mat]) -> tuple:
-    """Loewy layer dimensions of a dim-dimensional space under the generator
-    matrices of an elementary abelian p-group: each step quotients by the
-    common fixed space, the kernel of the stacked g - 1, and loses one layer.
-    No generators is the trivial group, whose one layer is the whole space."""
+    """Socle layer dimensions of a dim-dimensional space under the matrices
+    g_i of commuting generators of a p-group, checked to commute.
+
+    The x_i = g_i - 1 generate the augmentation ideal J, which for a p-group
+    in characteristic p is the radical of the group algebra, so the socle
+    series is soc^j = {v : J^j v = 0}.  As the g_i commute, J^j is spanned by
+    the words in the x_i of length at least j, so soc^j is the common kernel
+    of the words of length j, and dim soc^j = dim - dim R_j for the row
+    spaces R_0 = F^dim and R_(j+1) = Σ_i R_j·x_i.  Each layer takes one
+    product of a basis of R_j by every x_i and one elimination of the
+    stacked rows, along the narrower side of the stack: the pivot rows of
+    its transpose when it has fewer rows than columns, its canonical rows
+    otherwise.  No generators is the trivial group, whose one layer is the
+    whole space.
+    """
     if not mats:
         return (dim,) if dim else ()
-    layers = []
-    while dim > 0:
-        mats = quotient_action(mats, stacked_minus_identity(mats))
-        layer, dim = dim - mats[0].rows, mats[0].rows
-        require(layer > 0, "invariant space of a p-group vanished on a nonzero module")
-        layers.append(layer)
+    f, k = mats[0].field, len(mats)
+    if k > 1:
+        prods = product_forms(mats, mats)
+        require(all(np.array_equal(prods[i, :, j], prods[j, :, i])
+                    for j in range(k) for i in range(j)), "generators must commute")
+    ident = Mat.identity(f, dim)
+    xs = [g - ident for g in mats]
+    blocks, rank, layers = xs, dim, []
+    while rank:
+        stack = np.concatenate([b.a for b in blocks])  # the rows of R_j·x_i for every i
+        if stack.shape[0] < stack.shape[1]:
+            piv = rref_array(stack.T, f)[1]
+            basis = stack[list(piv)]
+        else:
+            red, piv = rref_array(stack, f)
+            basis = red[: len(piv)]
+        require(len(piv) < rank, "invariant space of a p-group vanished on a nonzero module")
+        layers.append(rank - len(piv))
+        rank = len(piv)
+        if rank:
+            blocks = left_multiply(Mat._of(f, basis), xs)
     return tuple(layers)
 
 
@@ -583,18 +609,17 @@ def fingerprint_of_mats(field: GF, dim: int, mats: list[Mat]) -> Fingerprint:
     `loewy_length` and `free_summand_count`.
 
     Only what a module for (Z/p)^k needs is checked: each matrix has order
-    dividing p and the matrices commute.  The matrices of an unfaithful
-    action may be dependent, so the group itself is certified where its
-    generators come from (`fingerprint` certifies permutations).  A matrix
-    that is not dim x dim over field raises ValueError.
+    dividing p, and the matrices commute (checked with the layers).  The
+    matrices of an unfaithful action may be dependent, so the group itself is
+    certified where its generators come from (`fingerprint` certifies
+    permutations).  A matrix that is not dim x dim over field raises
+    ValueError.
     """
     if any(a.field != field or a.rows != dim or a.cols != dim for a in mats):
         raise ValueError(f"generator matrices must be {dim} x {dim} over the field")
     ident = Mat.identity(field, dim)
-    for i, a in enumerate(mats):
+    for a in mats:
         require(a.pow(field.p) == ident, "generator order must divide p")
-        for b in mats[i + 1:]:
-            require(a @ b == b @ a, "generators must commute")
     return Fingerprint(
         dim=dim,
         layers=_layers_of_mats(dim, mats),

@@ -661,6 +661,77 @@ def test_extension_large_product_matches_scalar_reference(f):
     assert np.array_equal((a @ b).a, _ref_matmul(f, a.a, b.a))
 
 
+def _blas_switch_cases():
+    """(a, b, p, runs BLAS) for 2-D products, stacks, and a 2-D left times a
+    stacked right, just below and at linalg._BLAS_MACS multiply-adds over
+    the broadcast stack, at p = 2, 3, 5 and 61.  The operands are random, all
+    p - 1, or rows of 1 and of p - 1 times columns holding p or p + 1 entries
+    p - 1, whose sums (p - 1)p and (p - 1)(p + 1) land on qp and qp - 1."""
+    t, k = linalg._BLAS_MACS, 64
+    rng = np.random.default_rng(53)
+    for p in (2, 3, 5, 61):
+        rows = np.array([[1] * k, [p - 1] * k])
+        for lead_a, lead_b in (((), ()), ((2,), (2,)), ((), (2,))):
+            stack = int(np.prod(np.broadcast_shapes(lead_a, lead_b)))
+            top = -(-t // (stack * 2 * k))
+            for m in (top - 1, top):
+                cols = np.where(np.arange(k)[:, None] < p + np.arange(m) % 2, p - 1, 0)
+                for a, b in ((rng.integers(0, p, size=lead_a + (2, k)),
+                              rng.integers(0, p, size=lead_b + (k, m))),
+                             (np.full(lead_a + (2, k), p - 1), np.full(lead_b + (k, m), p - 1)),
+                             (np.broadcast_to(rows, lead_a + (2, k)),
+                              np.broadcast_to(cols, lead_b + (k, m)))):
+                    yield a, b, p, stack * 2 * k * m >= t
+
+
+def _python_int_sums(a, b):
+    """Every entry of a @ b over the broadcast stack, summed in Python ints."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + a.shape[-2:]).reshape((-1,) + a.shape[-2:])
+    b = np.broadcast_to(b, lead + b.shape[-2:]).reshape((-1,) + b.shape[-2:])
+    sums = [[[sum(int(x) * int(y) for x, y in zip(row, col)) for col in bm.T] for row in am]
+            for am, bm in zip(a, b)]
+    return np.array(sums, dtype=np.int64).reshape(lead + (a.shape[-2], b.shape[-1]))
+
+
+def check_blas_switch_products():
+    """Each case of `_blas_switch_cases` equals its Python-int reference, and
+    some sums land on qp - 1 and on qp, q >= 1, on both sides of the switch.
+    It raises by hand, not by assert, so that it checks under python -O."""
+    landed = set()
+    for a, b, p, blas in _blas_switch_cases():
+        sums = _python_int_sums(a, b)
+        if not np.array_equal(mm_modp(a, b, p), sums % p):
+            raise AssertionError(f"{a.shape} @ {b.shape} mod {p} is wrong")
+        landed |= {(p, blas, int(r)) for r in sums[sums >= p] % p if r in (0, p - 1)}
+    want = {(p, blas, r) for p in (2, 3, 5, 61) for blas in (False, True) for r in (0, p - 1)}
+    if landed != want:
+        raise AssertionError(f"no sum landed on {sorted(want - landed)}")
+
+
+def test_mod_p_products_are_exact_on_both_sides_of_the_blas_switch(monkeypatch):
+    real, calls = np.divide, []
+    monkeypatch.setattr(np, "divide", lambda *args: calls.append(1) or real(*args))
+    for a, b, p, blas in _blas_switch_cases():
+        calls.clear()
+        mm_modp(a, b, p)
+        assert bool(calls) == blas, (a.shape, b.shape)  # only the BLAS path divides
+    monkeypatch.undo()
+    check_blas_switch_products()
+
+
+def test_mod_p_products_are_exact_on_both_sides_of_the_blas_switch_under_python_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(symprep.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import test_linalg; test_linalg.check_blas_switch_products(); print('exact')"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([here, src])),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["exact"]
+
+
 # ---------------------------------------------------------------------------
 # stacks: leading axes run the same path as one matrix
 

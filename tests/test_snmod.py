@@ -619,6 +619,54 @@ def test_planted_extra_socle_layer_fails_the_order_check(monkeypatch):
         cyclic_profile(mod, g)
 
 
+def _quotient_chain_layers(dim, mats):
+    """Socle layers by the quotient chain: each step passes to the action on
+    the quotient by the common fixed space, the kernel of the stacked g - 1,
+    and loses one layer."""
+    from symprep.linalg import quotient_action, stacked_minus_identity
+    layers = []
+    while dim:
+        mats = quotient_action(mats, stacked_minus_identity(mats))
+        layers.append(dim - mats[0].rows)
+        dim = mats[0].rows
+        assert layers[-1] > 0
+    return tuple(layers)
+
+
+def test_socle_layers_from_row_spaces_match_the_quotient_chain():
+    from symprep import snmod
+    checked = 0
+    for p in (2, 3, 5):
+        for n in range(p, 8):
+            groups = [snmod._cyclic_group(n, p)]
+            if p == 2 and n >= 4:
+                groups += [pm.special_subgroups(n, "H", m=2), pm.special_subgroups(n, "K")]
+            if p == 2 and n >= 6:
+                groups += [pm.special_subgroups(n, "H", m=3), pm.special_subgroups(n, "KmH", m=1)]
+            for lam in p_regular_partitions(n, p):
+                mod = irreducible_D(lam, p)
+                for group in groups:
+                    mats = [mod.act(g) for g in group.generators]
+                    assert (snmod._layers_of_mats(mod.dim, mats)
+                            == _quotient_chain_layers(mod.dim, mats)), (lam, p, group.label)
+                    checked += 1
+    assert checked == 119
+
+
+def test_socle_layers_reject_generators_that_do_not_commute():
+    from symprep import snmod
+    f2, f3 = make_field(2), make_field(3)
+    s12 = Mat(f2, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    s23 = Mat(f2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    with pytest.raises(CheckFailed, match="generators must commute"):
+        snmod._layers_of_mats(3, [s12, s12, s23])
+    # two unipotent 3 x 3 matrices of order 3 that do not commute
+    u, v = Mat(f3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]), Mat(f3, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    with pytest.raises(CheckFailed, match="generators must commute"):
+        snmod._layers_of_mats(3, [u, v])
+    assert snmod._layers_of_mats(3, [u, u @ u]) == (2, 1)
+
+
 def test_act_of_the_identity_and_of_one_swap():
     mod = irreducible_D((4, 2), 3)
     assert mod.act(pm.identity(6)) == Mat.identity(mod.field, mod.dim)
