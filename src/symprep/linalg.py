@@ -5,23 +5,21 @@ field shares one vectorized path: the encoded-array operations `add`,
 `neg`, `mul`, `inv`, `sub_mul`, `matmul` and `det`.  Each takes leading
 stack axes, so a batch of matrices is one array of shape (..., n, n) and one
 call.  Over a prime field each is the plain mod-p expression, and `mm_modp`
-sends products of at least _BLAS_MACS multiply-adds through float64 BLAS.  Over GF(p^r), r > 1, an array
-is split into its r base-p digit planes; plane products run through the
-same mod-p product and the degrees r..2r-2 fold back with the field's
-reduction rows.  Bit-packing of GF(2) rows, 64 columns to a uint64 word,
-lives in two kernels: `mm_gf2`, the Four-Russians table product that large
-GF(2) `Mat` products use, and `rref_array`, which packs every GF(2)
-elimination; `form` shows a GF(2) matrix by its packed rows, so that batches
-of products compare as words.
+sends products of at least _BLAS_MACS multiply-adds through float64 BLAS.
+Over GF(p^r), r > 1, an array is split into its r base-p digit planes;
+plane products run through the same mod-p product and the degrees r..2r-2
+fold back with the field's reduction rows.  Bit-packing of GF(2) rows, 64
+columns to a uint64 word, lives in two kernels: `mm_gf2`, the Four-Russians
+table product that large GF(2) `Mat` products and every GF(2) batch of
+products use, and `rref_array`, which packs every GF(2) elimination; `form`
+shows a GF(2) matrix by its packed rows, so that batches of products
+compare as words.
 
-Batches of matrix products are formed a few products at a time:
-`product_grid` gives [[a @ b for b in rights] for a in lefts] from the lefts
-stacked top to bottom times the rights side by side, with `left_multiply`
-and `right_multiply` as its one-row and one-column cases; `product_forms`
-gives the same grid as one array of each product's `form`, and
-`paired_forms` the forms of pairwise products from stacks.  Each cuts its
-batch into chunks of whole blocks holding at most _PRODUCT_CELLS result
-cells (`spans`).
+Batches of matrix products go through one call: `product_forms` gives the
+`form` of a @ b for every a in lefts and b in rights as one array, formed
+from the lefts stacked top to bottom times the rights side by side, a chunk
+of at most _PRODUCT_CELLS result cells at a time (`spans`); `of_form` turns
+a form back into a `Mat`.
 
 All reduced row echelon forms are canonical: leading coefficient 1, pivot
 columns cleared, rows ordered by pivot.  Two subspaces are equal iff their
@@ -585,57 +583,23 @@ def spans(cells: list[int]) -> list[range]:
     return out
 
 
-def _chunks(lefts: list[Mat], rights: list[Mat], cells: list[int], packed: bool):
+def _chunks(lefts: list[Mat], rights: list[Mat], width: int):
     """(run of lefts, run of rights, their product) for each chunk of a
-    grid: the run of lefts stacked top to bottom times the run of rights
-    side by side, as entries or, if packed, as packed rows with each
-    right's words side by side.  cells[j] is the width of rights[j] in the
-    result, and a chunk's result holds at most _PRODUCT_CELLS cells or is a
-    single block that alone holds more; a run of several lefts takes every
-    right."""
-    f, width = lefts[0].field, sum(cells)
-    for ls in spans([a.rows * width for a in lefts]):
-        stack = _concat([lefts[i].words if packed else lefts[i].a for i in ls], 0)
-        for rs in spans([stack.shape[0] * c for c in cells]):
-            side = _concat([rights[j].words if packed else rights[j].a for j in rs], 1)
-            yield ls, rs, mm_gf2(stack, side) if packed else matmul(f, stack, side)
+    grid: the run's lefts stacked top to bottom times its rights side by
+    side, as `form`s, so over GF(2) as packed rows through `mm_gf2`.  Every
+    right is width cells wide in the result, and a chunk's result holds at
+    most _PRODUCT_CELLS cells or is a single block that alone holds more; a
+    run of several lefts takes every right."""
+    f, n = lefts[0].field, lefts[0].rows
+    for ls in spans([n * width * len(rights)] * len(lefts)):
+        stack = _concat([form(lefts[i]) for i in ls], 0)
+        for rs in spans([stack.shape[0] * width] * len(rights)):
+            side = _concat([form(rights[j]) for j in rs], 1)
+            yield ls, rs, mm_gf2(stack, side) if f.is_gf2 else matmul(f, stack, side)
 
 
 def _concat(arrays: list[np.ndarray], axis: int) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
-
-
-def _grid_factors(lefts: list[Mat], rights: list[Mat]):
-    """(field, inner size) of factors that multiply; ValueError otherwise."""
-    f, k = (lefts or rights)[0].field, lefts[0].cols if lefts else rights[0].rows
-    if any(x.field is not f and x.field != f for x in lefts + rights) \
-            or any(a.cols != k for a in lefts) or any(b.rows != k for b in rights):
-        raise ValueError(f"cannot multiply {lefts!r} by {rights!r}")
-    return f, k
-
-
-def product_grid(lefts: list[Mat], rights: list[Mat]) -> list[list[Mat]]:
-    """[[a @ b for b in rights] for a in lefts], one product per chunk (`_chunks`).
-
-    A GF(2) grid of at least _LARGE_MACS multiply-adds runs `mm_gf2` on
-    packed rows, and as each right's rows end in zero padding, each block
-    keeps its own words and comes out packed.
-    """
-    if not lefts or not rights:
-        return [[] for _ in lefts]
-    f, k = _grid_factors(lefts, rights)
-    widths = [b.cols for b in rights]
-    packed = f.is_gf2 and sum(a.rows for a in lefts) * k * sum(widths) >= _LARGE_MACS
-    cells = [b.words.shape[1] for b in rights] if packed else widths
-    grid = [[] for _ in lefts]
-    for ls, rs, out in _chunks(lefts, rights, cells, packed):
-        top = 0
-        for i in ls:
-            row, top, left = out[top:top + lefts[i].rows], top + lefts[i].rows, 0
-            for j in rs:
-                block, left = row[:, left:left + cells[j]], left + cells[j]
-                grid[i].append(Mat.from_words(f, block, widths[j]) if packed else Mat._of(f, block))
-    return grid
 
 
 def form(m: Mat) -> np.ndarray:
@@ -644,68 +608,31 @@ def form(m: Mat) -> np.ndarray:
     return m.words if m.field.is_gf2 else m.a
 
 
+def of_form(field: GF, arr: np.ndarray, cols: int) -> Mat:
+    """The matrix with cols columns over field whose `form` is arr."""
+    return Mat.from_words(field, arr, cols) if field.is_gf2 else Mat._of(field, arr)
+
+
 def product_forms(lefts: list[Mat], rights: list[Mat]) -> np.ndarray:
     """The `form` of every product a @ b, a in lefts and b in rights, for
-    lefts of one shape and rights of one shape: P[i, :, j] is that of
-    lefts[i] @ rights[j].  One product per chunk (`_chunks`); over GF(2)
-    every chunk runs `mm_gf2`."""
+    lefts of one shape and rights of one shape over one field: P[i, :, j] is
+    that of lefts[i] @ rights[j].  One product per chunk (`_chunks`)."""
     if not lefts or not rights:
         raise ValueError("need factors on both sides")
-    f, _ = _grid_factors(lefts, rights)
-    if any(a.shape != lefts[0].shape for a in lefts) or any(b.shape != rights[0].shape
-                                                           for b in rights):
-        raise ValueError("the factors on each side must share one shape")
-    n, width = lefts[0].rows, form(rights[0]).shape[1]
+    f, (n, k), (kr, m) = lefts[0].field, lefts[0].shape, rights[0].shape
+    if any(x.field != f for x in lefts + rights) or k != kr \
+            or any(a.shape != (n, k) for a in lefts) or any(b.shape != (k, m) for b in rights):
+        raise ValueError(f"cannot multiply {lefts!r} by {rights!r}: the factors need one "
+                         "field, one shape on each side and one inner size")
+    width = form(rights[0]).shape[1]
     grid = None
-    for ls, rs, out in _chunks(lefts, rights, [width] * len(rights), f.is_gf2):
+    for ls, rs, out in _chunks(lefts, rights, width):
         if len(ls) == len(lefts) and len(rs) == len(rights):
             return out.reshape(len(ls), n, len(rs), width)  # the one chunk
         if grid is None:
             grid = np.empty((len(lefts), n, len(rights), width), dtype=out.dtype)
         grid[ls.start:ls.stop, :, rs.start:rs.stop] = out.reshape(len(ls), n, len(rs), width)
     return grid
-
-
-def left_multiply(a: Mat, bs: list[Mat]) -> list[Mat]:
-    """[a @ b for b in bs]: the one-row case of `product_grid`."""
-    return product_grid([a], bs)[0]
-
-
-def right_multiply(mats: list[Mat], b: Mat) -> list[Mat]:
-    """[a @ b for a in mats]: the one-column case of `product_grid`."""
-    return [row[0] for row in product_grid(mats, [b])]
-
-
-def paired_forms(lefts: list[Mat], rights: np.ndarray, cols: int) -> np.ndarray:
-    """The `form` of lefts[k] @ R_k for every k, where rights[k] is the form
-    of R_k, a matrix with cols columns; the lefts share one shape.
-
-    The pairs go in runs (`spans`), one product per run.  Over GF(2) that
-    is one `mm_gf2` of the run's distinct lefts, by identity, stacked times
-    all its rights side by side, whose pair blocks are read off; a run
-    holds at most _PRODUCT_CELLS words of that product.  Over other fields
-    it is one product of stacks, of at most _PRODUCT_CELLS result entries.
-    """
-    if not lefts:
-        return rights[:0]
-    (n, k), f = lefts[0].shape, lefts[0].field
-    if any(a.field != f or a.shape != (n, k) for a in lefts) or len(rights) != len(lefts) \
-            or rights.shape[1] != k:
-        raise ValueError("paired factors must share one field and one shape")
-    out = []
-    if not f.is_gf2:
-        for run in spans([n * cols] * len(lefts)):
-            out.append(matmul(f, np.stack([lefts[i].a for i in run]), rights[run.start:run.stop]))
-        return np.concatenate(out)
-    for run in spans([n * rights.shape[2] * len(lefts)] * len(lefts)):
-        row = {}
-        for i in run:
-            row.setdefault(id(lefts[i]), (len(row), lefts[i]))
-        stack = np.concatenate([a.words for _, a in row.values()])
-        prod = mm_gf2(stack, np.concatenate(rights[run.start:run.stop], axis=1))
-        prod = prod.reshape(len(row), n, len(run), -1)
-        out.append(prod[[row[id(lefts[i])][0] for i in run], :, np.arange(len(run))])
-    return np.concatenate(out)
 
 
 def entries(m, field: GF | None = None) -> np.ndarray:
@@ -823,8 +750,8 @@ def quotient_action(mats: list[Mat], x: Mat) -> list[Mat]:
 
     R is 1 on its pivot columns, so A_g·R = R·g forces A_g = (R·g)[:, pivots];
     that equation is checked, and fails with a ValueError exactly when some g
-    does not map ker x into itself.  R·g for every g is one product, and A_g·R
-    for every g another.
+    does not map ker x into itself.  R·g for every g is one `product_forms`,
+    and A_g·R for every g another.
     """
     if not mats:
         return []
@@ -835,10 +762,10 @@ def quotient_action(mats: list[Mat], x: Mat) -> list[Mat]:
     if len(piv) == n:  # ker x = 0 and R = 1
         return list(mats)
     r = Mat._of(f, red.a[: len(piv)])
-    cols = list(piv)
-    rg = left_multiply(r, mats)
-    out = [Mat._of(f, x.a[:, cols]) for x in rg]
-    if right_multiply(out, r) != rg:
+    rg = product_forms([r], mats)[0].swapaxes(0, 1)  # the form of R·g at [g]
+    acts = of_form(f, rg.reshape(-1, rg.shape[2]), n).a.reshape(len(mats), len(piv), n)
+    out = [Mat._of(f, a) for a in acts[:, :, list(piv)]]
+    if not np.array_equal(product_forms(out, [r])[:, :, 0], rg):
         raise ValueError("kernel is not invariant under the given action")
     return out
 

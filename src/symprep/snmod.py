@@ -23,11 +23,11 @@ import numpy as np
 from . import perm as pm
 from .checks import require
 from .field import GF, make_field
-# joint_fixed_space, kernel, mm_modp and rref_array stay importable from here:
-# the layer trace in perfbench/layers.py wraps them by module
-from .linalg import (Mat, form, joint_fixed_space, kernel, left_multiply,  # noqa: F401
-                     mm_modp, paired_forms, product_forms, quotient_action, right_multiply,
-                     rref_array, spans)
+# the layer trace in perfbench/layers.py wraps linalg's functions by module, so
+# joint_fixed_space, kernel and mm_modp stay importable from here although
+# nothing here calls them; batched products go through product_forms alone
+from .linalg import (Mat, form, joint_fixed_space, kernel, mm_modp,  # noqa: F401
+                     of_form, product_forms, quotient_action, rref_array, spans)
 from .records import VerificationReport, make_report, run_jobs
 
 MAX_N = 12
@@ -306,17 +306,19 @@ class GModule:
         linalg._PRODUCT_CELLS cells of their `form` (`spans`): one
         `product_forms` gives w(i, j) for i in the band and every j from its
         first on, one more w(i, j) for i past the band and j in it, and one
-        `paired_forms` the braid sides at the band's generators.  So a
-        module whose words fit one band takes two product calls, three with
-        the block, at any n.  The first failing family in the order
-        involution, braid, distant names the error.
+        more the braid sides, read off the grid of the band's generators
+        times the words w(i+1, i) and w(i, i+1).  The block's images s_j·v
+        are one `product_forms` too.  So a module whose words fit one band
+        takes two product calls, three with the block, at any n.  The first
+        failing family in the order involution, braid, distant names the
+        error.
         """
         gens, f, m = list(self.gen_actions), self.field, len(self.gen_actions)
         if full:
             v, moved = Mat.identity(f, self.dim), gens
         else:
             v = Mat(f, np.random.default_rng(77003).integers(0, f.q, size=(self.dim, 64)))
-            moved = right_multiply(gens, v)
+            moved = [of_form(f, x, v.cols) for x in product_forms(gens, [v])[:, :, 0]]
         one = form(v)
         involution = braid = distant = True
         for band in spans([m * one.size] * m):
@@ -339,9 +341,13 @@ class GModule:
             at = i[i + lo + 1 < m]
             involution &= bool((w(i, i) == one).all())
             distant &= np.array_equal(w(far_i, far_j), w(far_j, far_i))
-            sides = paired_forms([gens[lo + k] for k in at] + [gens[lo + k + 1] for k in at],
-                                 np.concatenate([w(at + 1, at), w(at, at + 1)]), v.cols)
-            braid &= np.array_equal(sides[:len(at)], sides[len(at):])
+            if len(at):
+                # s_(lo+k)·w(k+1, k) at [k, :, k] and s_(lo+k+1)·w(k, k+1) at
+                # [k + 1, :, len(at) + k]
+                sides = product_forms(gens[lo:lo + len(at) + 1],
+                                      [of_form(f, x, v.cols)
+                                       for x in np.concatenate([w(at + 1, at), w(at, at + 1)])])
+                braid &= np.array_equal(sides[at, :, at], sides[at + 1, :, len(at) + at])
         require(involution, "generator is not an involution")
         require(braid, "braid relation fails")
         require(distant, "distant generators must commute")
@@ -486,16 +492,14 @@ def _layers_of_mats(dim: int, mats: list[Mat]) -> tuple:
     """
     if not mats:
         return (dim,) if dim else ()
-    f, k = mats[0].field, len(mats)
-    if k > 1:
-        prods = product_forms(mats, mats)
-        require(all(np.array_equal(prods[i, :, j], prods[j, :, i])
-                    for j in range(k) for i in range(j)), "generators must commute")
+    f = mats[0].field
+    if len(mats) > 1:
+        prods = product_forms(mats, mats)  # g_i·g_j at [i, :, j]
+        require(np.array_equal(prods, prods.swapaxes(0, 2)), "generators must commute")
     ident = Mat.identity(f, dim)
     xs = [g - ident for g in mats]
-    blocks, rank, layers = xs, dim, []
-    while rank:
-        stack = np.concatenate([b.a for b in blocks])  # the rows of R_j·x_i for every i
+    stack, rank, layers = np.concatenate([x.a for x in xs]), dim, []
+    while rank:  # stack holds the rows of R_j·x_i for every i
         if stack.shape[0] < stack.shape[1]:
             piv = rref_array(stack.T, f)[1]
             basis = stack[list(piv)]
@@ -506,7 +510,8 @@ def _layers_of_mats(dim: int, mats: list[Mat]) -> tuple:
         layers.append(rank - len(piv))
         rank = len(piv)
         if rank:
-            blocks = left_multiply(Mat._of(f, basis), xs)
+            prods = product_forms([Mat._of(f, basis)], xs)[0].swapaxes(0, 1)  # R_j·x_i at [i]
+            stack = of_form(f, prods.reshape(-1, prods.shape[2]), dim).a
     return tuple(layers)
 
 

@@ -219,17 +219,22 @@ def test_cli_verify_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# sha256 of `verify appendix --max-n 10 --format json`
-_APPENDIX_DIGEST = "a36a6b6a8cc22113d7e1e7761e61e783cad5c5e9c23c8a3934594a3d312f3105"
+# sha256 of `verify appendix --max-n N --format json`; 12 is the default
+_APPENDIX_DIGESTS = {
+    10: "a36a6b6a8cc22113d7e1e7761e61e783cad5c5e9c23c8a3934594a3d312f3105",
+    12: "d8cf618777726afb66ab1bcbd6436331580942c9b4e185eb24d470416d7f7bd1",
+}
 
 
-def test_appendix_report_bytes_are_pinned():
-    """The appendix report at --max-n 10, byte for byte.  A change that adds
-    or changes an appendix claim updates this digest and says so in CHANGES.md;
-    any other change must leave it as it is."""
-    code, out, _ = _cli("verify", "appendix", "--max-n", "10", "--format", "json")
+@pytest.mark.parametrize("max_n", sorted(_APPENDIX_DIGESTS))
+def test_appendix_report_bytes_are_pinned(max_n):
+    """The appendix report at --max-n 10 and 12, byte for byte; n = 11, 12
+    run the largest GF(2) relation checks and Loewy series.  A change that
+    adds or changes an appendix claim updates these digests and says so in
+    CHANGES.md; any other change must leave them as they are."""
+    code, out, _ = _cli("verify", "appendix", "--max-n", str(max_n), "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _APPENDIX_DIGEST
+    assert hashlib.sha256(out.encode()).hexdigest() == _APPENDIX_DIGESTS[max_n]
 
 
 _DICKSON_DIGEST = "9a958e24545766ef2f93b0ee9c8830454713dad8cf8b83ba440f68d05a08720c"

@@ -12,9 +12,9 @@ import symprep
 from symprep.field import make_field
 from symprep import linalg
 from symprep.linalg import (Mat, Subspace, _rref_generic, add, det, form, inv,
-                            joint_fixed_space, kernel, left_multiply, matmul, mm_gf2, mm_modp,
-                            mul, neg, pack_rows, paired_forms, product_forms, product_grid,
-                            quotient_action, right_multiply, spans, stacked_minus_identity)
+                            joint_fixed_space, kernel, matmul, mm_gf2, mm_modp, mul, neg,
+                            of_form, pack_rows, product_forms, quotient_action, spans,
+                            stacked_minus_identity)
 
 GF2 = make_field(2)
 GF3 = make_field(3)
@@ -230,52 +230,94 @@ def test_quotient_action_rejects_the_one_generator_that_leaves_the_kernel(f, n):
         quotient_action(keep + [Mat(f, leave)], x)
 
 
-@pytest.mark.parametrize("f,n", [(GF2, 3), (GF2, 70), (GF3, 5), (GF4, 4)],
-                         ids=["GF2", "GF2-packed", "GF3", "GF4"])
+def test_quotient_action_of_the_zero_map_is_the_zero_space():
+    """x = 0 has the whole space as kernel: every image is 0 x 0."""
+    for f, n in ((GF2, 3), (GF2, 70), (GF3, 4), (GF9, 3)):
+        rng = np.random.default_rng(n + f.q)
+        mats = [random_mat(f, n, n, rng) for _ in range(3)]
+        out = quotient_action(mats, Mat.zeros(f, 2, n))
+        assert [m.shape for m in out] == [(0, 0)] * 3
+        assert all(m == Mat.zeros(f, 0, 0) for m in out)
+
+
+def _grid_matches(f, lefts, rights):
+    """product_forms(lefts, rights) holds the form of a @ b at [i, :, j]."""
+    grid = product_forms(lefts, rights)
+    assert grid.shape[:3] == (len(lefts), lefts[0].rows, len(rights))
+    for i, a in enumerate(lefts):
+        for j, b in enumerate(rights):
+            assert np.array_equal(grid[i, :, j], form(a @ b))
+            assert of_form(f, grid[i, :, j], b.cols) == a @ b
+    return grid
+
+
+_FIELDS = pytest.mark.parametrize("f,n", [(GF2, 3), (GF2, 70), (GF3, 5), (GF4, 4), (GF9, 4)],
+                                  ids=["GF2", "GF2-packed", "GF3", "GF4", "GF9"])
+
+
+@_FIELDS
 def test_batched_products_match_one_product_per_block(f, n):
+    """One left times many rights and many lefts times one right, each shape
+    in one call; a 0-row left; factors that do not multiply."""
     rng = np.random.default_rng(7 * n + f.q)
     a = random_mat(f, n, n, rng)
-    bs = [random_mat(f, n, m, rng) for m in (n, 1, 2 * n + 5, 130)]
-    assert left_multiply(a, bs) == [a @ b for b in bs]
-    stack = [random_mat(f, m, n, rng) for m in (n, 1, 2 * n + 5)]
-    assert right_multiply(stack, a) == [c @ a for c in stack]
+    for m in (n, 1, 2 * n + 5, 130):
+        _grid_matches(f, [a], [random_mat(f, n, m, rng) for _ in range(3)])
+        _grid_matches(f, [random_mat(f, m, n, rng) for _ in range(3)], [a])
+    empty = _grid_matches(f, [Mat.zeros(f, 0, n)], [a, a])
+    assert empty.shape[:3] == (1, 0, 2)
+    with pytest.raises(ValueError):  # inner sizes
+        product_forms([a], [random_mat(f, n + 1, 2, rng)])
     with pytest.raises(ValueError):
-        left_multiply(a, [random_mat(f, n + 1, 2, rng)])
-    with pytest.raises(ValueError):
-        right_multiply([random_mat(f, 2, n + 1, rng)], a)
+        product_forms([random_mat(f, 2, n + 1, rng)], [a])
     other = GF5 if f != GF5 else GF3
+    with pytest.raises(ValueError):  # fields
+        product_forms([a], [Mat.identity(other, n)])
     with pytest.raises(ValueError):
-        left_multiply(a, [Mat.identity(other, n)])
+        product_forms([Mat.identity(other, n)], [a])
+    with pytest.raises(ValueError):  # mixed shapes on one side
+        product_forms([a], [a, random_mat(f, n, n + 1, rng)])
+    with pytest.raises(ValueError):
+        product_forms([a, random_mat(f, n + 1, n, rng)], [a])
+    with pytest.raises(ValueError):
+        product_forms([], [a])
+
+
+@_FIELDS
+def test_of_form_round_trips(f, n):
+    rng = np.random.default_rng(5 * n + f.q)
+    for rows, cols in ((n, n), (0, n), (n, 130), (1, 1)):
+        m = random_mat(f, rows, cols, rng)
+        back = of_form(f, form(m), cols)
+        assert back == m and back.shape == m.shape and np.array_equal(back.a, m.a)
+    if f.is_gf2:
+        with pytest.raises(ValueError):  # words too narrow for the columns
+            of_form(f, form(m), 65)
 
 
 @pytest.mark.parametrize("cells", [None, 1, 30, 300], ids=["default", "one-block", "30", "300"])
-@pytest.mark.parametrize("f,n", [(GF2, 3), (GF2, 70), (GF3, 5), (GF4, 4)],
-                         ids=["GF2", "GF2-packed", "GF3", "GF4"])
+@_FIELDS
 def test_chunked_grids_and_pairs_match_one_product_per_block(f, n, cells, monkeypatch):
-    """product_grid, product_forms and paired_forms against a @ b block by
-    block, in one chunk, one block per chunk, and chunks of a few blocks."""
+    """product_forms against a @ b block by block, in one chunk, one block
+    per chunk, chunks of a few blocks, and a grid wider than the default
+    chunk; and products of pairs read off the diagonal of one grid, as the
+    braid relation check reads them."""
     if cells is not None:
         monkeypatch.setattr(linalg, "_PRODUCT_CELLS", cells)
     rng = np.random.default_rng(11 * n + f.q)
-    lefts = [random_mat(f, h, n, rng) for h in (n, 1, 2 * n + 3)]
-    rights = [random_mat(f, n, w, rng) for w in (n, 1, 130, 2 * n + 5)]
-    assert product_grid(lefts, rights) == [[a @ b for b in rights] for a in lefts]
+    for h in (n, 1, 2 * n + 3):
+        for w in (n, 1, 130, 2 * n + 5):
+            _grid_matches(f, [random_mat(f, h, n, rng) for _ in range(3)],
+                          [random_mat(f, n, w, rng) for _ in range(4)])
     squares = [random_mat(f, n, n, rng) for _ in range(5)]
+    # each of 2 rights is wider than the default chunk's cells over 3 lefts
+    width = -(-(1 << 14) // (3 * n)) * (64 if f.is_gf2 else 1)
+    wide = [random_mat(f, n, width, rng) for _ in range(2)]
+    assert _grid_matches(f, squares[:3], wide).size > 1 << 14
     blocks = [random_mat(f, n, 3, rng) for _ in range(4)]
-    grid = product_forms(squares, blocks)
-    assert grid.shape[:3] == (5, n, 4)
-    for i, a in enumerate(squares):
-        for j, b in enumerate(blocks):
-            assert np.array_equal(grid[i, :, j], form(a @ b))
-    wide = [random_mat(f, n, 70, rng) for _ in squares]
-    repeated = squares + squares[1::2]  # lefts that recur share a stacked factor
-    for ls, rs in ((squares, blocks + [blocks[0]]), (squares, wide), (repeated, (blocks * 2)[:7])):
-        pairs = paired_forms(ls, np.stack([form(b) for b in rs]), rs[0].cols)
-        assert np.array_equal(pairs, np.stack([form(a @ b) for a, b in zip(ls, rs)]))
-    with pytest.raises(ValueError):
-        product_forms(squares, lefts)
-    with pytest.raises(ValueError):
-        paired_forms(squares[:2], np.stack([form(b) for b in blocks]), 3)
+    grid = _grid_matches(f, squares[:4], blocks)
+    pairs = grid[np.arange(4), :, np.arange(4)]
+    assert np.array_equal(pairs, np.stack([form(a @ b) for a, b in zip(squares, blocks)]))
 
 
 def test_spans_cut_runs_at_the_cell_budget(monkeypatch):
