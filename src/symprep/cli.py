@@ -93,6 +93,15 @@ def _parabolic_table_rows(max_n: int):
     return rows
 
 
+def _perm_irrep_json(args):
+    """The permutation irreducible, up to the dickson rows' largest degree: its
+    difference table takes 2 N^2 dim int64 entries, 16 GB at n = 1000."""
+    cap = max(n for key, (ns, _) in FAMILIES.items() if key.startswith("dickson/") for n in ns)
+    if args.n > cap:
+        raise ValueError(f"n {args.n} is above the largest dickson degree {cap}")
+    return dickson.rep_to_json(dickson.perm_irrep(args.n, args.p))
+
+
 def _regular_module(rank: int):
     """The group algebra of an elementary abelian 2-group acting on itself."""
     from .field import make_field
@@ -172,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     objects = sub.add_parser(
         "dump", help="serialize a representation or module as canonical JSON").add_subparsers(
         dest="object", required=True)
-    pi = leaf(objects, "perm_irrep",
-              _json(lambda a: dickson.rep_to_json(dickson.perm_irrep(a.n, a.p))))
+    pi = leaf(objects, "perm_irrep", _json(_perm_irrep_json))
     pi.add_argument("--n", type=int, default=8)
     pmod = leaf(objects, "module",
                 _json(lambda a: snmod.module_to_json(snmod.irreducible_D(a.partition, a.p))))

@@ -370,7 +370,11 @@ def rref_array(a: np.ndarray, f: GF):
     if f.is_gf2:
         w = pack_rows(a)  # it keeps the low bit, the entry mod 2
         piv = _rref_packed(w, a.shape[1])
-        return unpack_rows(w, a.shape[1]), tuple(piv)
+        out = np.empty(a.shape, dtype=np.int64)
+        out[:len(piv)] = np.unpackbits(w[:len(piv)].view(np.uint8), axis=1, count=a.shape[1],
+                                       bitorder="little")
+        out[len(piv):] = 0  # the rows below the rank are zero
+        return out, tuple(piv)
     out, piv = _rref_generic(a, f)
     return out, tuple(piv)
 

@@ -7,6 +7,10 @@ Coxeter-generator action is straightened back into the standard-polytabloid
 basis by solving against the own-tabloid block.  Everything downstream (Loewy
 filtrations, norm ranks, Jordan profiles, fingerprints) is plain linear
 algebra over GF(p).
+
+The appendix claims built on this algebra are rows of `suites.FAMILIES`;
+here are only the sweeps their jobs read and `verify_appendix`, which runs
+one of those rows.
 """
 
 from __future__ import annotations
@@ -28,11 +32,9 @@ from .field import GF, make_field
 # nothing here calls them; batched products go through product_forms alone
 from .linalg import (Mat, form, joint_fixed_space, kernel, mm_modp,  # noqa: F401
                      of_form, product_forms, quotient_action, rref_array, spans)
-from .records import VerificationReport, make_report, run_jobs
+from .records import VerificationReport, run_jobs
 
 MAX_N = 12
-# the quadratic-pair twins state their hits from this degree on
-QUADRATIC_FIRST_N = 8
 
 
 # ---------------------------------------------------------------------------
@@ -659,11 +661,6 @@ def module_to_json(mod: GModule) -> dict:
 
 # ---------------------------------------------------------------------------
 # the theorem sweeps
-#
-# Each claim is one (claim_id, thunk) job.  A factory binds the loop values,
-# and the thunks look up irreducible_D, loewy_length and the other helpers
-# as module globals when they run, so wrapping those names on this module
-# also reaches them.
 
 
 def _lam_id(lam) -> str:
@@ -797,190 +794,7 @@ def _odd_cyclic_series(lam: tuple, p: int):
     return mod.dim, loewy_length(mod, _cyclic_group(sum(lam), p))
 
 
-def _odd_depth_job(n: int, lam: tuple, p: int, alt: bool):
-    claim_id = f"appendix/odd-cyclic-depth{'-alt' if alt else ''}/p{p}/n{n}/{_lam_id(lam)}"
-
-    def job():
-        dim, series = _odd_cyclic_series(lam, p)
-        if series is None:
-            return None
-        return make_report(
-            claim_id=claim_id,
-            statement="restriction of a non-character mod-p irreducible to the "
-                      "cyclic group on the first p points has Loewy length at least 3"
-                      + (" (cycle taken inside the even subgroup)" if alt else ""),
-            inputs={"partition": list(lam), "p": p, "n": n, "dim": dim,
-                    "layers": list(series.layer_dims)},
-            expected=True,
-            computed=series.length >= 3,
-        )
-    return claim_id, job
-
-
-def _quadratic_job(n: int, alt: bool):
-    claim_id = f"appendix/quadratic-pairs{'-alt' if alt else ''}/n{n}"
-
-    def job():
-        from .oracles import distinct_part_count
-
-        hits, rows = _sweep_quadratic(n, even_part=alt)
-        modules, want = len(set(r[0] for r in rows)), distinct_part_count(n) - 1
-        # D(n) is the only 2-regular D(lam) of dimension at most 1
-        require(modules == want, f"the sweep checked {modules} modules, not q({n}) - 1 = {want}")
-        require(len(rows) == modules * len(_mixed_subgroups(n, alt)),
-                f"the sweep checked {len(rows)} pairs, not one per module and subgroup")
-        expected_hits = [[f"{n - 1}-1", ("H~_" if alt else "H_") + str(n)]]
-        if n == 8 and not alt:
-            expected_hits.append(["5-3", "K^2xH_0"])
-        recorded = alt and n == 8
-        return make_report(
-            claim_id=claim_id,
-            statement="Loewy length at most 2 over the Klein-by-transposition "
-                      "subgroup chain happens only at the listed module/subgroup pairs",
-            inputs={"n": n, "modules_checked": modules,
-                    "pairs_checked": len(rows), "sweep": "all 2-regular"},
-            expected="recorded-only" if recorded else sorted(expected_hits),
-            computed=sorted(hits),
-            status="recorded" if recorded else None,
-        )
-    return claim_id, job
-
-
-def _norm_rank_job():
-    claim_id = "appendix/norm-rank-validation"
-
-    def job():
-        from .oracles import validate_norm_rank
-
-        return make_report(
-            claim_id=claim_id,
-            statement="norm-operator rank equals the brute-force free summand count "
-                      "on every random small test module",
-            inputs={"seed": 0},
-            expected=True,
-            computed=validate_norm_rank(seed=0)["all_match"],
-        )
-    return claim_id, job
-
-
-def _free_summand_job(n: int, k: int):
-    claim_id = f"appendix/pair-partition-free-summand/n{n}/k{k}"
-    sub = pm.special_subgroups(n, "H", m=k)
-
-    def job():
-        mod = irreducible_D((n - k, k), 2)
-        count = free_summand_count(mod, sub)
-        return make_report(
-            claim_id=claim_id,
-            statement="the two-row mod-2 irreducible keeps a free summand over "
-                      "the rank-k transposition subgroup",
-            inputs={"partition": [n - k, k], "subgroup": sub.label,
-                    "dim": mod.dim, "free_count": count},
-            expected=True,
-            computed=count >= 1,
-        )
-    return claim_id, job
-
-
-def _spin_dim_job(k: int):
-    claim_id = f"appendix/spin-restriction-dim/k{k}"
-
-    def job():
-        return make_report(
-            claim_id=claim_id,
-            statement="restricting the pair-partition irreducible one point down "
-                      "gives dimension 2^k",
-            inputs={"k": k, "partition": [k + 1, k]},
-            expected=2**k,
-            computed=basic_spin_restriction(k).dim,
-        )
-    return claim_id, job
-
-
-def _spin_tensor_job():
-    claim_id = "appendix/spin-tensor-recursion"
-
-    def job():
-        m4 = basic_spin_restriction(2)
-        m2 = basic_spin_restriction(1)
-        left = fingerprint(m4, pm.special_subgroups(4, "H"))
-        a = m2.gen_actions[0]
-        ident = Mat.identity(m2.field, m2.dim)
-        # a x 1 and 1 x a generate (Z/2)^2 by construction
-        right = fingerprint_of_mats(m2.field, m2.dim ** 2, [a.kron(ident), ident.kron(a)])
-        return make_report(
-            claim_id=claim_id,
-            statement="the dim-4 restriction over its transposition subgroup matches "
-                      "the tensor square of the dim-2 one over the product subgroup, "
-                      "fingerprint for fingerprint",
-            inputs={"left": repr(left), "right": repr(right)},
-            expected=True,
-            computed=left == right,
-        )
-    return claim_id, job
-
-
-def _three_part_job(n: int, lam: tuple, sub: pm.GroupPresentation):
-    claim_id = f"appendix/three-part-depth/n{n}/{_lam_id(lam)}/{sub.label}"
-
-    def job():
-        mod = irreducible_D(lam, 2)
-        if mod.dim <= 1:
-            return None
-        series = loewy_length(mod, sub)
-        return make_report(
-            claim_id=claim_id,
-            statement="mod-2 irreducibles with at least three parts have "
-                      "Loewy length at least 3 on rank-2 four-point subgroups",
-            inputs={"partition": list(lam), "subgroup": sub.label,
-                    "dim": mod.dim, "layers": list(series.layer_dims),
-                    "free_count": free_summand_count(mod, sub)},
-            expected=True,
-            computed=series.length >= 3,
-        )
-    return claim_id, job
-
-
-def appendix_jobs(theorem: str, ns: Iterable[int], p: int) -> list:
-    """One (claim_id, thunk) job per claim of a theorem family over the degrees.
-
-    An unknown theorem key, a wrong prime or a degree outside the family's
-    range (up to MAX_N, from p for the odd-cyclic twins, from
-    QUADRATIC_FIRST_N for the quadratic twins, else from 2) raises
-    ValueError here, before any job exists.  A thunk returns one
-    VerificationReport, or None where the module has dimension at most 1 and
-    there is nothing to claim.
-    """
-    ns = sorted(set(int(n) for n in ns))
-    odd = theorem in ("charnot2", "charnot2_alt")
-    if not odd and theorem not in ("char2", "char2_alt", "H2kproj", "length2"):
-        raise ValueError(f"unknown theorem key {theorem!r}")
-    if p % 2 == 0 if odd else p != 2:
-        raise ValueError(f"{theorem} needs {'an odd prime' if odd else 'p = 2'}, got {p}")
-    first = p if odd else QUADRATIC_FIRST_N if theorem.startswith("char2") else 2
-    if ns and not first <= ns[0] <= ns[-1] <= MAX_N:
-        raise ValueError(f"{theorem} degrees {ns} outside the supported range {first}..{MAX_N}")
-    if odd:
-        return [_odd_depth_job(n, lam, p, theorem.endswith("_alt"))
-                for n in ns for lam in p_regular_partitions(n, p)]
-    if theorem == "H2kproj":
-        return ([_norm_rank_job()]
-                + [_free_summand_job(n, k) for n in ns for k in range(2, (n + 1) // 2)]
-                + [_spin_dim_job(k) for k in (1, 2, 3, 4)]
-                + [_spin_tensor_job()])
-    if theorem == "length2":
-        return [_three_part_job(n, lam, sub)
-                for n in ns for lam in p_regular_partitions(n, 2) if len(lam) >= 3
-                for sub in (pm.special_subgroups(n, "K"), pm.special_subgroups(n, "H", m=2))]
-    return [_quadratic_job(n, theorem == "char2_alt") for n in ns]
-
-
+# the appendix rows' entry point; suites owns them and imports this module
 def verify_appendix(theorem: str, ns: Iterable[int], p: int) -> list[VerificationReport]:
-    """Reports for one theorem family over the given degrees, one per claim.
-
-    A bad theorem key or prime raises ValueError before anything runs.  Past
-    that, a claim whose computation raises becomes a fail report under its
-    own id and the other claims still run, so a sweep always documents
-    everything it looked at.
-    """
+    from .suites import appendix_jobs
     return run_jobs(appendix_jobs(theorem, ns, p))

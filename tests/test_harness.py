@@ -282,6 +282,32 @@ def test_claim_lists_are_pinned():
     assert digest == _CLAIM_LIST_DIGEST
 
 
+def test_appendix_rows_give_the_same_jobs_through_both_entry_points():
+    """The appendix suite is its rows' jobs in table order, and the lookup
+    behind verify_appendix gives each appendix/{theorem}/p{p} row's claim ids
+    at its degrees, in order, whatever order the degrees come in.  No claim
+    runs."""
+    from symprep import suites
+
+    config = SuiteConfig(max_n=suites.MAX_DEGREE)
+    by_rows, looked_up = [], 0
+    for key, (degrees, jobs) in suites.FAMILIES.items():
+        if not key.startswith("appendix/"):
+            continue
+        ids = [claim_id for claim_id, _ in jobs(list(degrees), config)]
+        by_rows += ids
+        if key.count("/") == 2:
+            theorem, p = key.split("/")[1], int(key.rsplit("/p", 1)[1])
+            for ns in (degrees, list(reversed(degrees)) * 2):
+                assert [claim_id for claim_id, _ in suites.appendix_jobs(theorem, ns, p)] == ids
+            looked_up += 1
+    assert looked_up == 8
+    assert by_rows == [claim_id for claim_id, _ in suites.suite_jobs("appendix", config)]
+    assert [claim_id for claim_id, _ in suites.appendix_jobs("H2kproj", [], 2)] == [
+        "appendix/norm-rank-validation", *(f"appendix/spin-restriction-dim/k{k}" for k in range(1, 5)),
+        "appendix/spin-tensor-recursion"]
+
+
 def test_cli_dickson_config_and_exact_claims(capsys):
     from symprep import cli, suites
 
@@ -464,6 +490,24 @@ def test_cli_dump_perm_irrep():
     assert out == canonical_json(rep_to_json(perm_irrep(6, 2)))
     doc = json.loads(out)
     assert doc["dim"] == 4 and doc["faithful"] is True
+
+
+def test_cli_dump_perm_irrep_above_the_dickson_rows_exits_2(monkeypatch):
+    """--n above the dickson rows' largest degree is refused before the
+    permutation irreducible's difference table is built."""
+    from symprep import dickson, suites
+
+    def no_table(n, p):
+        raise AssertionError(f"difference table of S_{n} built")
+
+    monkeypatch.setattr(dickson, "_difference_table", no_table)
+    cap = max(n for key, (degrees, _) in suites.FAMILIES.items() if key.startswith("dickson/")
+              for n in degrees)
+    assert cap == 12
+    for n in ("13", "1000"):
+        code, out, err = _cli("dump", "perm_irrep", "--n", n)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: n {n} is above")
 
 
 def test_cli_bad_args_exit_2():

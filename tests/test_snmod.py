@@ -437,9 +437,10 @@ def test_bad_module_arguments_raise_value_error():
 
 
 def test_appendix_degree_outside_the_family_is_bad_input(monkeypatch):
-    """A degree outside a theorem family's range raises before any job exists,
-    as a bad key or prime does, so no tabloid is built and no fail report made."""
-    from symprep import snmod
+    """A degree outside its row of suites.FAMILIES, or a prime no row runs at,
+    raises before any job exists, as a bad key does, so no tabloid is built
+    and no fail report made."""
+    from symprep import snmod, suites
 
     built = []
 
@@ -448,15 +449,27 @@ def test_appendix_degree_outside_the_family_is_bad_input(monkeypatch):
         raise AssertionError(f"tabloids of {lam} built")
 
     monkeypatch.setattr(snmod, "_tabloids", no_tabloids)
-    first = snmod.QUADRATIC_FIRST_N
-    cases = [("charnot2", [13], 7), ("charnot2_alt", [4], 5), ("H2kproj", [13], 2),
-             ("H2kproj", [5, 13], 2), ("length2", [1], 2)]
-    cases += [(theorem, [n], 2) for theorem in ("char2", "char2_alt") for n in range(4, first)]
-    for theorem, ns, p in cases:
+    rows = [(key.split("/")[1], int(key.rsplit("/p", 1)[1]), degrees)
+            for key, (degrees, _) in suites.FAMILIES.items()
+            if key.startswith("appendix/") and key.count("/") == 2]
+    assert len(rows) == 8
+    outside = [(theorem, ns, p) for theorem, p, degrees in rows
+               for ns in ([min(degrees) - 1], [max(degrees) + 1], [*degrees, max(degrees) + 1])]
+    # refused since before the rows held the degrees
+    outside += [("charnot2_alt", [4], 5), ("H2kproj", [13], 2), ("H2kproj", [5, 13], 2),
+                ("length2", [1], 2)]
+    outside += [(theorem, [n], 2) for theorem in ("char2", "char2_alt") for n in range(4, 8)]
+    for theorem, ns, p in outside:
         with pytest.raises(ValueError, match="outside the supported range"):
             verify_appendix(theorem, ns, p)
+    no_row = [("charnot2", [13], 7), ("charnot2", [5], 7), ("charnot2_alt", [5], 2),
+              ("char2", [8], 3), ("H2kproj", [5], 3), ("jordan-profile", [5], 5),
+              ("bogus", [8], 2)]
+    for theorem, ns, p in no_row:
+        with pytest.raises(ValueError, match="no family row"):
+            verify_appendix(theorem, ns, p)
     assert built == []
-    assert first == 8
+    assert min(suites.FAMILIES["appendix/char2/p2"][0]) == 8
 
 
 # ---------------------------------------------------------------------------
