@@ -93,13 +93,22 @@ def _parabolic_table_rows(max_n: int):
     return rows
 
 
+def _check_degree(n: int, suite: str):
+    """ValueError if n is above the largest degree of the suite's rows of FAMILIES."""
+    cap = max(d for key, (ns, _) in FAMILIES.items() if key.startswith(f"{suite}/") for d in ns)
+    if n > cap:
+        raise ValueError(f"n {n} is above the largest {suite} degree {cap}")
+
+
 def _perm_irrep_json(args):
-    """The permutation irreducible, up to the dickson rows' largest degree: its
-    difference table takes 2 N^2 dim int64 entries, 16 GB at n = 1000."""
-    cap = max(n for key, (ns, _) in FAMILIES.items() if key.startswith("dickson/") for n in ns)
-    if args.n > cap:
-        raise ValueError(f"n {args.n} is above the largest dickson degree {cap}")
+    # its difference table takes 2 N^2 dim int64 entries, 16 GB at n = 1000
+    _check_degree(args.n, "dickson")
     return dickson.rep_to_json(dickson.perm_irrep(args.n, args.p))
+
+
+def _module_json(args):
+    _check_degree(sum(args.partition), "appendix")
+    return snmod.module_to_json(snmod.irreducible_D(args.partition, args.p))
 
 
 def _regular_module(rank: int):
@@ -183,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="object", required=True)
     pi = leaf(objects, "perm_irrep", _json(_perm_irrep_json))
     pi.add_argument("--n", type=int, default=8)
-    pmod = leaf(objects, "module",
-                _json(lambda a: snmod.module_to_json(snmod.irreducible_D(a.partition, a.p))))
+    pmod = leaf(objects, "module", _json(_module_json))
     pmod.add_argument("--partition", type=partition, required=True, help=partition.__doc__)
     for p in (pi, pmod):
         p.add_argument("--p", type=int, default=2)

@@ -34,8 +34,6 @@ from .linalg import (Mat, form, joint_fixed_space, kernel, mm_modp,  # noqa: F40
                      of_form, product_forms, quotient_action, rref_array, spans)
 from .records import VerificationReport, run_jobs
 
-MAX_N = 12
-
 
 # ---------------------------------------------------------------------------
 # partition combinatorics
@@ -111,8 +109,8 @@ def _tabloid_words(lam: tuple):
     s - e_i followed by the entry in row i, the new most significant digit,
     for i in increasing order.  So the words of each size vector s <= lam are
     built once, from those one entry smaller.  The words are int8, as a row
-    index is below n <= MAX_N; _tabloids keeps them, 1 byte per entry where
-    int64 took 8.
+    index is below len(lam), at most 15 for a shape whose codes fit int64;
+    _tabloids keeps them, 1 byte per entry where int64 took 8.
     """
     rows = len(lam)
     built = {(0,) * rows: np.zeros((1, 0), dtype=np.int8)}
@@ -217,6 +215,8 @@ class _Tabloids:
 
     def __init__(self, lam: tuple):
         n = sum(lam)
+        if len(lam) ** n > 2**63:  # the codes are int64; checked before any word is listed
+            raise ValueError(f"tabloid codes of {lam} overflow int64: {len(lam)}^{n} > 2^63")
         self.lam = lam
         self.words, self.codes = _tabloid_words(lam)
         self.powers = len(lam) ** np.arange(n, dtype=np.int64)  # base^x, the weight of entry x
@@ -282,9 +282,8 @@ class GModule:
     def __init__(self, n: int, field: GF, gen_actions, label: str = "",
                  check: bool = True):
         gen_actions = tuple(gen_actions)
-        if not 2 <= n <= MAX_N or len(gen_actions) != n - 1:
-            raise ValueError(f"need 2 <= n <= {MAX_N} and n - 1 generators, got n = {n} "
-                             f"and {len(gen_actions)}")
+        if n < 2 or len(gen_actions) != n - 1:
+            raise ValueError(f"need n >= 2 and n - 1 generators, got n = {n} and {len(gen_actions)}")
         self.n = n
         self.field = field
         self.gen_actions = gen_actions
@@ -404,8 +403,8 @@ def _specht_core(lam: tuple, p: int):
     """
     lam = check_partition(lam)
     n = sum(lam)
-    if not 2 <= n <= MAX_N:
-        raise ValueError(f"degree {n} outside the supported range 2..{MAX_N}")
+    if n < 2:
+        raise ValueError(f"degree {n} is below 2")
     fld = make_field(p)
     tab = _tabloids(lam)
     dim = len(tab.tableaux)
@@ -458,8 +457,8 @@ def irreducible_D(lam: tuple, p: int) -> GModule:
 
 def basic_spin_restriction(k: int) -> GModule:
     """Restriction to S_2k of the mod-2 irreducible for the partition (k+1, k)."""
-    if not 1 <= k or 2 * k + 1 > MAX_N:
-        raise ValueError(f"k = {k} outside 1..{(MAX_N - 1) // 2}")
+    if k < 1:
+        raise ValueError(f"k = {k} is below 1")
     return irreducible_D((k + 1, k), 2).restrict(2 * k)
 
 
@@ -487,10 +486,8 @@ def _layers_of_mats(dim: int, mats: list[Mat]) -> tuple:
     of the words of length j, and dim soc^j = dim - dim R_j for the row
     spaces R_0 = F^dim and R_(j+1) = Σ_i R_j·x_i.  Each layer takes one
     product of a basis of R_j by every x_i and one elimination of the
-    stacked rows, along the narrower side of the stack: the pivot rows of
-    its transpose when it has fewer rows than columns, its canonical rows
-    otherwise.  No generators is the trivial group, whose one layer is the
-    whole space.
+    stacked rows, whose canonical rows are the basis of R_(j+1).  No
+    generators is the trivial group, whose one layer is the whole space.
     """
     if not mats:
         return (dim,) if dim else ()
@@ -502,17 +499,12 @@ def _layers_of_mats(dim: int, mats: list[Mat]) -> tuple:
     xs = [g - ident for g in mats]
     stack, rank, layers = np.concatenate([x.a for x in xs]), dim, []
     while rank:  # stack holds the rows of R_j·x_i for every i
-        if stack.shape[0] < stack.shape[1]:
-            piv = rref_array(stack.T, f)[1]
-            basis = stack[list(piv)]
-        else:
-            red, piv = rref_array(stack, f)
-            basis = red[: len(piv)]
+        red, piv = rref_array(stack, f)
         require(len(piv) < rank, "invariant space of a p-group vanished on a nonzero module")
         layers.append(rank - len(piv))
         rank = len(piv)
         if rank:
-            prods = product_forms([Mat._of(f, basis)], xs)[0].swapaxes(0, 1)  # R_j·x_i at [i]
+            prods = product_forms([Mat._of(f, red[:rank])], xs)[0].swapaxes(0, 1)  # R_j·x_i at [i]
             stack = of_form(f, prods.reshape(-1, prods.shape[2]), dim).a
     return tuple(layers)
 

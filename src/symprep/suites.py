@@ -321,7 +321,7 @@ def _three_part_job(n: int, lam: tuple, sub: pm.GroupPresentation):
 
 
 def _profile_job(lam: tuple, p: int, expected: list):
-    label = f"appendix/jordan-profile/p{p}/{'-'.join(map(str, lam))}"
+    label = f"appendix/jordan-profile/p{p}/{snmod._lam_id(lam)}"
 
     def job():
         mod = snmod.irreducible_D(lam, p)

@@ -1,6 +1,6 @@
-"""No dead helpers: every module-level function and class of the package, and
-every method but the dunders, has a caller in the library, the demos or the
-benchmark."""
+"""No dead helpers: every module-level function, class and assigned name of
+the package, and every method but the dunders, has a caller or reader in the
+library, the demos or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -78,11 +78,32 @@ def _referenced_names(tree: ast.AST, strings: bool):
             yield node.value, node.lineno, ""
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
+    """(name, statement, module_level) of every module-level function, class
+    and name bound by an assignment, and of every method, leaving out dunders
+    and the discard `_`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node, True
+        if isinstance(node, ast.ClassDef):
+            yield from ((fn.name, fn, False) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef) and not _dunder(fn.name))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((n.id, node, True) for target in targets for n in ast.walk(target)
+                        if isinstance(n, ast.Name) and not _dunder(n.id) and n.id != "_")
+
+
 def test_every_module_level_definition_has_a_caller():
     """A method counts as used by any reference to its name; a module-level
-    definition only by a bare name that is no function's own local, a string
-    in perfbench/, or an attribute read from its own module, so neither
-    `Mat.inverse()` nor a local `order = ...` is a use of a function in perm."""
+    function, class or constant only by a bare name that is no function's own
+    local, a string in perfbench/, or an attribute read from its own module,
+    so neither `Mat.inverse()` nor a local `order = ...` is a use of a function
+    in perm.  A reference inside the definition's own statement is no use."""
     definitions = []
     references = {}
     for path in sorted(p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")):
@@ -90,21 +111,18 @@ def test_every_module_level_definition_has_a_caller():
         if path.parent == PACKAGE:
             if path.name == "__init__.py":
                 continue  # an export is not a use
-            definitions += [(path, node, True) for node in tree.body
-                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-            definitions += [(path, node, False) for cls in tree.body if isinstance(cls, ast.ClassDef)
-                            for node in cls.body if isinstance(node, ast.FunctionDef)
-                            and not (node.name.startswith("__") and node.name.endswith("__"))]
+            definitions += [(path, *d) for d in _definitions(tree)]
         for name, line, owner in _referenced_names(tree, path.parent.name == "perfbench"):
             references.setdefault(name, []).append((path, line, owner))
     assert len(definitions) > 100  # the scan found the package
+    assert sum(isinstance(d[2], (ast.Assign, ast.AnnAssign)) for d in definitions) > 20
 
-    def used(path, node, module_level):
+    def used(path, name, node, module_level):
         owners = ("", f"{PACKAGE.name}.{path.stem}")
         return any(not (where == path and node.lineno <= line <= node.end_lineno)
                    and (owner in owners or not module_level)
-                   for where, line, owner in references.get(node.name, ()))
+                   for where, line, owner in references.get(name, ()))
 
-    dead = [f"{path.name}:{node.lineno} {node.name}" for path, node, module_level in definitions
-            if not used(path, node, module_level)]
+    dead = [f"{path.name}:{node.lineno} {name}" for path, name, node, module_level in definitions
+            if not used(path, name, node, module_level)]
     assert dead == []

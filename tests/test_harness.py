@@ -510,6 +510,45 @@ def test_cli_dump_perm_irrep_above_the_dickson_rows_exits_2(monkeypatch):
         assert len(err.splitlines()) == 1 and err.startswith(f"error: n {n} is above")
 
 
+def test_cli_dump_module_above_the_appendix_rows_exits_2(monkeypatch):
+    """A --partition of n above the appendix rows' largest degree is refused
+    before any tabloid is built, as perm_irrep is above the dickson rows."""
+    from symprep import snmod, suites
+
+    def no_tabloids(lam):
+        raise AssertionError(f"tabloids of {lam} built")
+
+    monkeypatch.setattr(snmod, "_tabloids", no_tabloids)
+    cap = max(n for key, (degrees, _) in suites.FAMILIES.items() if key.startswith("appendix/")
+              for n in degrees)
+    assert cap == 12
+    for parts in ("7,6", "12,1"):
+        code, out, err = _cli("dump", "module", "--partition", parts)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: n 13 is above")
+
+
+def test_library_builds_above_the_appendix_rows():
+    """The degree caps live in suites.FAMILIES alone: the library builds modules at n = 13."""
+    from symprep import snmod
+
+    assert snmod.basic_spin_restriction(6).dim == 64
+    assert snmod.irreducible_D((12, 1), 2).dim == 12
+
+
+def test_tabloid_codes_that_overflow_int64_are_refused(monkeypatch):
+    """(30, 1, 1, 1, 1) has 5^34 > 2^63 codes but only 1,113,024 tabloids: the
+    code check refuses it before any row word is listed, so no code wraps."""
+    from symprep import snmod
+
+    def no_words(lam):
+        raise AssertionError(f"row words of {lam} listed")
+
+    monkeypatch.setattr(snmod, "_tabloid_words", no_words)
+    with pytest.raises(ValueError, match=r"tabloid codes of \(30, 1, 1, 1, 1\) overflow int64"):
+        snmod.specht_module((30, 1, 1, 1, 1), 5)
+
+
 def test_cli_bad_args_exit_2():
     code, _, err = _cli("verify", "bogus-suite")
     assert code == 2
