@@ -6,9 +6,9 @@ minus identity Gram), the span of e_{2i-1}+e_{2i} is a Lagrangian W, and the
 subgroup of S_n acting trivially on both W and V/W is elementary abelian of
 rank floor(n/2).  Everything here is computed exactly, with an element
 image formula, applied to whole blocks of permutations at once, that avoids
-multiplying out generator words.  The representation itself is one frozen
-value per (n, p), and the Dickson form and its Lagrangian pair one frozen
-value per half-dimension d: perm_irrep, dickson_form and lagrangian_pair
+multiplying out generator words.  The representation itself is one
+read-only `snmod.GModule` per (n, p), and the Dickson form and its
+Lagrangian pair one frozen value per half-dimension d: perm_irrep, dickson_form and lagrangian_pair
 build and check each once per process, and every caller shares it.
 """
 
@@ -27,34 +27,12 @@ from .checks import require
 from .field import GF, make_field
 from .forms import FormSpec, is_isotropic, preserves_form, unipotent_hom_dim
 from .linalg import GF2, Mat, Subspace, matmul, mm_modp
+from .snmod import GModule
 
 
 def half_dim(n: int) -> int:
     """d_n = ceil(n/2) - 1: half the mod-2 irrep dimension."""
     return (n + 1) // 2 - 1
-
-
-@dataclass(frozen=True)
-class Representation:
-    """The mod-p permutation irreducible of S_n, as built by perm_irrep.
-
-    images are the matrices of group.generators; act(g) is the image of any
-    element, from the same formula (irrep_images).  The value is frozen
-    because perm_irrep caches it and hands the same object to every caller.
-    """
-
-    group: pm.GroupPresentation
-    field: GF
-    dim: int
-    images: tuple
-    faithful: bool
-    label: str
-
-    def act(self, g: pm.Perm) -> Mat:
-        n = self.group.degree
-        if len(g) != n:
-            raise ValueError(f"permutation of degree {len(g)} on a representation of S_{n}")
-        return Mat(self.field, irrep_images(np.array([g]), self.field.p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +112,27 @@ def _faithful_exactly(n: int, p: int) -> bool:
     return trivial == (0 if n >= 5 else 1)
 
 
-def _check_word_consistency(rep: Representation):
-    """On 20 random words, the product of generator images is the word's image.
+def _check_word_consistency(rep: GModule):
+    """On 20 random words in the swaps (k, k+1), the product of generator
+    images is the word's image.
 
     Each word of length at most 10 is padded with identity slots to length
     10, so the 20 products are nine stacked products over a (20, dim, dim)
     stack; their elements' images are one irrep_images call.
     """
     rng = random.Random(0)
-    gens = rep.group.generators
-    n, pad = rep.group.degree, len(gens)  # slot pad is the identity
+    n, pad = rep.n, len(rep.gen_actions)  # slot pad is the identity
+    swaps = [pm.transposition(n, k, k + 1) for k in range(pad)]
     slots = np.full((20, 10), pad)
     elements = []
     for row in slots:
         length = rng.randint(1, 10)
-        row[:length] = [rng.randrange(len(gens)) for _ in range(length)]
+        row[:length] = [rng.randrange(pad) for _ in range(length)]
         g = pm.identity(n)
-        for idx in row[:length]:
-            g = pm.compose(g, gens[idx])
+        for k in row[:length]:
+            g = pm.compose(g, swaps[k])
         elements.append(g)
-    mats = np.stack([m.a for m in rep.images] + [np.eye(rep.dim, dtype=np.int64)])
+    mats = np.stack([m.a for m in rep.gen_actions] + [np.eye(rep.dim, dtype=np.int64)])
     prod = mats[slots[:, 0]]
     for col in slots.T[1:]:
         prod = matmul(rep.field, prod, mats[col])
@@ -162,30 +141,25 @@ def _check_word_consistency(rep: Representation):
 
 
 @functools.lru_cache(maxsize=None)
-def perm_irrep(n: int, p: int) -> Representation:
-    """The reduced permutation representation of S_n over GF(p).
+def perm_irrep(n: int, p: int) -> GModule:
+    """The reduced permutation representation of S_n over GF(p), on the
+    swaps (k, k+1) with their images from irrep_images.
 
     dim = n-1 when p does not divide n, n-2 when it does; for p = 2 the
     module is realized inside GF(2)^(2 ceil(n/2)) so that the symplectic
-    basis conventions below apply verbatim for odd and even n alike.
-    Cached: each (n, p) is built, and its faithfulness and word checks run,
-    once per process, and the frozen result is shared by every caller.
+    basis conventions below apply verbatim for odd and even n alike.  The
+    images are certified against the element formula on 20 random words,
+    not by the Coxeter relations.  Cached: each (n, p) is built and checked
+    once per process, and the read-only module is shared by every caller.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if p == 2 and n < 4:
         raise ValueError("mod-2 reduced module needs n >= 4 to be nonzero")
     fld = make_field(p)
-    group = pm.standard_gens("sym", n)
-    images = irrep_images(np.array(group.generators), p)
-    rep = Representation(
-        group=group,
-        field=fld,
-        dim=images.shape[1],
-        images=tuple(Mat(fld, m) for m in images),
-        faithful=_faithful_exactly(n, p),
-        label=f"perm-irrep(S{n}, p={p})",
-    )
+    swaps = np.array([pm.transposition(n, k, k + 1) for k in range(n - 1)])
+    rep = GModule(n, fld, [Mat(fld, m) for m in irrep_images(swaps, p)],
+                  label=f"perm-irrep(S{n}, p={p})", check=False)
     _check_word_consistency(rep)
     return rep
 
@@ -207,10 +181,11 @@ def dickson_form(d: int) -> FormSpec:
     return FormSpec(kind="symplectic", gram=Mat(GF2, j))
 
 
-def check_invariance(rep: Representation, form: FormSpec) -> bool:
+def check_invariance(rep: GModule, form: FormSpec) -> bool:
+    """Does every Coxeter generator image g satisfy gᵀ·B·g = B?  One stacked check."""
     if rep.dim != form.dim or rep.field != form.gram.field:
         raise ValueError("representation and form live on different spaces")
-    return all(preserves_form(m, form) for m in rep.images)
+    return bool(preserves_form(np.stack([m.a for m in rep.gen_actions]), form).all())
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,7 +324,7 @@ def standard_parabolic(n: int, kind: str) -> ParabolicResult:
     return parabolic_trivial_subgroup(n, kind, lagrangian_pair(half_dim(n))[0])
 
 
-def gl_parabolic_check(rep: Representation, w: Subspace, group: pm.GroupPresentation) -> bool:
+def gl_parabolic_check(rep: GModule, w: Subspace, group: pm.GroupPresentation) -> bool:
     """Do all generators of the given subgroup act trivially on w and V/w?
 
     With D = g - 1 over one batch of generator images and B the RREF basis
@@ -358,7 +333,7 @@ def gl_parabolic_check(rep: Representation, w: Subspace, group: pm.GroupPresenta
     Each condition is one product over the whole batch, the D stacked top to
     bottom for the first and side by side for the second.
     """
-    if group.degree != rep.group.degree:
+    if group.degree != rep.n:
         raise ValueError("subgroup degree does not match the represented group")
     p, dim, basis = rep.field.p, rep.dim, w.basis
     ident = np.eye(dim, dtype=np.int64)
@@ -381,22 +356,20 @@ def _standard_symplectic(fld: GF, g: int) -> FormSpec:
     return FormSpec(kind="symplectic", gram=Mat(fld, gram))
 
 
-def diagonal_rep(rep: Representation):
-    """The generator images doubled as g |-> diag(g, g^-T) on V + V*.
+def diagonal_rep(rep: GModule):
+    """The Coxeter generator images doubled as g |-> diag(g, g^-T) on V + V*.
 
-    Returns (images, form): one 2·dim matrix per generator of rep.group, each
-    required to preserve the standard symplectic form.
+    Returns (images, form): one 2·dim matrix per swap (k, k+1).  A swap is an
+    involution, so g^-T = gᵀ; diag(g, gᵀ) preserves the standard symplectic
+    form iff g·g = 1, so one stacked form check certifies every image.
     """
     d = rep.dim
     form = _standard_symplectic(rep.field, d)
-    images = []
-    for m in rep.images:
-        out = np.zeros((2 * d, 2 * d), dtype=np.int64)
-        out[:d, :d] = m.a
-        out[d:, d:] = m.inverse().T.a
-        images.append(Mat(rep.field, out))
-        require(preserves_form(images[-1], form), "doubled image must preserve the symplectic form")
-    return tuple(images), form
+    gens = np.stack([m.a for m in rep.gen_actions])
+    out = np.zeros((len(gens), 2 * d, 2 * d), dtype=np.int64)
+    out[:, :d, :d], out[:, d:, d:] = gens, gens.transpose(0, 2, 1)
+    require(bool(preserves_form(out, form).all()), "doubled image must preserve the symplectic form")
+    return tuple(Mat._of(rep.field, block) for block in out), form
 
 
 def siegel_unipotent_dim(g: int, p: int) -> int:
@@ -413,21 +386,24 @@ def siegel_unipotent_dim(g: int, p: int) -> int:
 # serialization
 
 
-def rep_to_json(rep: Representation) -> dict:
+def rep_to_json(rep: GModule) -> dict:
+    """A perm_irrep module on (1 2) and (1 2 .. n), and its exact faithfulness."""
+    n, p = rep.n, rep.field.p
+    group = pm.standard_gens("sym", n)
     return {
         "kind": "representation",
         "label": rep.label,
-        "field": {"p": rep.field.p, "r": rep.field.r, "modulus": list(rep.field.modulus)},
+        "field": {"p": p, "r": rep.field.r, "modulus": list(rep.field.modulus)},
         "group": {
-            "kind": rep.group.kind,
-            "degree": rep.group.degree,
-            "label": rep.group.label,
-            "generators": [pm.to_cycles(g) for g in rep.group.generators],
+            "kind": group.kind,
+            "degree": group.degree,
+            "label": group.label,
+            "generators": [pm.to_cycles(g) for g in group.generators],
         },
         "dim": rep.dim,
-        "faithful": rep.faithful,
+        "faithful": _faithful_exactly(n, p),
         "generators": [
             {"cycles": pm.to_cycles(g), "matrix": m.tolist()}
-            for g, m in zip(rep.group.generators, rep.images)
+            for g, m in zip(group.generators, irrep_images(group.generator_rows(), p))
         ],
     }

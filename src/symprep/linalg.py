@@ -10,7 +10,7 @@ Over GF(p^r), r > 1, an array is split into its r base-p digit planes;
 plane products run through the same mod-p product and the degrees r..2r-2
 fold back with the field's reduction rows.  Bit-packing of GF(2) rows, 64
 columns to a uint64 word, lives in two kernels: `mm_gf2`, the Four-Russians
-table product that large GF(2) `Mat` products and every GF(2) batch of
+table product that every GF(2) `Mat` product and every GF(2) batch of
 products use, and `rref_array`, which packs every GF(2) elimination; `form`
 shows a GF(2) matrix by its packed rows, so that batches of products
 compare as words.
@@ -46,10 +46,6 @@ _FLOAT_EXACT = 2**53
 # below this it is the faster one on the shapes the benchmark workloads make
 # at p = 2, 3 and 5 (the sweep in BENCH_blas_layers.json)
 _BLAS_MACS = 4_096
-
-# from this many multiply-adds on, a GF(2) Mat product runs the packed
-# Four-Russians product on its words
-_LARGE_MACS = 200_000
 
 # words per block of Four-Russians tables, so a block stays in cache
 _TABLE_WORDS = 1 << 16
@@ -387,8 +383,8 @@ class Mat:
     """Immutable matrix over a fixed field, entries canonically encoded.
 
     `.a` holds the read-only int64 entries, and every operation reads them
-    but the two that meet packed rows.  A large GF(2) product runs `mm_gf2`
-    on the bit-packed rows (`words`, packed on first use and kept) of its
+    but the two that meet packed rows.  A GF(2) product runs `mm_gf2` on
+    the bit-packed rows (`words`, packed on first use and kept) of its
     operands, and its result holds only words until `.a` unpacks them on
     first use; equality compares words when either side has no entries yet.
     Eliminations pack inside `rref_array`.
@@ -501,9 +497,8 @@ class Mat:
         f = self.field
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        n, k, m = self.rows, self.cols, other.cols
-        if f.is_gf2 and n * k * m >= _LARGE_MACS:
-            return Mat.from_words(f, mm_gf2(self.words, other.words), m)
+        if f.is_gf2:
+            return Mat.from_words(f, mm_gf2(self.words, other.words), other.cols)
         return Mat._of(f, matmul(f, self.a, other.a))
 
     @property

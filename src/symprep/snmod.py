@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -268,6 +268,7 @@ _tabloids = functools.lru_cache(maxsize=1)(_Tabloids)
 # the module class
 
 
+@dataclass(frozen=True, eq=False)
 class GModule:
     """A representation of S_n over GF(p), stored as Coxeter-generator matrices.
 
@@ -276,25 +277,31 @@ class GModule:
     (involution, braid, distant commutation) are checked at construction:
     as matrix identities up to dimension 400, above it applied to a
     64-column random block, which any violation survives with probability at
-    most p^-64.
+    most p^-64.  Cached builders share one module with every caller, so it is
+    read-only: setting an attribute raises AttributeError.  Equality is identity.
     """
 
-    def __init__(self, n: int, field: GF, gen_actions, label: str = "",
-                 check: bool = True):
-        gen_actions = tuple(gen_actions)
-        if n < 2 or len(gen_actions) != n - 1:
-            raise ValueError(f"need n >= 2 and n - 1 generators, got n = {n} and {len(gen_actions)}")
-        self.n = n
-        self.field = field
-        self.gen_actions = gen_actions
-        self.dim = gen_actions[0].rows
-        self.label = label
-        self._act_cache = {}
+    n: int
+    field: GF
+    gen_actions: tuple
+    label: str = ""
+    check: InitVar[bool] = True
+
+    def __post_init__(self, check: bool):
+        gen_actions = tuple(self.gen_actions)
+        if self.n < 2 or len(gen_actions) != self.n - 1:
+            raise ValueError(f"need n >= 2 and n - 1 generators, got n = {self.n} and {len(gen_actions)}")
+        object.__setattr__(self, "gen_actions", gen_actions)
+        object.__setattr__(self, "_act_cache", {})  # act's memo, {permutation: image}
         for g in gen_actions:
-            if g.field != field or g.shape != (self.dim, self.dim):
+            if g.field != self.field or g.shape != (self.dim, self.dim):
                 raise ValueError("generators must be square matrices of one size over the field")
         if check and self.dim > 0:
             self._check_relations(full=self.dim <= 400)
+
+    @property
+    def dim(self) -> int:
+        return self.gen_actions[0].rows
 
     def _check_relations(self, full: bool):
         """Check the Coxeter relations of s_0, .., s_k exactly on v: the

@@ -363,10 +363,7 @@ def _cross_construction_job(n: int):
         rep = dickson.perm_irrep(n, 2)
         mod = snmod.irreducible_D((n - 1, 1), 2)
         sub = pm.special_subgroups(n, "H")
-        # fingerprint certifies sub before the rep side reads its generators
-        fp_mod = snmod.fingerprint(mod, sub)
-        fp_rep = snmod.fingerprint_of_mats(rep.field, rep.dim,
-                                           [rep.act(g) for g in sub.generators])
+        fp_mod, fp_rep = snmod.fingerprint(mod, sub), snmod.fingerprint(rep, sub)
         return make_report(
             claim_id=label,
             statement="the permutation-module construction and the row-span "

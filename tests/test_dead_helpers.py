@@ -60,18 +60,21 @@ def _local_names(tree: ast.AST) -> set:
     return out
 
 
-def _referenced_names(tree: ast.AST, strings: bool):
+def _referenced_names(tree: ast.AST, module: str, strings: bool):
     """(name, line, owner) of every name read, attribute and, if strings,
     string constant; strings count in perfbench/, whose layers.py patches
-    functions by their names.  A name bound is no reference.  owner is "" for
-    a bare name or a string, None for a read of a function's local, and for an
-    attribute the import path of what it is read from (None if that is no
-    import)."""
+    functions by their names.  A name bound is no reference.  owner is the
+    module a read resolves to: for a bare name the module it is imported from
+    in this file, or else this file's own module; for an attribute the import
+    path of what it is read from (None if that is no import).  It is None for
+    a read of a function's local, and "" for a string."""
     paths = _import_paths(tree)
     local = _local_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno, None if id(node) in local else ""
+            imported = paths.get(node.id)
+            owner = imported.rpartition(".")[0] if imported else module
+            yield node.id, node.lineno, None if id(node) in local else owner
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno, _import_path_of(node.value, paths)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -100,10 +103,12 @@ def _definitions(tree: ast.Module):
 
 def test_every_module_level_definition_has_a_caller():
     """A method counts as used by any reference to its name; a module-level
-    function, class or constant only by a bare name that is no function's own
-    local, a string in perfbench/, or an attribute read from its own module,
-    so neither `Mat.inverse()` nor a local `order = ...` is a use of a function
-    in perm.  A reference inside the definition's own statement is no use."""
+    function, class or constant only by a string in perfbench/, an attribute
+    read from its own module, or a bare name that is no function's own local,
+    read in its own file or in a file that imports it from there.  So neither
+    `Mat.inverse()` nor a local `order = ...` is a use of a function in perm,
+    nor a read of `suites.MAX_DEGREE` one of `field.MAX_DEGREE`.  A reference
+    inside the definition's own statement is no use."""
     definitions = []
     references = {}
     for path in sorted(p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")):
@@ -112,7 +117,8 @@ def test_every_module_level_definition_has_a_caller():
             if path.name == "__init__.py":
                 continue  # an export is not a use
             definitions += [(path, *d) for d in _definitions(tree)]
-        for name, line, owner in _referenced_names(tree, path.parent.name == "perfbench"):
+        module = f"{PACKAGE.name}.{path.stem}" if path.parent == PACKAGE else str(path)
+        for name, line, owner in _referenced_names(tree, module, path.parent.name == "perfbench"):
             references.setdefault(name, []).append((path, line, owner))
     assert len(definitions) > 100  # the scan found the package
     assert sum(isinstance(d[2], (ast.Assign, ast.AnnAssign)) for d in definitions) > 20

@@ -23,6 +23,7 @@ from symprep.dickson import (_check_word_consistency, _sweep_survivors_gf2,
 from symprep.field import make_field
 from symprep.forms import is_isotropic, preserves_form
 from symprep.linalg import GF2, Mat, Subspace
+from symprep.snmod import GModule, fingerprint, irreducible_D
 
 
 def test_dimensions_by_characteristic():
@@ -65,9 +66,9 @@ def test_perm_irrep_is_built_once_and_frozen():
 
 
 def test_faithfulness_flags():
-    assert perm_irrep(5, 2).faithful
-    assert perm_irrep(8, 2).faithful
-    assert not perm_irrep(4, 2).faithful  # Klein kernel at n = 4
+    assert rep_to_json(perm_irrep(5, 2))["faithful"]
+    assert rep_to_json(perm_irrep(8, 2))["faithful"]
+    assert not rep_to_json(perm_irrep(4, 2))["faithful"]  # Klein kernel at n = 4
 
 
 def test_batched_images_match_act():
@@ -116,6 +117,16 @@ def test_images_match_column_by_column_reference():
         assert images.dtype == np.int64 and len(images) == len(perms)
         for g, img in zip(perms.tolist(), images):
             assert img.tolist() == _reference_image(g, p), (p, g)
+
+
+@pytest.mark.parametrize("n", [11, 12, 16, 24])
+def test_two_constructions_agree_past_the_claims(n):
+    """Jordan's module and D(n-1, 1) mod 2, built from polytabloids, have one
+    dimension and one fingerprint over H_n above the claims' largest degree."""
+    rep, mod = perm_irrep(n, 2), irreducible_D((n - 1, 1), 2)
+    sub = pm.special_subgroups(n, "H")
+    assert rep.dim == mod.dim
+    assert fingerprint(rep, sub) == fingerprint(mod, sub)
 
 
 def test_invariance_all_small_degrees():
@@ -270,16 +281,16 @@ def test_parabolic_certification_survives_python_O():
 
 
 _SWAPPED_IMAGES = """
-import dataclasses
 import sys
 from symprep.checks import CheckFailed
 from symprep.dickson import _check_word_consistency, perm_irrep
+from symprep.snmod import GModule
 if not sys.flags.optimize:
     sys.exit(3)
 rep = perm_irrep(6, 2)
 _check_word_consistency(rep)
 try:
-    _check_word_consistency(dataclasses.replace(rep, images=rep.images[::-1]))
+    _check_word_consistency(GModule(6, rep.field, rep.gen_actions[::-1], check=False))
 except CheckFailed as exc:
     print("raised", type(exc).__name__)
 """
@@ -288,11 +299,11 @@ except CheckFailed as exc:
 @pytest.mark.parametrize("n,p", [(6, 2), (7, 3), (10, 5)])
 def test_word_check_rejects_swapped_generator_images(n, p):
     rep = perm_irrep(n, p)
-    a, b = rep.images
+    a, b, *rest = rep.gen_actions
     assert a != b
     _check_word_consistency(rep)
     with pytest.raises(CheckFailed):
-        _check_word_consistency(dataclasses.replace(rep, images=(b, a)))
+        _check_word_consistency(GModule(n, rep.field, (b, a, *rest), check=False))
 
 
 def test_word_check_survives_python_O():
@@ -316,10 +327,24 @@ def test_gl_parabolic_check():
 def test_diagonal_rep_symplectic():
     rep = perm_irrep(6, 2)
     images, form = diagonal_rep(rep)
-    assert len(images) == len(rep.images)
+    assert len(images) == len(rep.gen_actions)
     for m in images:
         assert m.shape == (2 * rep.dim, 2 * rep.dim)
         assert preserves_form(m, form)
+
+
+def test_diagonal_rep_doubles_by_the_inverse_transpose_or_raises():
+    rep = perm_irrep(7, 3)
+    d = rep.dim
+    images, _ = diagonal_rep(rep)
+    for m, img in zip(rep.gen_actions, images):
+        assert Mat(rep.field, img.a[:d, :d]) == m
+        assert Mat(rep.field, img.a[d:, d:]) == m.inverse().T
+        assert not img.a[:d, d:].any() and not img.a[d:, :d].any()
+    f = make_field(3)
+    order_3 = GModule(3, f, [Mat(f, [[0, 1], [1, 0]]), Mat(f, [[1, 1], [0, 1]])], check=False)
+    with pytest.raises(CheckFailed):
+        diagonal_rep(order_3)
 
 
 def test_siegel_dims():
@@ -332,6 +357,6 @@ def test_json_round_trip():
     rep = perm_irrep(6, 2)
     doc = rep_to_json(rep)
     assert (doc["dim"], doc["field"]["p"], doc["faithful"]) == (rep.dim, 2, True)
-    assert len(doc["generators"]) == len(rep.images)
+    assert len(doc["generators"]) == len(pm.standard_gens("sym", 6).generators)
     for g in doc["generators"]:
         assert Mat(rep.field, g["matrix"]) == rep.act(pm.from_cycles(g["cycles"], 6))

@@ -15,6 +15,7 @@ import pytest
 import symprep
 from symprep import perm as pm
 from symprep.checks import CheckFailed
+from symprep.dickson import perm_irrep, rep_to_json
 from symprep.field import make_field
 from symprep.linalg import Mat, rref_array
 from symprep.records import canonical_json
@@ -103,6 +104,21 @@ def test_gram_radical_consistency():
     gram = specht_gram(lam, p)
     assert gram.rows == specht_module(lam, p).dim
     assert irreducible_D(lam, p).dim == gram.rank()
+
+
+@pytest.mark.parametrize("build", [lambda: specht_module((3, 2), 2),
+                                   lambda: irreducible_D((3, 2), 2),
+                                   lambda: perm_irrep(6, 2)],
+                         ids=["specht_module", "irreducible_D", "perm_irrep"])
+def test_cached_modules_are_read_only(build):
+    """Every caller shares a cached module, so none may change it."""
+    mod = build()
+    dim, gens = mod.dim, mod.gen_actions
+    for attr, value in (("dim", 0), ("gen_actions", ())):
+        with pytest.raises(AttributeError):
+            setattr(mod, attr, value)
+    assert build() is mod
+    assert mod.dim == dim and mod.gen_actions is gens and mod.dim > 0
 
 
 def test_relation_check_rejects_garbage():
@@ -400,6 +416,24 @@ def test_dump_module_bytes_are_pinned(lam, p, digest):
     """The generator matrices of D(lam), as `dump module` writes them; the
     `verify` digests see only the claims read off them."""
     doc = canonical_json(module_to_json(irreducible_D(lam, p)))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+# sha256 of `dump perm_irrep --n n --p p`
+_PINNED_PERM_IRREPS = [
+    (6, 2, "64a5550f95ce5bbe54046f33988b38425e4fe432d9351469c339ae2965b8c373"),
+    (12, 2, "137a9e3f48a8b7ff66bfd0648fdf97b1baa03d9752a569c5c0ee854cc2e024e3"),
+    (7, 3, "a07b70964eda6069a4c1e73d3b418f32cf78a95d35d2af294616811cc40fac2b"),
+    (10, 5, "ea3c49e81eb8395347468cafa88d8329ab20447ef7900aa601d99f47a343e37d"),
+]
+
+
+@pytest.mark.parametrize("n, p, digest", _PINNED_PERM_IRREPS,
+                         ids=[f"S{n}-p{p}" for n, p, _ in _PINNED_PERM_IRREPS])
+def test_dump_perm_irrep_bytes_are_pinned(n, p, digest):
+    """The standard-generator matrices and faithfulness of perm_irrep, as
+    `dump perm_irrep` writes them."""
+    doc = canonical_json(rep_to_json(perm_irrep(n, p)))
     assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
