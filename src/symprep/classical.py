@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .checks import CheckFailed, require
-from .field import GF, make_field
+from .field import GF, MAX_PRIME, make_field
 from .forms import FormSpec, preserves_form, unipotent_constraints
 from .linalg import Mat, add, det, entries, matmul, neg
 
@@ -28,7 +28,9 @@ def field_from_order(q: int) -> GF:
     """GF(q) from the prime-power order q."""
     if q < 2:
         raise ValueError("field order must be at least 2")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, min(q, MAX_PRIME) + 1) if q % d == 0), None)
+    if p is None:
+        raise ValueError(f"{q} has no prime factor <= {MAX_PRIME}")
     r, t = 0, q
     while t % p == 0:
         t //= p

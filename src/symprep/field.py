@@ -5,12 +5,15 @@ the integer are the coordinates in the polynomial basis 1, x, ..., x^(r-1),
 so for prime fields the encoding is just the residue itself.  Every field is
 defined by the lexicographically smallest monic irreducible polynomial of
 degree r (coefficient tuples compared constant term first), which makes
-encodings reproducible across runs and machines.
+encodings reproducible across runs and machines.  `smallest_irreducible`
+finds it by trial division: a candidate is irreducible iff no monic
+polynomial of degree 1..r // 2 divides it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 MAX_PRIME = 61
 MAX_DEGREE = 4
@@ -27,116 +30,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers; coefficients are tuples, constant term first
-
-
-def poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def poly_add(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return poly_trim(tuple((x + y) % p for x, y in zip(a, b)))
-
-
-def poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return poly_trim(out)
-
-
-def poly_divmod(a, b, p):
-    assert b, "division by zero polynomial"
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    inv_lead = pow(lead, p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(poly_trim(a)) - 1 >= db and poly_trim(a):
-        a = list(poly_trim(a))
-        shift = len(a) - 1 - db
-        coef = (a[-1] * inv_lead) % p
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * y) % p
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_mod(a, b, p):
-    return poly_divmod(a, b, p)[1]
-
-
-def poly_powmod(a, e, modulus, p):
-    result = (1,)
-    base = poly_mod(a, modulus, p)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), modulus, p)
-        base = poly_mod(poly_mul(base, base, p), modulus, p)
-        e >>= 1
-    return result
-
-
-def poly_gcd(a, b, p):
-    while b:
-        a, b = b, poly_mod(a, b, p)
-    if a:
-        # make monic so gcd is canonical
-        inv = pow(a[-1], p - 2, p)
-        a = poly_trim(tuple((c * inv) % p for c in a))
-    return a
-
-
-def is_irreducible(coeffs, p) -> bool:
-    """Monic polynomial (full coefficient tuple, constant first) irreducible over GF(p)?
-
-    Uses the Frobenius criterion: f of degree r is irreducible iff
-    x^(p^r) == x (mod f) and gcd(x^(p^(r/k)) - x, f) = 1 for each prime k | r.
-    """
-    r = len(coeffs) - 1
-    assert r >= 1 and coeffs[-1] == 1
-    x = (0, 1)
-    if poly_powmod(x, p**r, coeffs, p) != poly_mod(x, coeffs, p):
-        return False
-    for k in {d for d in (2, 3) if r % d == 0}:
-        probe = poly_add(poly_powmod(x, p ** (r // k), coeffs, p), tuple(-c for c in x), p)
-        if poly_gcd(probe, coeffs, p) != (1,):
-            return False
-    return True
+def _has_factor(f, p: int, k: int) -> bool:
+    """Has the monic f (coefficients constant term first) a monic factor of
+    degree k over GF(p)?  Long-divides f by every such g."""
+    for low in itertools.product(range(p), repeat=k):
+        g = low + (1,)
+        rem = list(f)
+        for shift in range(len(f) - 1 - k, -1, -1):
+            c = rem[shift + k]
+            if c:
+                for i, y in enumerate(g):
+                    rem[shift + i] = (rem[shift + i] - c * y) % p
+        if not any(rem[:k]):
+            return True
+    return False
 
 
 def smallest_irreducible(p: int, r: int):
     """Lexicographically smallest monic irreducible of degree r over GF(p).
 
     Candidates x^r + c_{r-1} x^{r-1} + ... + c_0 are swept in lexicographic
-    order of (c_0, c_1, ..., c_{r-1}); the first irreducible wins.
+    order of (c_0, c_1, ..., c_{r-1}), the last coordinate fastest; the first
+    with no monic factor of degree 1..r // 2 wins.  That test is exact: a
+    reducible polynomial of degree r has a factor of degree at most r / 2.
+    For r = 1 the first candidate, x, has nothing to test and wins.
     """
-    if r == 1:
-        return (0, 1)  # x itself; prime fields carry no real modulus
-    low = [0] * r
-    while True:
-        cand = tuple(low) + (1,)
-        if is_irreducible(cand, p):
-            return cand
-        for i in range(r - 1, -1, -1):
-            # lexicographic order on (c_0, .., c_{r-1}) means the *last*
-            # coordinate varies fastest
-            low[i] += 1
-            if low[i] < p:
-                break
-            low[i] = 0
-        else:
-            raise AssertionError("no irreducible polynomial found (impossible)")
+    cands = (low + (1,) for low in itertools.product(range(p), repeat=r))
+    return next(f for f in cands if not any(_has_factor(f, p, k) for k in range(1, r // 2 + 1)))
 
 
 class GF:
@@ -145,7 +65,7 @@ class GF:
     __slots__ = ("p", "r", "q", "modulus", "is_gf2", "_reduce_rows")
 
     def __init__(self, p: int, r: int):
-        if not is_prime(p) or p > MAX_PRIME:
+        if p > MAX_PRIME or not is_prime(p):
             raise ValueError(f"p must be a prime <= {MAX_PRIME}, got {p}")
         if not 1 <= r <= MAX_DEGREE:
             raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}, got {r}")
@@ -155,11 +75,13 @@ class GF:
         assert self.q < 2**63
         self.modulus = smallest_irreducible(p, r)
         self.is_gf2 = p == 2 and r == 1
-        # x^r .. x^(2r-2) reduced mod the modulus, as digit tuples of length r
+        # x^r .. x^(2r-2) reduced mod the modulus, as digit tuples of length r:
+        # x^r = -(c_0 + .. + c_(r-1) x^(r-1)), and x^(k+1) = x * x^k
+        row = tuple(-c % p for c in self.modulus[:r])
         rows = []
-        for k in range(r, 2 * r - 1):
-            red = poly_mod((0,) * k + (1,), self.modulus, p)
-            rows.append(tuple(red) + (0,) * (r - len(red)))
+        for _ in range(r - 1):
+            rows.append(row)
+            row = tuple((s - row[-1] * c) % p for s, c in zip((0,) + row[:-1], self.modulus))
         self._reduce_rows = tuple(rows)
 
     # -- encoding ----------------------------------------------------------

@@ -292,7 +292,6 @@ class GModule:
         if self.n < 2 or len(gen_actions) != self.n - 1:
             raise ValueError(f"need n >= 2 and n - 1 generators, got n = {self.n} and {len(gen_actions)}")
         object.__setattr__(self, "gen_actions", gen_actions)
-        object.__setattr__(self, "_act_cache", {})  # act's memo, {permutation: image}
         for g in gen_actions:
             if g.field != self.field or g.shape != (self.dim, self.dim):
                 raise ValueError("generators must be square matrices of one size over the field")
@@ -364,15 +363,10 @@ class GModule:
         """Image of an arbitrary permutation via its adjacent-swap factorization."""
         if len(g) != self.n:
             raise ValueError(f"permutation of degree {len(g)} on a module for S_{self.n}")
-        g = tuple(g)
-        cached = self._act_cache.get(g)
-        if cached is not None:
-            return cached
         word = pm.adjacent_factorization(g)
         out = self.gen_actions[word[0]] if word else Mat.identity(self.field, self.dim)
         for i in word[1:]:
             out = self.gen_actions[i] @ out
-        self._act_cache[g] = out
         return out
 
     def restrict(self, new_n: int) -> "GModule":

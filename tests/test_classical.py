@@ -24,6 +24,8 @@ def test_field_from_order():
         field_from_order(6)
     with pytest.raises(ValueError):
         field_from_order(1)
+    with pytest.raises(ValueError):
+        field_from_order(2**61 - 1)  # a prime beyond the supported bound
 
 
 def test_labels_and_dims():

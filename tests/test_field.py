@@ -1,5 +1,8 @@
 """Exhaustive field-axiom checks for every prime power up to 81."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -98,8 +101,25 @@ def test_field_object_identity_and_errors():
     with pytest.raises(ValueError):
         make_field(67)  # beyond the supported prime bound
     with pytest.raises(ValueError):
+        make_field(10**18 + 3)  # a prime far beyond it, refused before trial division
+    with pytest.raises(ValueError):
         make_field(2, 5)  # beyond the supported extension degree
     with pytest.raises(ValueError):
         make_field(3, 2).add(0, 11)  # out of range for GF(9)
     with pytest.raises(ZeroDivisionError):
         make_field(5).inv(0)
+
+
+def test_moduli_are_pinned():
+    """The axiom checks show a modulus is irreducible, not that it is the same
+    one, and the reports at q = 8, 9, 16, 25, 27 give the same dimensions under
+    any modulus; so the modulus and its fold rows are pinned for every prime
+    p <= 61 with r <= 3, and p <= 23 with r = 4."""
+    rows = []
+    for p in sorted(p for p, r, _ in prime_powers(61) if r == 1):
+        for r in range(1, 4 if p > 23 else 5):
+            f = make_field(p, r)
+            rows.append([p, r, list(f.modulus), [list(x) for x in f._reduce_rows]])
+    assert len(rows) == 63
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "40c5ca34b68986bb8336dc03253cd0ea8dc680a1bd036b5e80ea8106ac8b5602"

@@ -1,6 +1,7 @@
 """Independent slow-path checkers: exhaustive parabolic enumeration,
 brute-force free-summand peeling, and the tableau counting recursion."""
 
+import functools
 import inspect
 import itertools
 import math
@@ -73,19 +74,26 @@ def test_enum_parabolic_sweeps_once_per_degree_and_certifies_every_call(monkeypa
     assert oracles._trivial_rows.cache_info().misses == 1
 
 
+@functools.lru_cache(maxsize=None)
+def _elements_and_images(n):
+    """Every g in S_n in lexicographic order with its matrix on perm_irrep(n, 2);
+    they do not depend on W, so the cases share them."""
+    rep = perm_irrep(n, 2)
+    return tuple((g, rep.act(g)) for g in itertools.permutations(range(n)))
+
+
 def _trivial_reference(n, w):
     """The counts of elements of S_n fixing w pointwise and of those that are
     the identity on V/w, and the array of those doing both, one element at a
     time in lexicographic order, by Mat arithmetic."""
-    rep = perm_irrep(n, 2)
-    f = rep.field
+    f = make_field(2)
     ident = Mat.identity(f, w.ambient)
     b = Mat(f, w.basis)
     residue = ident + b.T @ Mat(f, np.eye(w.ambient, dtype=np.int64)[list(w.pivots)])
     fixes_w = on_quotient = 0
     trivial = []
-    for g in itertools.permutations(range(n)):
-        d = rep.act(g) - ident
+    for g, image in _elements_and_images(n):
+        d = image - ident
         on_w, on_v_mod_w = not (d @ b.T).a.any(), not (residue @ d).a.any()
         fixes_w += on_w
         on_quotient += on_v_mod_w

@@ -3,6 +3,7 @@ tabloid combinatorics, quotients by the form radical, and the structural
 invariants of restrictions to 2-subgroups and p-cycles."""
 
 import collections
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -119,6 +120,11 @@ def test_cached_modules_are_read_only(build):
             setattr(mod, attr, value)
     assert build() is mod
     assert mod.dim == dim and mod.gen_actions is gens and mod.dim > 0
+    # acting by a non-generator, the transposition (1 3), leaves no memo behind
+    g = list(range(mod.n))
+    g[0], g[2] = g[2], g[0]
+    mod.act(tuple(g))
+    assert set(vars(mod)) == {fld.name for fld in dataclasses.fields(GModule)}
 
 
 def test_relation_check_rejects_garbage():
