@@ -19,7 +19,7 @@ import numpy as np
 from .checks import CheckFailed, require
 from .field import GF, MAX_PRIME, make_field
 from .forms import FormSpec, preserves_form, unipotent_constraints
-from .linalg import Mat, add, det, entries, matmul, neg
+from .linalg import Mat, add, det, matmul, neg
 
 FAMILIES = ("SL", "Sp", "SOeven", "SOodd")
 
@@ -106,11 +106,10 @@ def make_classical(family: str, m: int, q: int) -> ClassicalSpec:
     return ClassicalSpec(family, m, q, fld, n, form, m, f"SO_{n}(F_{q})")
 
 
-def group_membership(mats, spec: ClassicalSpec):
-    """Defining conditions, one verdict per matrix of `mats` (one Mat or an
-    encoded stack of shape (..., d, d)): det 1 for SL and SO, form
-    preservation for Sp and SO."""
-    a = entries(mats, spec.field)
+def group_membership(a: np.ndarray, spec: ClassicalSpec):
+    """Defining conditions, one verdict per matrix of the encoded stack `a`
+    of shape (..., d, d): det 1 for SL and SO, form preservation for Sp and
+    SO."""
     if a.shape[-2:] != (spec.dim, spec.dim):
         raise ValueError(f"matrix size {a.shape[-2:]} does not fit {spec.label}")
     if spec.family == "SL":
@@ -132,10 +131,10 @@ class RootElement:
     matrix: Mat
 
 
-def _trivial_on_flag(mats, w: int):
+def _trivial_on_flag(a: np.ndarray, w: int):
     """Is each matrix of the shape [[I, *], [0, I]] for the leading w
-    coordinates?  One verdict per matrix of a Mat or an encoded stack."""
-    a = entries(mats)
+    coordinates?  One verdict per matrix of the encoded stack `a` of shape
+    (..., d, d)."""
     off = a != np.eye(a.shape[-1], dtype=np.int64)
     off[..., :w, w:] = False  # the block * is free
     return ~off.any(axis=(-2, -1))
@@ -292,7 +291,7 @@ def grid_points():
 
 
 def grid_rows():
-    """One result dict per grid point, ready for table emission."""
+    """One row per grid point: the six columns of `table rp`."""
     rows = []
     for family, m, q in grid_points():
         spec = make_classical(family, m, q)
@@ -303,7 +302,6 @@ def grid_rows():
             "q": q,
             "computed": res.computed,
             "closed_form": res.closed_form,
-            "rp_reference": rp_reference(family, m, q),
             "match": res.match,
         })
     return rows

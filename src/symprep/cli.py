@@ -71,14 +71,6 @@ def _cmd_verify(args):
     return render(args.suite, config, reports), code
 
 
-def _grid_table_rows():
-    return [
-        {"family": r["family"], "m": r["m"], "q": r["q"], "computed": r["computed"],
-         "closed_form": r["closed_form"], "match": r["match"]}
-        for r in classical.grid_rows()
-    ]
-
-
 def _parabolic_table_rows(max_n: int):
     check_max_n(max_n, max(PARABOLIC_DEGREES))
     if max_n < min(PARABOLIC_DEGREES):
@@ -167,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser("table", help="emit a computed table").add_subparsers(
         dest="name", required=True)
-    pt = leaf(tables, "rp", lambda a: (render_rows(_grid_table_rows(), a.format), 0))
+    pt = leaf(tables, "rp", lambda a: (render_rows(classical.grid_rows(), a.format), 0))
     pp = leaf(tables, "parabolic",
               lambda a: (render_rows(_parabolic_table_rows(a.max_n), a.format), 0))
     pp.add_argument("--max-n", type=int, default=max(PARABOLIC_DEGREES), dest="max_n")

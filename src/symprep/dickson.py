@@ -47,23 +47,13 @@ def _irrep_tables(n: int, p: int):
     permutation g is then column-by-column E[g(i)] - E[g(N)], so arbitrary
     elements cost O(dim^2) with no generator factorization.
     """
-    if p == 2:
-        big = n + (n % 2)
-        dim = big - 2
-        e = np.zeros((big, dim), dtype=np.int64)
-        e[:dim] = np.eye(dim, dtype=np.int64)
-        e[big - 2] = 1  # sum of all basis vectors
-        return big, dim, e
-    if n % p == 0:
-        dim = n - 2
-        e = np.zeros((n, dim), dtype=np.int64)
-        e[:dim] = np.eye(dim, dtype=np.int64)
-        e[n - 2] = (p - 1)  # minus the sum of all basis vectors
-        return n, dim, e
-    dim = n - 1
-    e = np.zeros((n, dim), dtype=np.int64)
+    big = n + n % 2 if p == 2 else n  # mod 2, odd n gains a fixed point
+    dim = big - 2 if big % p == 0 else big - 1
+    e = np.zeros((big, dim), dtype=np.int64)
     e[:dim] = np.eye(dim, dtype=np.int64)
-    return n, dim, e
+    if big % p == 0:
+        e[dim] = p - 1  # minus the sum of all basis vectors
+    return big, dim, e
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,20 +85,21 @@ def irrep_images(perms: np.ndarray, p: int) -> np.ndarray:
     return diff[ext[:, :dim], ext[:, big - 1:]].transpose(0, 2, 1)
 
 
-def _faithful_exactly(n: int, p: int) -> bool:
-    """Exact kernel triviality.
+def _faithful_exactly(rep: GModule) -> bool:
+    """Exact kernel triviality of the module's action.
 
-    Small n: every element's image, in one batch, and only the identity may
-    act trivially.  n >= 5: the kernel is a normal subgroup, and the only
+    Small n: every element's image, and only the identity may act
+    trivially.  n >= 5: the kernel is a normal subgroup, and the only
     normal subgroups of S_n are 1, A_n and S_n, so nontrivial action of a
     3-cycle and of a transposition settles it.
     """
+    n = rep.n
     if n >= 5:
         perms = [pm.from_cycles("(1 2 3)", n), pm.transposition(n, 0, 1)]
     else:
         perms = list(itertools.permutations(range(n)))
-    images = irrep_images(np.array(perms), p)
-    trivial = int((images == np.eye(images.shape[1], dtype=np.int64)).all(axis=(1, 2)).sum())
+    ident = Mat.identity(rep.field, rep.dim)
+    trivial = sum(rep.act(g) == ident for g in perms)
     return trivial == (0 if n >= 5 else 1)
 
 
@@ -293,8 +284,8 @@ def parabolic_trivial_subgroup(n: int, kind: str, w: Subspace) -> ParabolicResul
     backtrack of _sweep_survivors_gf2, which cuts each branch at its first
     failed check and so never lists the n! permutations.  The survivors are
     certified to be the elementary abelian group their greedy witness spans:
-    the span has 2^rank rows and equals the sorted survivors.  The witness is
-    checked once more through the matrices of perm_irrep.
+    the span has 2^rank rows and equals the sorted survivors.  The witness's
+    images under perm_irrep(n, 2) are checked once more by gl_parabolic_check.
     """
     if kind not in ("sym", "alt"):
         raise ValueError(f"kind must be sym or alt, got {kind!r}")
@@ -309,7 +300,8 @@ def parabolic_trivial_subgroup(n: int, kind: str, w: Subspace) -> ParabolicResul
     rank = len(witness)
     require(len(span) == 2**rank and np.array_equal(span, rows),
             "witness span, survivor count and 2^rank disagree")
-    require(gl_parabolic_check(rep, w, pm.GroupPresentation("perm", n, witness)),
+    images = irrep_images(pm.GroupPresentation("perm", n, witness).generator_rows(), 2)
+    require(gl_parabolic_check(images, w).all(),
             "witness does not act trivially through the representation matrices")
     return ParabolicResult(rank=rank, order=2**rank, witness=witness, elements=tuple(survivors))
 
@@ -324,24 +316,27 @@ def standard_parabolic(n: int, kind: str) -> ParabolicResult:
     return parabolic_trivial_subgroup(n, kind, lagrangian_pair(half_dim(n))[0])
 
 
-def gl_parabolic_check(rep: GModule, w: Subspace, group: pm.GroupPresentation) -> bool:
-    """Do all generators of the given subgroup act trivially on w and V/w?
+def gl_parabolic_check(images: np.ndarray, w: Subspace) -> np.ndarray:
+    """Does each matrix g of an encoded (k, d, d) stack act trivially on w and
+    V/w?  One verdict per matrix, for a subspace w of GF(p)^d.
 
-    With D = g - 1 over one batch of generator images and B the RREF basis
-    of w, g fixes w pointwise iff D·B^T = 0, and acts as the identity on V/w
-    iff R·D = 0, where R v = v - B^T v[pivots] is the residue of v modulo w.
-    Each condition is one product over the whole batch, the D stacked top to
-    bottom for the first and side by side for the second.
+    With D = g - 1 over the whole stack and B the RREF basis of w, g fixes w
+    pointwise iff D·B^T = 0, and acts as the identity on V/w iff R·D = 0,
+    where R v = v - B^T v[pivots] is the residue of v modulo w.  Each
+    condition is one product over the stack, the D stacked top to bottom for
+    the first and side by side for the second.
     """
-    if group.degree != rep.n:
-        raise ValueError("subgroup degree does not match the represented group")
-    p, dim, basis = rep.field.p, rep.dim, w.basis
+    p, dim, basis = w.field.p, w.ambient, w.basis
+    k = len(images)
+    if w.field.r != 1 or images.shape[1:] != (dim, dim):
+        raise ValueError(f"need a stack of {dim} x {dim} matrices over a prime field, "
+                         f"got shape {images.shape} over {w.field}")
     ident = np.eye(dim, dtype=np.int64)
-    diff = (irrep_images(group.generator_rows(), p) - ident) % p
+    diff = (images - ident) % p
     residue = (ident - basis.T @ ident[list(w.pivots)]) % p
-    fixes_w = mm_modp(diff.reshape(-1, dim), basis.T, p)
+    fixes_w = mm_modp(diff.reshape(-1, dim), basis.T, p).reshape(k, dim * w.dim)
     on_quotient = mm_modp(residue, diff.transpose(1, 0, 2).reshape(dim, -1), p)
-    return not fixes_w.any() and not on_quotient.any()
+    return ~fixes_w.any(axis=1) & ~on_quotient.reshape(dim, k, dim).any(axis=(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +382,12 @@ def siegel_unipotent_dim(g: int, p: int) -> int:
 
 
 def rep_to_json(rep: GModule) -> dict:
-    """A perm_irrep module on (1 2) and (1 2 .. n), and its exact faithfulness."""
-    n, p = rep.n, rep.field.p
-    group = pm.standard_gens("sym", n)
+    """The module's images of (1 2) and (1 2 .. n), and its exact faithfulness."""
+    group = pm.standard_gens("sym", rep.n)
     return {
         "kind": "representation",
         "label": rep.label,
-        "field": {"p": p, "r": rep.field.r, "modulus": list(rep.field.modulus)},
+        "field": {"p": rep.field.p, "r": rep.field.r, "modulus": list(rep.field.modulus)},
         "group": {
             "kind": group.kind,
             "degree": group.degree,
@@ -401,9 +395,7 @@ def rep_to_json(rep: GModule) -> dict:
             "generators": [pm.to_cycles(g) for g in group.generators],
         },
         "dim": rep.dim,
-        "faithful": _faithful_exactly(n, p),
-        "generators": [
-            {"cycles": pm.to_cycles(g), "matrix": m.tolist()}
-            for g, m in zip(group.generators, irrep_images(group.generator_rows(), p))
-        ],
+        "faithful": _faithful_exactly(rep),
+        "generators": [{"cycles": pm.to_cycles(g), "matrix": rep.act(g).tolist()}
+                       for g in group.generators],
     }

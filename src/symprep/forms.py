@@ -14,7 +14,7 @@ import numpy as np
 
 # mm_modp stays importable from here: the layer trace in perfbench/layers.py
 # wraps it by module
-from .linalg import Mat, add, entries, matmul, mm_modp  # noqa: F401
+from .linalg import Mat, add, matmul, mm_modp  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,10 @@ def _quad_matrix(form: FormSpec) -> np.ndarray:
     return u
 
 
-def preserves_form(m, form: FormSpec):
-    """Does each matrix preserve the form?  `m` is one Mat or an encoded
-    stack of shape (..., d, d); the verdicts have shape (...)."""
+def preserves_form(a: np.ndarray, form: FormSpec):
+    """Does each matrix preserve the form?  `a` is an encoded stack of shape
+    (..., d, d); the verdicts have shape (...)."""
     f = form.gram.field
-    a = entries(m, f)
     at = np.swapaxes(a, -1, -2)
     ok = (_sandwich(f, at, form.gram.a, a) == form.gram.a).all(axis=(-2, -1))
     if form.kind == "quadratic_char2":

@@ -634,16 +634,6 @@ def product_forms(lefts: list[Mat], rights: list[Mat]) -> np.ndarray:
     return grid
 
 
-def entries(m, field: GF | None = None) -> np.ndarray:
-    """The encoded entries of a Mat, checked to lie over `field` if given, or
-    an encoded array (a stack of matrices, say) as it is."""
-    if not isinstance(m, Mat):
-        return np.asarray(m, dtype=np.int64)
-    if field is not None and m.field != field:
-        raise ValueError(f"mismatched fields: {m.field} vs {field}")
-    return m.a
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 

@@ -46,8 +46,9 @@ def make_report(claim_id: str, statement: str, inputs: dict, expected, computed,
 def run_jobs(jobs) -> list[VerificationReport]:
     """Run (claim_id, thunk) jobs in order and stamp each report's runtime.
 
-    A thunk returns one VerificationReport, or None when it has nothing to
-    claim.  A raising thunk becomes a fail report under its claim id whose
+    A thunk returns one VerificationReport under its job's claim id, or None
+    when it has nothing to claim.  A raising thunk, or one whose report has
+    another claim id, becomes a fail report under its job's claim id whose
     `raised_at` input lists the innermost three frames below this one as
     "file.py:LINE in func", and the jobs after it still run.
     """
@@ -56,6 +57,8 @@ def run_jobs(jobs) -> list[VerificationReport]:
         t0 = time.monotonic()
         try:
             r = fn()
+            if r is not None and r.claim_id != claim_id:
+                raise ValueError(f"the job of {claim_id} reported {r.claim_id}")
         except Exception as exc:  # surface as a fail report, keep the run going
             frames = traceback.extract_tb(exc.__traceback__.tb_next)[-3:]  # not run_jobs
             where = [f"{os.path.basename(f.filename)}:{f.lineno} in {f.name}" for f in frames]

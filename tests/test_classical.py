@@ -50,19 +50,19 @@ def test_construction_errors():
 def test_membership():
     spec = make_classical("SL", 3, 5)
     f = spec.field
-    assert group_membership(Mat.identity(f, 3), spec)
+    assert group_membership(Mat.identity(f, 3).a, spec)
     d = np.diag([2, 1, 1]).astype(np.int64)
-    assert not group_membership(Mat(f, d), spec)  # det 2
+    assert not group_membership(Mat(f, d).a, spec)  # det 2
     d3 = np.diag([2, 3, 1]).astype(np.int64)
-    assert group_membership(Mat(f, d3), spec)  # det 6 = 1 mod 5
+    assert group_membership(Mat(f, d3).a, spec)  # det 6 = 1 mod 5
 
     sp = make_classical("Sp", 2, 3)
-    assert group_membership(Mat.identity(sp.field, 4), sp)
+    assert group_membership(Mat.identity(sp.field, 4).a, sp)
     swap = np.eye(4, dtype=np.int64)[[1, 0, 2, 3]]
-    assert not group_membership(Mat(sp.field, swap), sp)
+    assert not group_membership(Mat(sp.field, swap).a, sp)
 
     with pytest.raises(ValueError):
-        group_membership(Mat.identity(f, 4), spec)
+        group_membership(Mat.identity(f, 4).a, spec)
 
 
 def test_root_elements_properties():
@@ -74,7 +74,7 @@ def test_root_elements_properties():
         r = roots[0].matrix
         nil = r - Mat.identity(spec.field, spec.dim)
         assert nil @ nil == Mat.zeros(spec.field, spec.dim, spec.dim)
-        assert group_membership(r, spec)
+        assert group_membership(r.a, spec)
         assert len(roots) % spec.field.r == 0
 
 
@@ -199,7 +199,7 @@ def test_stacked_verdicts_match_single_matrices():
     rng = np.random.default_rng(3)
     for family, m, q in (("SL", 4, 9), ("Sp", 2, 9), ("SOeven", 4, 4), ("SOodd", 2, 25)):
         spec = make_classical(family, m, q)
-        f, d = spec.field, spec.dim
+        d = spec.dim
         roots = np.stack([r.matrix.a for r in ug_generators(spec)])
         swap = list(range(d))  # v_1 <-> v_{-1}: det -1, and form-preserving in SO
         last = d - 1 if family == "SL" else 2 * m - 1
@@ -209,12 +209,11 @@ def test_stacked_verdicts_match_single_matrices():
                                 roots[:1].swapaxes(1, 2), reflection[None],
                                 np.eye(d, dtype=np.int64)[None]])
         member = group_membership(stack, spec)
-        assert member.tolist() == [bool(group_membership(Mat(f, a), spec)) for a in stack]
+        assert member.tolist() == [bool(group_membership(a, spec)) for a in stack]
         assert member[:len(roots)].all() and member[-1]
         assert member[-2] == (q % 2 == 0)
         flag = classical._trivial_on_flag(stack, spec.w_size)
-        assert flag.tolist() == [bool(classical._trivial_on_flag(Mat(f, a), spec.w_size))
-                                 for a in stack]
+        assert flag.tolist() == [bool(classical._trivial_on_flag(a, spec.w_size)) for a in stack]
         assert flag[:len(roots)].all() and not flag[len(roots) + 4]
 
 

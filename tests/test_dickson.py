@@ -241,8 +241,9 @@ def test_backtrack_matches_brute_force_on_other_lagrangians():
         assert any(sum(row) % 2 for row in dual.basis)  # odd-weight rows read the last point
         for w in (dual, _other_pairing_lagrangian(d)):
             for kind, parity in (("sym", None), ("alt", 1)):
-                brute = [g for g in map(tuple, pm.closure(pm.standard_gens(kind, n)).tolist())
-                         if gl_parabolic_check(rep, w, pm.GroupPresentation("perm", n, (g,)))]
+                elements = pm.closure(pm.standard_gens(kind, n))
+                trivial = gl_parabolic_check(irrep_images(elements, 2), w)
+                brute = [tuple(g) for g in elements[trivial].tolist()]
                 assert _sweep_survivors_gf2(n, w, parity) == brute, (n, kind)
                 assert parabolic_trivial_subgroup(n, kind, w).elements == tuple(brute), (n, kind)
 
@@ -315,13 +316,42 @@ def test_word_check_survives_python_O():
     assert proc.stdout.splitlines() == ["raised CheckFailed"]
 
 
+def _images(rep, group):
+    return np.stack([rep.act(g).a for g in group.generators])
+
+
 def test_gl_parabolic_check():
+    """One verdict per matrix: H_8's generators pass, and of S_8's the
+    transposition (1 2), which lies in H_8, passes and the 8-cycle fails."""
     rep = perm_irrep(8, 2)
     w, _, _ = lagrangian_pair(rep.dim // 2)
-    h = pm.special_subgroups(8, "H")
-    assert gl_parabolic_check(rep, w, h)
-    s8 = pm.standard_gens("sym", 8)
-    assert not gl_parabolic_check(rep, w, s8)
+    assert gl_parabolic_check(_images(rep, pm.special_subgroups(8, "H")), w).tolist() == [True] * 4
+    s8 = _images(rep, pm.standard_gens("sym", 8))
+    assert gl_parabolic_check(s8, w).tolist() == [True, False]
+    assert gl_parabolic_check(s8[:0], w).shape == (0,)
+    with pytest.raises(ValueError):
+        gl_parabolic_check(s8[0], w)  # one matrix, not a stack
+    gf4 = make_field(2, 2)
+    with pytest.raises(ValueError):  # diag(x + 1, 1) moves e_1: the mod-2 products would pass it
+        gl_parabolic_check(np.array([[[3, 0], [0, 1]]]), Subspace.from_rows(gf4, [[1, 0]]))
+
+
+def test_checks_read_the_module_they_are_given():
+    """perm_irrep(8, 2) conjugated by an invertible s is the same group action
+    in another basis: its own images of H_8 move the standard Lagrangian,
+    and its JSON carries its own matrices, not perm_irrep's."""
+    rep = perm_irrep(8, 2)
+    s = np.eye(rep.dim, dtype=np.int64)
+    s[0, 2] = 1
+    s = Mat(GF2, s)
+    conj = GModule(8, GF2, [s @ g @ s.inverse() for g in rep.gen_actions], check=False)
+    w, _, _ = lagrangian_pair(rep.dim // 2)
+    assert not gl_parabolic_check(_images(conj, pm.special_subgroups(8, "H")), w).all()
+    doc, plain = rep_to_json(conj), rep_to_json(rep)
+    for g, h in zip(doc["generators"], plain["generators"]):
+        assert g["matrix"] == conj.act(pm.from_cycles(g["cycles"], 8)).tolist()
+        assert g["matrix"] != h["matrix"]
+    assert doc["faithful"]
 
 
 def test_diagonal_rep_symplectic():
@@ -330,7 +360,7 @@ def test_diagonal_rep_symplectic():
     assert len(images) == len(rep.gen_actions)
     for m in images:
         assert m.shape == (2 * rep.dim, 2 * rep.dim)
-        assert preserves_form(m, form)
+        assert preserves_form(m.a, form)
 
 
 def test_diagonal_rep_doubles_by_the_inverse_transpose_or_raises():

@@ -56,8 +56,8 @@ def test_quadratic_char2_polarization():
 def test_preserves_form():
     form = standard_symplectic(GF3, 1)
     rot = Mat(GF3, [[0, 2], [1, 0]])  # determinant 1, swaps the two lines
-    assert preserves_form(rot, form)
-    assert not preserves_form(Mat(GF3, [[2, 0], [0, 1]]), form)  # scales pairing
+    assert preserves_form(rot.a, form)
+    assert not preserves_form(Mat(GF3, [[2, 0], [0, 1]]).a, form)  # scales pairing
 
 
 def test_is_isotropic():
@@ -88,7 +88,7 @@ def test_unipotent_constraint_solutions_are_group_elements():
             phi = row.reshape(g, g)
             m = np.eye(2 * g, dtype=np.int64)
             m[:g, g:] = phi
-            assert preserves_form(Mat(field, m), form)
+            assert preserves_form(Mat(field, m).a, form)
 
 
 def test_unipotent_constraints_reject_non_isotropic_flag():

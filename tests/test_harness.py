@@ -73,6 +73,13 @@ def test_run_jobs_times_each_job_and_fails_alone():
     assert all(isinstance(r.runtime_ms, int) for r in reports)
 
 
+def test_report_under_another_claim_id_fails_under_its_jobs_id():
+    reports = run_jobs([("a", lambda: make_report("b", "s", {}, 1, 1)),
+                        ("c", lambda: make_report("c", "s", {}, 1, 1))])
+    assert [(r.claim_id, r.status) for r in reports] == [("a", "fail"), ("c", "pass")]
+    assert "the job of a reported b" in reports[0].computed
+
+
 def test_raising_job_reports_where_it_raised():
     from symprep import snmod
 
@@ -453,6 +460,23 @@ def test_cli_table_rp_csv():
     assert lines[0] == "family,m,q,computed,closed_form,match"
     assert len(lines) == 37  # header + 36 grid points
     assert all(line.endswith("true") for line in lines[1:])
+
+
+# sha256 of `table rp --format F`
+_TABLE_RP_DIGESTS = {
+    "csv": "0e69de29f673d56d28d9498bd1f6937ce0b75923c39e35d712d55192e4037a24",
+    "md": "b398a45a1e9ff24b0bbf67ddca188337d787129cfb226778545859ca66fa884c",
+    "json": "56d39e2cd1621c77206d923579fc8d3a3ed0e4e74b4eb0fb04c0729319502215",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_TABLE_RP_DIGESTS))
+def test_cli_table_rp_bytes_are_pinned(fmt):
+    """`table rp` in every format, byte for byte: the six columns of
+    `classical.grid_rows` over the 36 grid points."""
+    code, out, _ = _cli("table", "rp", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_RP_DIGESTS[fmt]
 
 
 def test_cli_oracle_tableaux():
